@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mesoparity.cli import (
     CSV_HEADER,
@@ -14,6 +16,16 @@ from mesoparity.cli import (
     main,
     read_bound_csv,
     read_flat_config,
+)
+from mesoparity.states import ValidationError
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               0.30000000000000004, 0.33333333333333331, 1.2345678901234567e-200)
+FLOAT64_ARRAYS = arrays(
+    np.float64,
+    st.integers(0, 12),
+    elements=st.sampled_from(EDGE_FLOATS)
+    | st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
@@ -46,6 +58,48 @@ class TestJsonEmitter:
     def test_numpy_scalars_accepted(self):
         assert emit_json(np.float64(0.5)) == "0.5"
         assert emit_json(np.int64(3)) == "3"
+
+
+class TestFloatArrayEmitter:
+    """The bulk 1-D float64 path must write the bytes of the generic list path."""
+
+    @given(FLOAT64_ARRAYS, st.integers(0, 3))
+    def test_matches_list_path(self, arr, indent):
+        assert emit_json(arr, indent=indent) == emit_json(arr.tolist(), indent=indent)
+
+    @given(FLOAT64_ARRAYS, FLOAT64_ARRAYS, st.integers(0, 3))
+    def test_matches_list_path_when_nested(self, a, b, indent):
+        got = emit_json({"a": a, "b": [b, {"c": a}], "d": 1.5}, indent=indent)
+        want = emit_json({"a": a.tolist(), "b": [b.tolist(), {"c": a.tolist()}],
+                          "d": 1.5}, indent=indent)
+        assert got == want
+
+    def test_edge_values(self):
+        arr = np.array(EDGE_FLOATS)
+        assert emit_json(arr) == emit_json(arr.tolist())
+        assert emit_json(np.array([0.0, -0.0])) == "[\n  0,\n  -0\n]"
+
+    def test_empty(self):
+        assert emit_json(np.array([], dtype=np.float64)) == "[]"
+        assert emit_json({"s": np.zeros(0)}, indent=2) == '{\n      "s": []\n    }'
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_non_finite_rejected(self, bad, where):
+        arr = np.linspace(0.0, 1.0, 7)
+        arr[where] = bad
+        with pytest.raises(ValidationError):
+            emit_json(arr)
+        with pytest.raises(ValidationError):
+            emit_json({"outcomes": [{"sectors": arr}]})
+
+    def test_other_arrays_keep_generic_bytes(self):
+        assert (emit_json(np.array([0.1, 0.0, -0.0, 2.5], dtype=np.float32))
+                == "[\n  0.10000000149011612,\n  0,\n  -0,\n  2.5\n]")
+        assert emit_json(np.array([1, 0, -2])) == "[\n  1,\n  0,\n  -2\n]"
+        assert (emit_json(np.array([[0.5, 0.0], [1.0 / 3.0, -0.0]]))
+                == "[\n  [\n    0.5,\n    0\n  ],\n"
+                   "  [\n    0.33333333333333331,\n    -0\n  ]\n]")
 
 
 class TestFlatConfig:
@@ -106,6 +160,36 @@ class TestSimulate:
         proc = run_cli("simulate", "--config", str(cfg), "--n", "3")
         report = json.loads(proc.stdout)
         assert report["scenario"]["n"] == 3
+
+    def test_dense_and_collective_backends_agree(self, tmp_path):
+        """At n=9, the largest mixed input that still fits the dense density,
+        the DensityOperator and SectorMixture reports differ only in the
+        requested and resolved backend names and in rounding."""
+        reports = {}
+        for backend in ("dense", "collective"):
+            out = tmp_path / f"{backend}.json"
+            assert main(["simulate", "--kind", "parity_conditioned",
+                         "--v-odd", "collective_flip", "--n", "9",
+                         "--epsilon", "0.3", "--backend", backend,
+                         "--out", str(out)]) == 0
+            reports[backend] = json.loads(out.read_text())
+        dense, coll = reports["dense"], reports["collective"]
+        for report, backend in ((dense, "dense"), (coll, "collective")):
+            assert report["scenario"].pop("backend") == backend
+            assert report["diagnostics"].pop("backend") == backend
+        assert [o["id"] for o in dense["outcomes"]] == [o["id"] for o in coll["outcomes"]]
+        assert dense["scenario"] == coll["scenario"]
+        assert dense["diagnostics"].keys() == coll["diagnostics"].keys()
+        for d, c in zip(dense["outcomes"], coll["outcomes"]):
+            for key in ("p", "f_odd", "f_even", "f_best"):
+                assert d[key] == pytest.approx(c[key], abs=1e-12, rel=0)
+            np.testing.assert_allclose(d["sectors"], c["sectors"], atol=1e-12, rtol=0)
+        assert dense["f_avg"] == pytest.approx(coll["f_avg"], abs=1e-12, rel=0)
+        np.testing.assert_allclose(dense["diagnostics"]["pre_measurement_sectors"],
+                                   coll["diagnostics"]["pre_measurement_sectors"],
+                                   atol=1e-12, rtol=0)
+        assert (dense["diagnostics"]["branch_phases_vs_collective_flip"]
+                == coll["diagnostics"]["branch_phases_vs_collective_flip"])
 
     def test_byte_determinism(self):
         args = ("simulate", "--kind", "parity_collective", "--n", "4",
