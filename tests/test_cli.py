@@ -191,6 +191,34 @@ class TestSimulate:
         assert (dense["diagnostics"]["branch_phases_vs_collective_flip"]
                 == coll["diagnostics"]["branch_phases_vs_collective_flip"])
 
+    @pytest.mark.parametrize("extra", [
+        ("--kind", "parity_collective"),
+        ("--kind", "hamming_half"),
+        ("--kind", "ghz_local", "--disentangle"),
+    ])
+    def test_backends_agree_at_the_auto_switch_point(self, tmp_path, extra):
+        """n=20 is the largest pure input that still fits the dense cap: the
+        PureState and CollectiveBlockState reports are equal apart from the
+        requested and resolved backend names."""
+        reports = {}
+        for backend in ("dense", "collective"):
+            out = tmp_path / f"{backend}.json"
+            assert main(["simulate", *extra, "--n", "20", "--backend", backend,
+                         "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["scenario"].pop("backend") == backend
+            assert report["diagnostics"].pop("backend") == backend
+            reports[backend] = report
+        assert reports["dense"] == reports["collective"]
+
+    def test_auto_resolves_to_collective_past_the_dense_cap(self, tmp_path):
+        out = tmp_path / "auto.json"
+        assert main(["simulate", "--kind", "parity_collective", "--n", "21",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["scenario"]["backend"] == "auto"
+        assert report["diagnostics"]["backend"] == "collective"
+
     def test_byte_determinism(self):
         args = ("simulate", "--kind", "parity_collective", "--n", "4",
                 "--epsilon", "0.2", "--measurement", "threshold_pvm")

@@ -33,10 +33,13 @@ from mesoparity.collective import (
     thermal_ms_dense,
     total_excitation_grid,
 )
+from mesoparity.bounds import random_collective_povm
+from mesoparity.measurement import measure
 from mesoparity.states import (
     LABEL_MS,
     LABEL_Q1,
     LABEL_Q2,
+    DensityOperator,
     LayoutError,
     PureState,
     SubsystemLayout,
@@ -293,6 +296,74 @@ def test_edge_phase_gate_needs_extremal_sectors():
     quiet[0, 0] = [0.0, 1.0, 0.0, 0.0]
     out = edge_phase_gate(CollectiveBlockState(quiet, (3,)), LABEL_Q1)
     np.testing.assert_allclose(out.amplitudes, quiet, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# every gate on a density is U rho U^dag with U from the kron oracles
+
+
+def _joint_density(rng, n):
+    lay = SubsystemLayout((2, 2, 1 << n), (LABEL_Q1, LABEL_Q2, LABEL_MS))
+    return DensityOperator(helpers.random_density_matrix(rng, lay.total_dim), lay)
+
+
+def _density_gate_cases(n):
+    """(name, gate on a state, joint unitary) for every gate at MS size n."""
+    eye2, eye = np.eye(2), np.eye(1 << n)
+    flip = dense_flip(n)
+    z_first = np.diag([(-1.0) ** ((b >> (n - 1)) & 1) for b in range(1 << n)])
+    z_last = np.diag([(-1.0) ** (b & 1) for b in range(1 << n)])
+    cases = [
+        ("flip", collective_flip, kron_chain([eye2, eye2, flip])),
+        ("flip_q1", lambda s: collective_flip(s, controlled_on=LABEL_Q1),
+         joint_controlled(n, "q1", flip)),
+        ("flip_q2", lambda s: collective_flip(s, controlled_on=LABEL_Q2),
+         joint_controlled(n, "q2", flip)),
+        ("ghz", ghz_entangler,
+         kron_chain([eye2, eye2, (eye - 1j * flip) / math.sqrt(2.0)])),
+        ("ghz_inverse", lambda s: ghz_entangler(s, inverse=True),
+         kron_chain([eye2, eye2, (eye + 1j * flip) / math.sqrt(2.0)])),
+        ("edge_q1", lambda s: edge_phase_gate(s, LABEL_Q1),
+         joint_controlled(n, "q1", z_first)),
+        ("edge_q2", lambda s: edge_phase_gate(s, LABEL_Q2),
+         joint_controlled(n, "q2", z_last)),
+    ]
+    if n == 4:
+        half = np.kron(dense_flip(2), np.eye(4))
+        cases += [
+            ("block_flip", lambda s: collective_flip(s, blocks=(0,), block_sizes=(2, 2)),
+             kron_chain([eye2, eye2, half])),
+            ("block_flip_q1",
+             lambda s: collective_flip(s, controlled_on=LABEL_Q1, blocks=(0,),
+                                       block_sizes=(2, 2)),
+             joint_controlled(n, "q1", half)),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_density_gates_match_kron_conjugation(rng, n):
+    rho = _joint_density(rng, n)
+    for name, gate, u in _density_gate_cases(n):
+        got = gate(rho)
+        assert isinstance(got, DensityOperator), name
+        want = u @ rho.matrix @ u.conj().T
+        np.testing.assert_allclose(got.matrix, want, atol=1e-12, rtol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_density_sector_update_matches_pure_update(rng, n):
+    psi = _joint_pure(rng, n)
+    povm = random_collective_povm(n, rng)
+    pure, dens = measure(psi, povm), measure(psi.to_density(), povm)
+    for a, b in zip(pure, dens):
+        assert a.probability == pytest.approx(b.probability, abs=1e-12)
+        if a.post_state is None:
+            assert b.post_state is None
+            continue
+        v = a.post_state.amplitudes
+        np.testing.assert_allclose(b.post_state.matrix, np.outer(v, v.conj()),
+                                   atol=1e-12, rtol=0)
 
 
 # ---------------------------------------------------------------------------
