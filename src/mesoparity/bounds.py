@@ -21,6 +21,7 @@ from .collective import MsConfig, binomial_pmf, popcounts, thermal_ms_dense
 from .measurement import CollectivePOVM, sector_pvm
 from .metrics import OutcomeDistribution
 from .states import DENSE_DENSITY_DIM_CAP, ValidationError
+from .tolerances import TOL
 
 
 class DomainError(ValueError):
@@ -95,7 +96,7 @@ class CoefficientProgram:
         if b.min() < 0.0 or b.max() > 2.0:
             raise ValidationError("beta weights must lie in [0, 2]")
         total = math.fsum(w * m for w, m in zip(b, self.multiplicities))
-        if abs(total - float(sum(self.multiplicities))) > 1e-9:
+        if abs(total - float(sum(self.multiplicities))) > TOL.program_mass:
             raise ValidationError(f"beta mass {total} != {sum(self.multiplicities)}")
 
     def value(self) -> float:
@@ -107,7 +108,7 @@ class CoefficientProgram:
 @dataclass(frozen=True)
 class BoundResult:
     """The ceiling computed three ways; constructing this value asserts the
-    three agree to 1e-10 and sit in [1/2, 1]."""
+    three agree to TOL.bound_forms and sit in [1/2, 1]."""
 
     n: int
     epsilon: float
@@ -118,10 +119,10 @@ class BoundResult:
     def __post_init__(self):
         vals = (self.closed_form, self.sum_form, self.program_form)
         for v in vals:
-            if not 0.5 - 1e-12 <= v <= 1.0 + 1e-12:
+            if not 0.5 - TOL.bound_range <= v <= 1.0 + TOL.bound_range:
                 raise ValidationError(f"bound value {v} outside [1/2, 1]")
         spread = max(vals) - min(vals)
-        if spread > 1e-10:
+        if spread > TOL.bound_forms:
             raise ValidationError(f"bound forms disagree by {spread}")
 
 
@@ -232,7 +233,7 @@ def bound_violation_search(
     raise_on_violation: bool = True,
 ) -> ViolationReport:
     """Sample random (V_odd, V_even) pairs and random collective POVMs and
-    check no sampled strategy exceeds the ceiling by more than 1e-9.
+    check no sampled strategy exceeds the ceiling by more than TOL.violation.
 
     Each trial owns the RNG stream (seed, trial), so results do not depend on
     evaluation order.  Alongside the collective-POVM reading, every trial also
@@ -263,7 +264,7 @@ def bound_violation_search(
         f = 0.5 * math.fsum(np.maximum(p_o, p_e))
         if f > max_f:
             max_f, argmax = f, t
-        if f > bound + 1e-9:
+        if f > bound + TOL.violation:
             violations += 1
         diff = rho_o - rho_e
         evals, vecs = np.linalg.eigh(diff)
@@ -275,7 +276,7 @@ def bound_violation_search(
         f_eigen = 0.5 * (1.0 + d_c)
         if f_eigen > eigen_max_f:
             eigen_max_f = f_eigen
-        if f_eigen > bound + 1e-9:
+        if f_eigen > bound + TOL.violation:
             violations += 1
     p_odd_opt, p_even_opt = optimal_outcome_distributions(n, epsilon)
     f_opt = 0.5 * math.fsum(np.maximum(p_odd_opt.probs, p_even_opt.probs))

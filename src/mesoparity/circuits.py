@@ -51,6 +51,7 @@ from .states import (
     SubsystemLayout,
     ValidationError,
     _apply_axes,
+    apply_kernel,
     partial_trace,
 )
 from .tolerances import TOL
@@ -212,30 +213,24 @@ def prepare_inputs(spec: CircuitSpec) -> JointState:
 
 def _conditional_ms_apply(state, table: Mapping[tuple, np.ndarray]):
     """Apply a distinct MS unitary on every qubit basis branch (dense only)."""
+    if not isinstance(state, (PureState, DensityOperator)):
+        raise RepresentationError(
+            "explicit conditional unitaries need the dense backend"
+        )
     s1 = state.layout.slot(LABEL_Q1)
     s2 = state.layout.slot(LABEL_Q2)
     ms = state.layout.slot(LABEL_MS)
     if (s1, s2) != (0, 1) or ms != 2:
         raise LayoutError("conditional evolution expects the (q1, q2, ms, ...) layout")
-    if isinstance(state, PureState):
-        t = state.as_tensor().copy()
+
+    def kernel(t, offset, conj):
+        out = t.copy()
         for (j, k), op in table.items():
-            t[j, k] = _apply_axes(op, t[j, k], [0])
-        return PureState(t.reshape(-1), state.layout)
-    if isinstance(state, DensityOperator):
-        nd = state.layout.n_slots
-        t = state.as_tensor().copy()
-        for (j, k), op in table.items():
-            t[j, k] = _apply_axes(op, t[j, k], [0])
-        t2 = t.copy()
-        for (j, k), op in table.items():
-            sl = (slice(None),) * nd + (j, k)
-            t2[sl] = _apply_axes(op.conj(), t[sl], [nd])
-        d = state.layout.total_dim
-        return DensityOperator(t2.reshape(d, d), state.layout)
-    raise RepresentationError(
-        "explicit conditional unitaries need the dense backend"
-    )
+            sl = (slice(None),) * offset + (j, k)
+            out[sl] = _apply_axes(op.conj() if conj else op, t[sl], [offset])
+        return out
+
+    return state.with_tensor(apply_kernel(state, kernel))
 
 
 def _apply_tag_conditioned(state, odd_flip: bool, even_flip: bool, spec: CircuitSpec):
@@ -270,18 +265,14 @@ def _evolve_impl(spec: CircuitSpec, state: JointState, dagger: bool) -> JointSta
     kind = spec.kind
     if kind == "parity_collective":
         return _apply_tag_conditioned(state, True, False, spec)
+    if kind in ("hamming_half", "ghz_local") and isinstance(state, SectorMixture):
+        raise RepresentationError(f"{kind} on mixed inputs needs the dense backend")
     if kind == "hamming_half":
-        if isinstance(state, SectorMixture):
-            raise RepresentationError(
-                "hamming_half on mixed inputs needs the dense backend"
-            )
         out = collective_flip(state, controlled_on=LABEL_Q1, blocks=(0,),
                               block_sizes=spec.block_sizes)
         return collective_flip(out, controlled_on=LABEL_Q2, blocks=(1,),
                                block_sizes=spec.block_sizes)
     if kind == "ghz_local":
-        if isinstance(state, SectorMixture):
-            raise RepresentationError("ghz_local on mixed inputs needs the dense backend")
         out = ghz_entangler(state)
         out = edge_phase_gate(out, LABEL_Q1)
         out = edge_phase_gate(out, LABEL_Q2)
@@ -317,8 +308,7 @@ def _tag_to_matrix(v, n: int) -> np.ndarray:
 
 
 def qubit_marginal(state: JointState) -> DensityOperator:
-    """Reduced two-qubit state after tracing out the MS (and apparatus)."""
-    qubit_layout = SubsystemLayout((2, 2), (LABEL_Q1, LABEL_Q2))
+    """Reduced two-qubit state after tracing out the MS."""
     if isinstance(state, SectorMixture):
         o = BELL_ODD_PLUS.vector[:, None]
         e = BELL_EVEN_PLUS.vector[:, None]
@@ -329,21 +319,8 @@ def qubit_marginal(state: JointState) -> DensityOperator:
             + x * (o @ e.conj().T)
             + x * (e @ o.conj().T)
         )
-        return DensityOperator(rho, qubit_layout)
-    if isinstance(state, CollectiveBlockState):
-        mat = state.amplitudes.reshape(4, -1)
-        return DensityOperator(mat @ mat.conj().T, qubit_layout)
-    if isinstance(state, PureState):
-        s1 = state.layout.slot(LABEL_Q1)
-        s2 = state.layout.slot(LABEL_Q2)
-        t = np.moveaxis(state.as_tensor(), (s1, s2), (0, 1))
-        mat = t.reshape(4, -1)
-        return DensityOperator(mat @ mat.conj().T, qubit_layout)
-    if isinstance(state, DensityOperator):
-        s1 = state.layout.slot(LABEL_Q1)
-        s2 = state.layout.slot(LABEL_Q2)
-        return partial_trace(state, [s1, s2])
-    raise TypeError(f"no qubit marginal for {type(state).__name__}")
+        return DensityOperator(rho, SubsystemLayout((2, 2), (LABEL_Q1, LABEL_Q2)))
+    return partial_trace(state, [state.layout.slot(LABEL_Q1), state.layout.slot(LABEL_Q2)])
 
 
 def branch_ms_states(state: JointState) -> dict:
@@ -352,12 +329,9 @@ def branch_ms_states(state: JointState) -> dict:
     Diagnostics helper: exposes each branch's MS content so circuits can be
     compared branch-by-branch, phases included.
     """
-    if isinstance(state, PureState):
-        t = state.as_tensor()
-    elif isinstance(state, CollectiveBlockState):
-        t = state.amplitudes
-    else:
+    if not isinstance(state, (PureState, CollectiveBlockState)):
         raise TypeError("branch decomposition needs a pure joint state")
+    t = state.as_tensor()
     out = {}
     for j in (0, 1):
         for k in (0, 1):

@@ -1,9 +1,15 @@
 """Permutation-symmetric machinery for the mesoscopic system (MS).
 
-Dicke ladders, collective rotations and flips, excitation-sector bookkeeping,
-and a sector-resolved mixed-state form for the parity-conditioned protocol
-family.  The MS is an ensemble of n identical two-level systems addressed only
-through collective operations.
+Excitation-sector bookkeeping, Dicke-block pure states, the collective flip,
+the GHZ-manifold entangler and the edge phase gate, and a sector-resolved
+mixed-state form for the parity-conditioned protocol family.  The MS is an
+ensemble of n identical two-level systems addressed only through collective
+operations.
+
+Each gate is written once for every representation with a tensor: the MS
+slot of the ket tensor (see `excitation_index`) and `states.apply_kernel`,
+which carries a ket-side kernel to a density's bra side, hide whether the
+state is dense or Dicke-block, pure or mixed.
 
 Convention: m always counts constituents in |1> (per-site number operator
 |1><1|), so the weakly polarized product state rho_eps concentrates near m=0.
@@ -23,7 +29,6 @@ from scipy.special import gammaln
 from .states import (
     DENSE_DENSITY_DIM_CAP,
     DENSE_STATE_DIM_CAP,
-    LABEL_APPARATUS,
     LABEL_MS,
     LABEL_Q1,
     LABEL_Q2,
@@ -32,6 +37,8 @@ from .states import (
     PureState,
     SubsystemLayout,
     ValidationError,
+    apply_kernel,
+    populations,
 )
 from .tolerances import TOL
 
@@ -111,10 +118,6 @@ class MsConfig:
         if not 0.0 <= self.epsilon < 1.0:
             raise ValidationError(f"epsilon must lie in [0, 1), got {self.epsilon}")
 
-    @classmethod
-    def from_polarization(cls, n: int, polarization: float) -> "MsConfig":
-        return cls(n, 1.0 - polarization)
-
     @property
     def ground_probability(self) -> float:
         return 1.0 - self.epsilon / 2.0
@@ -126,86 +129,6 @@ class MsConfig:
     def sector_weights(self) -> np.ndarray:
         """Excitation-sector distribution b(m; n, epsilon/2) of rho_eps."""
         return binomial_pmf(self.n, self.epsilon / 2.0)
-
-
-@dataclass(frozen=True)
-class SectorProjector:
-    """Projector onto total MS excitation m (applied via basis masks)."""
-
-    m: int
-
-    def __post_init__(self):
-        if int(self.m) != self.m or self.m < 0:
-            raise ValueError(f"sector index must be a nonnegative integer, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
-
-    def dense_mask(self, n: int) -> np.ndarray:
-        return popcounts(n) == self.m
-
-    def grid_mask(self, block_sizes: Sequence[int]) -> np.ndarray:
-        return total_excitation_grid(tuple(block_sizes)) == self.m
-
-    def expectation(self, state) -> float:
-        probs = sector_probabilities(state)
-        return float(probs[self.m]) if self.m < probs.size else 0.0
-
-
-# ---------------------------------------------------------------------------
-# Dicke ladder (single permutation-symmetric block)
-
-
-@dataclass(frozen=True)
-class DickeLadder:
-    """Pure symmetric state of one block: amplitude per excitation m = 0..N_b."""
-
-    block_size: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.block_size < 1:
-            raise ValueError(f"block size must be >= 1, got {self.block_size}")
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.size != self.block_size + 1:
-            raise LayoutError(
-                f"{amps.size} amplitudes for a size-{self.block_size} ladder"
-            )
-        nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > TOL.norm:
-            raise ValidationError(f"ladder norm {nrm} deviates from 1 beyond {TOL.norm}")
-
-
-def ladder_ground(n: int) -> DickeLadder:
-    amps = np.zeros(n + 1)
-    amps[0] = 1.0
-    return DickeLadder(n, amps)
-
-
-@lru_cache(maxsize=None)
-def ladder_generator(n: int) -> np.ndarray:
-    """Matrix of sum_j sigma_x^(j) restricted to the symmetric ladder."""
-    off = np.sqrt((n - np.arange(n)) * (np.arange(n) + 1.0))
-    gen = np.diag(off, 1) + np.diag(off, -1)
-    gen.setflags(write=False)
-    return gen
-
-
-def rotation_matrix(n: int, theta: float) -> np.ndarray:
-    """exp(-i*theta*sum_j sigma_x^(j)) on the ladder, via eigendecomposition."""
-    evals, vecs = np.linalg.eigh(ladder_generator(n))
-    return (vecs * np.exp(-1j * theta * evals)) @ vecs.conj().T
-
-
-def collective_rotation(theta: float, block: DickeLadder) -> DickeLadder:
-    """Uniform rotation of every site about x by 2*theta.
-
-    theta = pi/2 reverses the ladder (m -> N_b - m) up to the global phase
-    (-i)^{N_b}, because each site contributes exp(-i*(pi/2)*sigma_x) =
-    -i*sigma_x.
-    """
-    out = rotation_matrix(block.block_size, theta) @ block.amplitudes
-    return DickeLadder(block.block_size, out)
 
 
 def dicke_vector(n: int, m: int) -> np.ndarray:
@@ -225,20 +148,20 @@ def dicke_basis(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# multi-block pure states with the two target qubits (and optional apparatus)
+# multi-block pure states with the two target qubits
 
 
 @dataclass(frozen=True)
 class CollectiveBlockState:
-    """Pure joint state: axes (q1, q2, block_1, ..., block_k[, apparatus]).
+    """Pure joint state: axes (q1, q2, block_1, ..., block_k).
 
-    Each MS block is an independent Dicke ladder; block 1 holds the first
-    (leftmost) sites.  Total excitation of an index tuple is sum(m_i).
+    Each MS block is held in its symmetric (Dicke) basis m_i = 0..N_i; block
+    1 holds the first (leftmost) sites.  Total excitation of an index tuple
+    is sum(m_i).
     """
 
     amplitudes: np.ndarray
     block_sizes: tuple[int, ...]
-    has_apparatus: bool = False
 
     def __post_init__(self):
         sizes = tuple(int(b) for b in self.block_sizes)
@@ -247,8 +170,6 @@ class CollectiveBlockState:
             raise LayoutError(f"bad block sizes {sizes}")
         amps = np.asarray(self.amplitudes, dtype=complex)
         expected = (2, 2) + tuple(b + 1 for b in sizes)
-        if self.has_apparatus:
-            expected += (2,)
         if amps.shape != expected:
             raise LayoutError(f"amplitude shape {amps.shape}, expected {expected}")
         amps.setflags(write=False)
@@ -262,21 +183,16 @@ class CollectiveBlockState:
         return sum(self.block_sizes)
 
     @property
-    def block_axes(self) -> tuple[int, ...]:
-        return tuple(range(2, 2 + len(self.block_sizes)))
+    def layout(self) -> SubsystemLayout:
+        """(q1, q2, ms), the MS slot running over the blocks' index tuples."""
+        ms_dim = prod(b + 1 for b in self.block_sizes)
+        return SubsystemLayout((2, 2, ms_dim), (LABEL_Q1, LABEL_Q2, LABEL_MS))
 
-    @property
-    def apparatus_axis(self) -> int:
-        if not self.has_apparatus:
-            raise LayoutError("state has no apparatus slot")
-        return 2 + len(self.block_sizes)
+    def as_tensor(self) -> np.ndarray:
+        return self.amplitudes.reshape(self.layout.dims)
 
-    def qubit_axis(self, label: str) -> int:
-        if label == LABEL_Q1:
-            return 0
-        if label == LABEL_Q2:
-            return 1
-        raise LayoutError(f"unknown control label {label!r}")
+    def with_tensor(self, t: np.ndarray) -> "CollectiveBlockState":
+        return CollectiveBlockState(t.reshape(self.amplitudes.shape), self.block_sizes)
 
 
 def block_ground_state(qubit_amplitudes: np.ndarray, block_sizes: Sequence[int]) -> CollectiveBlockState:
@@ -289,27 +205,76 @@ def block_ground_state(qubit_amplitudes: np.ndarray, block_sizes: Sequence[int])
 
 
 # ---------------------------------------------------------------------------
-# collective flips, the GHZ-manifold entangler, and the edge phase gate
+# the MS slot of a state tensor
 #
 # Dense states keep the MS as one big-endian slot of dimension 2^n, so a flip
 # of all sites is an index reversal (b -> 2^n-1-b) and a flip of a contiguous
-# site range is a reversal of one factor of a reshaped index.
+# site range is a reversal of one factor of a reshaped index.  A
+# CollectiveBlockState's MS slot is the C-order merge of its block axes, so
+# the same reshape exposes its blocks and the same reversal maps m -> N_b - m.
 
 
-def _dense_ms_meta(layout: SubsystemLayout) -> tuple[int, int]:
-    slot = layout.slot(LABEL_MS)
-    dim = layout.dims[slot]
+def _ms_frame(state, block_sizes=None):
+    """(MS slot, axis length of each MS block, total excitation of every MS
+    basis entry) of a state with a tensor.
+
+    A dense MS slot splits into any contiguous site ranges `block_sizes`
+    (default: one block of all sites); a CollectiveBlockState has its own.
+    """
+    if isinstance(state, CollectiveBlockState):
+        sizes = state.block_sizes
+        if block_sizes is not None and tuple(block_sizes) != sizes:
+            raise LayoutError("block_sizes conflicts with the state's own blocks")
+        return 2, tuple(b + 1 for b in sizes), total_excitation_grid(sizes).reshape(-1)
+    slot = state.layout.slot(LABEL_MS)
+    dim = state.layout.dims[slot]
     n = dim.bit_length() - 1
     if 1 << n != dim:
         raise LayoutError(f"MS dimension {dim} is not a power of two")
-    return slot, n
+    sizes = (n,) if block_sizes is None else tuple(int(b) for b in block_sizes)
+    if sum(sizes) != n:
+        raise LayoutError(f"block sizes {sizes} do not cover {n} sites")
+    return slot, tuple(1 << b for b in sizes), popcounts(n)
 
 
-def _flip_ms_tensor(t, ms_axis, bit_counts, which_blocks, control_axis=None):
+def excitation_index(state) -> np.ndarray:
+    """Total MS excitation m of every ket basis entry, as integers shaped to
+    broadcast against the ket tensor (length 1 off the MS slot).
+
+    A sector-diagonal operator sum_m f[m] Pi(m) multiplies the ket tensor by
+    ``f[excitation_index(state)]``.
+    """
+    slot, _, index = _ms_frame(state)
+    shape = [1] * state.layout.n_slots
+    shape[slot] = index.size
+    return index.astype(np.intp).reshape(shape)
+
+
+def _on_side(a: np.ndarray, t: np.ndarray, offset: int) -> np.ndarray:
+    """Reshape a ket-shaped array to broadcast against the axes of ``t``
+    from ``offset`` on (the ket or the bra side of a density tensor)."""
+    return a.reshape(a.shape + (1,) * (t.ndim - offset - a.ndim))
+
+
+def sector_diagonal(f: np.ndarray, index: np.ndarray):
+    """Kernel for `states.apply_kernel` multiplying each side by f[m] of its
+    excitation m, with ``index`` from `excitation_index`."""
+
+    def kernel(t, offset, conj):
+        return _on_side((np.conj(f) if conj else f)[index], t, offset) * t
+
+    return kernel
+
+
+# ---------------------------------------------------------------------------
+# collective flips, the GHZ-manifold entangler, and the edge phase gate
+
+
+def _flip_ms_tensor(t, ms_axis, block_dims, which_blocks, control_axis=None):
     nd = t.ndim
     t2 = np.moveaxis(t, ms_axis, nd - 1)
     lead = t2.shape[:-1]
-    t2 = t2.reshape(lead + tuple(1 << b for b in bit_counts))
+    t2 = t2.reshape(lead + tuple(block_dims))
     flip_axes = tuple(len(lead) + j for j in which_blocks)
     if control_axis is None:
         t2 = np.flip(t2, axis=flip_axes)
@@ -320,29 +285,8 @@ def _flip_ms_tensor(t, ms_axis, bit_counts, which_blocks, control_axis=None):
         sl[cpos] = slice(1, 2)
         sl = tuple(sl)
         t2[sl] = np.flip(t2[sl], axis=flip_axes)
-    t2 = t2.reshape(lead + (prod(1 << b for b in bit_counts),))
+    t2 = t2.reshape(lead + (prod(block_dims),))
     return np.moveaxis(t2, nd - 1, ms_axis)
-
-
-def _flip_block_tensor(t, block_axes, control_axis=None):
-    if control_axis is None:
-        return np.flip(t, axis=tuple(block_axes))
-    out = t.copy()
-    sl = [slice(None)] * t.ndim
-    sl[control_axis] = slice(1, 2)
-    sl = tuple(sl)
-    out[sl] = np.flip(t[sl], axis=tuple(block_axes))
-    return out
-
-
-def _resolve_dense_blocks(n, block_sizes, blocks):
-    sizes = (n,) if block_sizes is None else tuple(int(b) for b in block_sizes)
-    if sum(sizes) != n:
-        raise LayoutError(f"block sizes {sizes} do not cover {n} sites")
-    which = tuple(range(len(sizes))) if blocks is None else tuple(blocks)
-    if any(j < 0 or j >= len(sizes) for j in which):
-        raise LayoutError(f"block selection {which} outside {len(sizes)} blocks")
-    return sizes, which
 
 
 def collective_flip(state, controlled_on=None, blocks=None, block_sizes=None):
@@ -353,13 +297,6 @@ def collective_flip(state, controlled_on=None, blocks=None, block_sizes=None):
     MS slot into contiguous site ranges (default: one block of all sites);
     collective-backend states flip their own declared blocks.
     """
-    if isinstance(state, CollectiveBlockState):
-        if block_sizes is not None and tuple(block_sizes) != state.block_sizes:
-            raise LayoutError("block_sizes conflicts with the state's own blocks")
-        which = state.block_axes if blocks is None else tuple(2 + j for j in blocks)
-        ctrl = None if controlled_on is None else state.qubit_axis(controlled_on)
-        out = _flip_block_tensor(state.amplitudes, which, ctrl)
-        return CollectiveBlockState(out, state.block_sizes, state.has_apparatus)
     if isinstance(state, SectorMixture):
         if controlled_on is not None:
             raise RepresentationError(
@@ -367,20 +304,17 @@ def collective_flip(state, controlled_on=None, blocks=None, block_sizes=None):
                 "use the parity-conditioned evolution instead"
             )
         return mixture_conditional(state, True, True)
-    if isinstance(state, (PureState, DensityOperator)):
-        slot, n = _dense_ms_meta(state.layout)
-        sizes, which = _resolve_dense_blocks(n, block_sizes, blocks)
-        ctrl = None if controlled_on is None else state.layout.slot(controlled_on)
-        if isinstance(state, PureState):
-            t = _flip_ms_tensor(state.as_tensor(), slot, sizes, which, ctrl)
-            return PureState(t.reshape(-1), state.layout)
-        nd = state.layout.n_slots
-        t = state.as_tensor()
-        t = _flip_ms_tensor(t, slot, sizes, which, ctrl)
-        t = _flip_ms_tensor(t, nd + slot, sizes, which, None if ctrl is None else nd + ctrl)
-        d = state.layout.total_dim
-        return DensityOperator(t.reshape(d, d), state.layout)
-    raise TypeError(f"cannot flip {type(state).__name__}")
+    slot, dims, _ = _ms_frame(state, block_sizes)
+    which = tuple(range(len(dims))) if blocks is None else tuple(blocks)
+    if any(j < 0 or j >= len(dims) for j in which):
+        raise LayoutError(f"block selection {which} outside {len(dims)} blocks")
+    ctrl = None if controlled_on is None else state.layout.slot(controlled_on)
+
+    def kernel(t, offset, conj):
+        c = None if ctrl is None else offset + ctrl
+        return _flip_ms_tensor(t, offset + slot, dims, which, c)
+
+    return state.with_tensor(apply_kernel(state, kernel))
 
 
 def ghz_entangler(state, inverse: bool = False):
@@ -388,40 +322,13 @@ def ghz_entangler(state, inverse: bool = False):
     sends |m> to (|m> -/+ i |N-m>)/sqrt(2); its square is -/+ i * flip-all.
     """
     coeff = 1j if inverse else -1j
-    if isinstance(state, CollectiveBlockState):
-        t = state.amplitudes
-        out = (t + coeff * _flip_block_tensor(t, state.block_axes)) / math.sqrt(2.0)
-        return CollectiveBlockState(out, state.block_sizes, state.has_apparatus)
-    if isinstance(state, PureState):
-        slot, n = _dense_ms_meta(state.layout)
-        t = state.as_tensor()
-        out = (t + coeff * _flip_ms_tensor(t, slot, (n,), (0,))) / math.sqrt(2.0)
-        return PureState(out.reshape(-1), state.layout)
-    if isinstance(state, DensityOperator):
-        slot, n = _dense_ms_meta(state.layout)
-        nd = state.layout.n_slots
-        t = state.as_tensor()
-        t = (t + coeff * _flip_ms_tensor(t, slot, (n,), (0,))) / math.sqrt(2.0)
-        t = (t + coeff.conjugate() * _flip_ms_tensor(t, nd + slot, (n,), (0,))) / math.sqrt(2.0)
-        d = state.layout.total_dim
-        return DensityOperator(t.reshape(d, d), state.layout)
-    raise TypeError(f"cannot apply the collective entangler to {type(state).__name__}")
+    slot = _ms_frame(state)[0]
 
+    def kernel(t, offset, conj):
+        c = coeff.conjugate() if conj else coeff
+        return (t + c * np.flip(t, axis=offset + slot)) / math.sqrt(2.0)
 
-def _edge_phase_tensor(t, ms_axis, n, site_first, control_axis):
-    nd = t.ndim
-    t2 = np.moveaxis(t, ms_axis, nd - 1)
-    lead = t2.shape[:-1]
-    split = (2, 1 << (n - 1)) if site_first else (1 << (n - 1), 2)
-    t2 = t2.reshape(lead + split).copy()
-    cpos = control_axis if control_axis < ms_axis else control_axis - 1
-    sl = [slice(None)] * t2.ndim
-    sl[cpos] = slice(1, 2)
-    sl[len(lead) + (0 if site_first else 1)] = slice(1, 2)
-    sl = tuple(sl)
-    t2[sl] = -t2[sl]
-    t2 = t2.reshape(lead + (1 << n,))
-    return np.moveaxis(t2, nd - 1, ms_axis)
+    return state.with_tensor(apply_kernel(state, kernel))
 
 
 def edge_phase_gate(state, controlled_on: str):
@@ -430,49 +337,42 @@ def edge_phase_gate(state, controlled_on: str):
     Qubit q1 couples to site 1 (most significant bit of the dense index), q2
     to site n (least significant).  On the collective backend the MS support
     must be confined to m in {0, n}: only there does a single-site phase act
-    within the symmetric subspace.
+    within the symmetric subspace, as the phase of the m = n entry.
     """
     if controlled_on not in (LABEL_Q1, LABEL_Q2):
         raise LayoutError(f"unknown control label {controlled_on!r}")
-    site_first = controlled_on == LABEL_Q1
+    slot, dims, index = _ms_frame(state)
+    ctrl = state.layout.slot(controlled_on)
+    n = int(index[-1])  # the last MS entry has every site excited
     if isinstance(state, CollectiveBlockState):
-        if len(state.block_sizes) != 1:
+        if len(dims) != 1:
             raise RepresentationError(
                 "edge phase gate needs a single-block collective state"
             )
-        n = state.n_sites
-        ctrl = state.qubit_axis(controlled_on)
-        sl = [slice(None)] * state.amplitudes.ndim
-        sl[ctrl] = 1
-        branch = np.abs(state.amplitudes[tuple(sl)]) ** 2
-        sector = branch.sum(axis=tuple(i for i in range(branch.ndim) if i != 1))
-        bad = [m for m in range(1, n) if sector[m] > TOL.prob_floor]
+        branch = np.take(populations(state), 1, axis=ctrl).sum(axis=0)
+        bad = [m for m in range(1, n) if branch[m] > TOL.prob_floor]
         if bad:
             raise RepresentationError(
                 f"edge phase gate outside the m in {{0, {n}}} manifold: "
                 f"control branch occupies sectors {bad}"
             )
-        out = state.amplitudes.copy()
-        sl[ctrl] = slice(1, 2)
-        sl[2] = slice(n, n + 1)
-        sl = tuple(sl)
-        out[sl] = -out[sl]
-        return CollectiveBlockState(out, state.block_sizes, state.has_apparatus)
-    if isinstance(state, PureState):
-        slot, n = _dense_ms_meta(state.layout)
-        ctrl = state.layout.slot(controlled_on)
-        t = _edge_phase_tensor(state.as_tensor(), slot, n, site_first, ctrl)
-        return PureState(t.reshape(-1), state.layout)
-    if isinstance(state, DensityOperator):
-        slot, n = _dense_ms_meta(state.layout)
-        ctrl = state.layout.slot(controlled_on)
-        nd = state.layout.n_slots
-        t = state.as_tensor()
-        t = _edge_phase_tensor(t, slot, n, site_first, ctrl)
-        t = _edge_phase_tensor(t, nd + slot, n, site_first, nd + ctrl)
-        d = state.layout.total_dim
-        return DensityOperator(t.reshape(d, d), state.layout)
-    raise TypeError(f"cannot apply the edge phase gate to {type(state).__name__}")
+        excited = index == n
+    else:
+        sites = np.arange(1 << n)
+        excited = ((sites >> (n - 1) if controlled_on == LABEL_Q1 else sites) & 1) == 1
+    shape = [1] * state.layout.n_slots
+    shape[ctrl], shape[slot] = 2, excited.size
+    mask = np.zeros(shape, dtype=bool)
+    sel = [0] * len(shape)
+    sel[ctrl], sel[slot] = 1, slice(None)
+    mask[tuple(sel)] = excited
+
+    def kernel(t, offset, conj):
+        out = t.copy()
+        np.negative(out, out=out, where=_on_side(mask, t, offset))
+        return out
+
+    return state.with_tensor(apply_kernel(state, kernel))
 
 
 # ---------------------------------------------------------------------------
@@ -481,34 +381,12 @@ def edge_phase_gate(state, controlled_on: str):
 
 def sector_probabilities(state) -> np.ndarray:
     """p(m) = <Pi(m)> over total excitation m = 0..n."""
-    if isinstance(state, CollectiveBlockState):
-        axes = tuple(i for i in range(state.amplitudes.ndim) if i not in state.block_axes)
-        grid_probs = (np.abs(state.amplitudes) ** 2).sum(axis=axes)
-        grid = total_excitation_grid(state.block_sizes)
-        return np.bincount(grid.reshape(-1), weights=grid_probs.reshape(-1),
-                           minlength=state.n_sites + 1)
     if isinstance(state, SectorMixture):
         return 0.5 * (state.weight_odd + state.weight_even)
-    if isinstance(state, PureState):
-        slot, n = _dense_ms_meta(state.layout)
-        t = np.abs(state.as_tensor()) ** 2
-        axes = tuple(i for i in range(t.ndim) if i != slot)
-        basis_probs = t.sum(axis=axes) if axes else t
-        return np.bincount(popcounts(n).astype(np.intp), weights=basis_probs,
-                           minlength=n + 1)
-    if isinstance(state, DensityOperator):
-        slot, n = _dense_ms_meta(state.layout)
-        d = state.diagonal().reshape(state.layout.dims)
-        axes = tuple(i for i in range(d.ndim) if i != slot)
-        basis_probs = d.sum(axis=axes) if axes else d
-        return np.bincount(popcounts(n).astype(np.intp), weights=basis_probs,
-                           minlength=n + 1)
-    raise TypeError(f"no sector statistics for {type(state).__name__}")
-
-
-def thermal_site(config: MsConfig) -> np.ndarray:
-    q = config.ground_probability
-    return np.diag([q, 1.0 - q]).astype(complex)
+    index = excitation_index(state)
+    axes = tuple(i for i, size in enumerate(index.shape) if size == 1)
+    basis_probs = populations(state).sum(axis=axes)
+    return np.bincount(index.reshape(-1), weights=basis_probs.reshape(-1))
 
 
 def thermal_ms_dense(config: MsConfig) -> DensityOperator:
@@ -569,7 +447,7 @@ class SectorMixture:
         # (or n-m, when it carries the flip) of the odd branch
         w_o = self.weight_odd[::-1] if self.cross_flipped else self.weight_odd
         bound = np.sqrt(np.clip(w_o, 0, None) * np.clip(self.weight_even, 0, None))
-        if np.any(np.abs(self.cross) > bound + 1e-9):
+        if np.any(np.abs(self.cross) > bound + TOL.cross_block):
             raise ValidationError("cross block exceeds its Cauchy-Schwarz bound")
 
     @property
@@ -640,7 +518,7 @@ def mixture_to_dense(mix: SectorMixture) -> DensityOperator:
 
 def expand_to_dense(state: CollectiveBlockState) -> PureState:
     """Embed a block state into the dense product basis (small n only)."""
-    total = 4 * (1 << state.n_sites) * (2 if state.has_apparatus else 1)
+    total = 4 * (1 << state.n_sites)
     if total > DENSE_STATE_DIM_CAP:
         raise LayoutError(f"dense expansion dimension {total} exceeds the cap")
     t = state.amplitudes
@@ -649,9 +527,5 @@ def expand_to_dense(state: CollectiveBlockState) -> PureState:
         t = np.moveaxis(t, axis, 0)
         t = np.tensordot(dicke_basis(nb), t, axes=(1, 0))
         t = np.moveaxis(t, 0, axis)
-    dims = (2, 2, 1 << state.n_sites)
-    labels = (LABEL_Q1, LABEL_Q2, LABEL_MS)
-    if state.has_apparatus:
-        dims += (2,)
-        labels += (LABEL_APPARATUS,)
-    return PureState(t.reshape(-1), SubsystemLayout(dims, labels))
+    layout = SubsystemLayout((2, 2, 1 << state.n_sites), (LABEL_Q1, LABEL_Q2, LABEL_MS))
+    return PureState(t.reshape(-1), layout)

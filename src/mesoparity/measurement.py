@@ -8,7 +8,12 @@ sqrt(E_alpha) = sum_m sqrt(a[alpha][m]) Pi(m) acting on the MS slots only.
 The apparatus route realizes a two-outcome member of this family physically:
 attach a probe qubit in |0>, rotate it by theta(m) conditioned on the sector,
 read it out projectively, then undo the leftover sector-diagonal signs so the
-result coincides with the square-root rule exactly.
+result coincides with the square-root rule exactly.  Reading outcome k leaves
+the MS multiplied by the probe amplitude <k|R(theta_m)|0> on each sector, so
+the circuit runs as sector-diagonal kernels on the joint tensor of every
+representation with amplitudes (a density gets them on both sides); the probe
+is never stored.  `SectorMixture` keeps only sector weights and takes the
+square-root rule with the same cos^2/sin^2 coefficients.
 """
 
 from __future__ import annotations
@@ -17,27 +22,21 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .circuits import JointState, qubit_marginal
 from .collective import (
-    CollectiveBlockState,
     SectorMixture,
-    _dense_ms_meta,
-    popcounts,
+    excitation_index,
+    sector_diagonal,
     sector_probabilities,
-    total_excitation_grid,
 )
 from .metrics import BELL_EVEN_PLUS, BELL_ODD_PLUS, fidelity
 from .states import (
-    LABEL_APPARATUS,
-    LABEL_MS,
-    DensityOperator,
     LayoutError,
-    PureState,
-    SubsystemLayout,
     ValidationError,
-    apply,
+    apply_kernel,
+    branch_probability,
+    renormalized,
 )
 from .tolerances import TOL
 
@@ -144,14 +143,6 @@ def sector_pvm(n: int) -> CollectivePOVM:
 # square-root-rule measurement
 
 
-def _state_n_sites(state) -> int:
-    if isinstance(state, (CollectiveBlockState,)):
-        return state.n_sites
-    if isinstance(state, SectorMixture):
-        return state.n
-    return _dense_ms_meta(state.layout)[1]
-
-
 def _record(outcome, p, post) -> OutcomeRecord:
     if post is None:
         return OutcomeRecord(outcome, max(float(p), 0.0), None, None, None, None)
@@ -163,26 +154,6 @@ def _record(outcome, p, post) -> OutcomeRecord:
 
 def _sqrt_update(state, sqrt_coeffs: np.ndarray, p: float):
     """sqrt(E) state / sqrt(p) for one sector-diagonal effect."""
-    if isinstance(state, PureState):
-        slot, n = _dense_ms_meta(state.layout)
-        w = sqrt_coeffs[popcounts(n).astype(np.intp)]
-        shape = [1] * state.layout.n_slots
-        shape[slot] = 1 << n
-        t = state.as_tensor() * w.reshape(shape)
-        return PureState(t.reshape(-1) / np.sqrt(p), state.layout)
-    if isinstance(state, DensityOperator):
-        slot, n = _dense_ms_meta(state.layout)
-        w = sqrt_coeffs[popcounts(n).astype(np.intp)]
-        shape = [1] * state.layout.n_slots
-        shape[slot] = 1 << n
-        v = np.broadcast_to(w.reshape(shape), state.layout.dims).reshape(-1)
-        mat = state.matrix * np.outer(v, v) / p
-        return DensityOperator(mat, state.layout)
-    if isinstance(state, CollectiveBlockState):
-        grid = total_excitation_grid(state.block_sizes)
-        shape = (1, 1) + grid.shape + ((1,) if state.has_apparatus else ())
-        t = state.amplitudes * sqrt_coeffs[grid].reshape(shape)
-        return CollectiveBlockState(t / np.sqrt(p), state.block_sizes, state.has_apparatus)
     if isinstance(state, SectorMixture):
         a = sqrt_coeffs**2
         cross_factor = a if not state.cross_flipped else sqrt_coeffs * sqrt_coeffs[::-1]
@@ -193,18 +164,22 @@ def _sqrt_update(state, sqrt_coeffs: np.ndarray, p: float):
             cross_factor * state.cross / p,
             state.cross_flipped,
         )
-    raise TypeError(f"cannot measure {type(state).__name__}")
+    t = state.as_tensor()
+    # the weights of all sides are combined first, so a density is multiplied once
+    kernel = sector_diagonal(sqrt_coeffs, excitation_index(state))
+    weight = apply_kernel(state, kernel, np.ones((1,) * t.ndim))
+    return renormalized(state, t * weight, p)
 
 
 def measure(state: JointState, povm: CollectivePOVM) -> list:
     """Apply a sector POVM: one OutcomeRecord per effect, probabilities from
     the sector distribution, post states from the square-root rule."""
-    n = _state_n_sites(state)
+    sectors = sector_probabilities(state)
+    n = sectors.size - 1
     if povm.n_sites != n:
         raise LayoutError(
             f"POVM covers sectors 0..{povm.n_sites} but the MS has {n} sites"
         )
-    sectors = sector_probabilities(state)
     records = []
     for alpha in range(povm.n_outcomes):
         a = povm.coefficients[alpha]
@@ -221,8 +196,8 @@ def measure(state: JointState, povm: CollectivePOVM) -> list:
 # apparatus-qubit realization
 
 
-def _probe_rotation(theta: float) -> np.ndarray:
-    # exp(-i*theta*sigma_y)
+def _probe_rotation(theta: np.ndarray) -> np.ndarray:
+    # exp(-i*theta*sigma_y) for every angle, indexed [row, column, angle]
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
 
@@ -230,6 +205,15 @@ def _probe_rotation(theta: float) -> np.ndarray:
 def _sector_signs(values: np.ndarray) -> np.ndarray:
     # sign convention: exactly +1 at zeros, so the correction stays unitary
     return np.where(values >= 0.0, 1.0, -1.0)
+
+
+def _theta_table(spec, n: int) -> TwoOutcomeTheta:
+    table = spec.theta(n) if isinstance(spec, ApparatusSpec) else spec
+    if table.n_sites != n:
+        raise LayoutError(
+            f"theta table covers sectors 0..{table.n_sites} but the MS has {n} sites"
+        )
+    return table
 
 
 def apparatus_measure(state: JointState, spec: Union[ApparatusSpec, TwoOutcomeTheta]) -> list:
@@ -241,103 +225,18 @@ def apparatus_measure(state: JointState, spec: Union[ApparatusSpec, TwoOutcomeTh
     sector-diagonal sign correction sum_m sign(cos theta(m)) Pi(m) (outcome 0)
     or sum_m sign(sin theta(m)) Pi(m) (outcome 1).
     """
-    n = _state_n_sites(state)
-    table = spec.theta(n) if isinstance(spec, ApparatusSpec) else spec
-    if table.n_sites != n:
-        raise LayoutError(
-            f"theta table covers sectors 0..{table.n_sites} but the MS has {n} sites"
-        )
-    theta = table.theta
-    cos_m, sin_m = np.cos(theta), np.sin(theta)
-    if isinstance(state, PureState):
-        return _apparatus_pure_dense(state, cos_m, sin_m)
-    if isinstance(state, DensityOperator):
-        return _apparatus_density(state, theta, cos_m, sin_m)
-    if isinstance(state, CollectiveBlockState):
-        return _apparatus_blocks(state, cos_m, sin_m)
     if isinstance(state, SectorMixture):
-        # the probe enters in |0>, so outcome k weights every sector by
-        # R(theta_m)[k,0]^2; signs cancel pairwise on the diagonal blocks and
-        # in sign-corrected cross terms
-        factors = [cos_m, sin_m]
-        records = []
-        for k in (0, 1):
-            f = factors[k]
-            p = 0.5 * float((f * f) @ (state.weight_odd + state.weight_even))
-            if p < TOL.prob_floor:
-                records.append(_record(k, p, None))
-                continue
-            records.append(_record(k, p, _sqrt_update(state, np.abs(f), p)))
-        return records
-    raise TypeError(f"cannot apparatus-measure {type(state).__name__}")
-
-
-def _apparatus_pure_dense(state: PureState, cos_m, sin_m) -> list:
-    slot, n = _dense_ms_meta(state.layout)
-    pops = popcounts(n).astype(np.intp)
-    shape = [1] * state.layout.n_slots
-    shape[slot] = 1 << n
-    c_b = cos_m[pops].reshape(shape)
-    s_b = sin_m[pops].reshape(shape)
-    t = state.as_tensor()
-    # probe attached in |0>, rotated: amplitude cos on outcome 0, sin on 1
-    raw = {0: c_b * t, 1: s_b * t}
-    signs = {0: _sector_signs(cos_m)[pops].reshape(shape),
-             1: _sector_signs(sin_m)[pops].reshape(shape)}
+        return measure(state, povm_from_theta(_theta_table(spec, state.n)))
+    index = excitation_index(state)
+    table = _theta_table(spec, int(index.max()))
     records = []
-    for k in (0, 1):
-        p = float(np.linalg.norm(raw[k]) ** 2)
+    for k, amp in enumerate(_probe_rotation(table.theta)[:, 0]):
+        # the probe entered in |0> and was read out in |k>
+        raw = apply_kernel(state, sector_diagonal(amp, index))
+        p = branch_probability(state, raw)
         if p < TOL.prob_floor:
             records.append(_record(k, p, None))
             continue
-        corrected = signs[k] * raw[k] / np.sqrt(p)
-        records.append(_record(k, p, PureState(corrected.reshape(-1), state.layout)))
-    return records
-
-
-def _apparatus_density(state: DensityOperator, theta, cos_m, sin_m) -> list:
-    slot, n = _dense_ms_meta(state.layout)
-    nd = state.layout.n_slots
-    pops = popcounts(n).astype(np.intp)
-    probe = PureState(np.array([1.0, 0.0]),
-                      SubsystemLayout((2,), (LABEL_APPARATUS,)))
-    attached = DensityOperator(
-        np.kron(state.matrix, probe.to_density().matrix),
-        state.layout.concat(probe.layout),
-    )
-    u_m = block_diag(*[_probe_rotation(theta[m]) for m in pops]).astype(complex)
-    attached = apply(u_m, attached, [slot, nd])
-    t = attached.as_tensor()
-    records = []
-    for k, trig in ((0, cos_m), (1, sin_m)):
-        sub = np.take(np.take(t, k, axis=2 * nd + 1), k, axis=nd)
-        reduced = sub.reshape(state.layout.total_dim, state.layout.total_dim)
-        p = float(reduced.trace().real)
-        if p < TOL.prob_floor:
-            records.append(_record(k, p, None))
-            continue
-        post = DensityOperator(reduced / p, state.layout)
-        sign_op = np.diag(_sector_signs(trig)[pops]).astype(complex)
-        post = apply(sign_op, post, [slot])
-        records.append(_record(k, p, post))
-    return records
-
-
-def _apparatus_blocks(state: CollectiveBlockState, cos_m, sin_m) -> list:
-    if state.has_apparatus:
-        raise LayoutError("state already carries a probe qubit")
-    grid = total_excitation_grid(state.block_sizes)
-    shape = (1, 1) + grid.shape
-    t = state.amplitudes
-    raw = {0: cos_m[grid].reshape(shape) * t, 1: sin_m[grid].reshape(shape) * t}
-    signs = {0: _sector_signs(cos_m), 1: _sector_signs(sin_m)}
-    records = []
-    for k in (0, 1):
-        p = float(np.linalg.norm(raw[k]) ** 2)
-        if p < TOL.prob_floor:
-            records.append(_record(k, p, None))
-            continue
-        corrected = signs[k][grid].reshape(shape) * raw[k] / np.sqrt(p)
-        records.append(_record(
-            k, p, CollectiveBlockState(corrected, state.block_sizes)))
+        corrected = apply_kernel(state, sector_diagonal(_sector_signs(amp), index), raw)
+        records.append(_record(k, p, renormalized(state, corrected, p)))
     return records

@@ -19,7 +19,6 @@ from .tolerances import TOL
 LABEL_Q1 = "q1"
 LABEL_Q2 = "q2"
 LABEL_MS = "ms"
-LABEL_APPARATUS = "apparatus"
 
 # Desk-scale caps: pure amplitude vectors up to 2^22, density matrices much
 # smaller since they cost dim^2 memory.
@@ -79,19 +78,6 @@ class SubsystemLayout:
             tuple(self.dims[i] for i in slots), tuple(self.labels[i] for i in slots)
         )
 
-    def require_target_qubits(self) -> tuple[int, int]:
-        """Protocol layouts own exactly one dim-2 slot for each target qubit."""
-        s1, s2 = self.slots(LABEL_Q1), self.slots(LABEL_Q2)
-        if len(s1) != 1 or len(s2) != 1:
-            raise LayoutError("layout must carry exactly one q1 and one q2 slot")
-        if self.dims[s1[0]] != 2 or self.dims[s2[0]] != 2:
-            raise LayoutError("target qubit slots must have dimension 2")
-        return s1[0], s2[0]
-
-
-def qubit_pair_layout() -> SubsystemLayout:
-    return SubsystemLayout((2, 2), (LABEL_Q1, LABEL_Q2))
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -122,6 +108,9 @@ class PureState:
 
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.layout.dims)
+
+    def with_tensor(self, t: np.ndarray) -> "PureState":
+        return PureState(t.reshape(-1), self.layout)
 
     def to_density(self) -> "DensityOperator":
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.layout)
@@ -161,6 +150,10 @@ class DensityOperator:
     def as_tensor(self) -> np.ndarray:
         return self.matrix.reshape(self.layout.dims + self.layout.dims)
 
+    def with_tensor(self, t: np.ndarray) -> "DensityOperator":
+        d = self.layout.total_dim
+        return DensityOperator(t.reshape(d, d), self.layout)
+
 
 def validate_density(rho: DensityOperator) -> None:
     """Full state check including positivity; raises ValidationError."""
@@ -171,15 +164,56 @@ def validate_density(rho: DensityOperator) -> None:
 
 # ---------------------------------------------------------------------------
 # operations
+#
+# PureState, DensityOperator and the collective backend's CollectiveBlockState
+# share one tensor interface: ``layout``, ``as_tensor()`` (a density's bra
+# axes follow its ket axes) and ``with_tensor()``.  The functions below are
+# the only places that tell an amplitude tensor from a density tensor.
 
 
-def tensor(a, b):
-    """Kronecker composite of two same-kind states; layouts concatenate."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.amplitudes, b.amplitudes), a.layout.concat(b.layout))
-    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(np.kron(a.matrix, b.matrix), a.layout.concat(b.layout))
-    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
+def apply_kernel(state, kernel, t=None) -> np.ndarray:
+    """Run a ket-side tensor kernel over every side of ``state``'s tensor.
+
+    ``kernel(t, offset, conj)`` acts on the axes ``offset + slot``.  Amplitude
+    tensors get one call at offset 0; a density gets the ket call and then a
+    bra call at offset ``n_slots`` with ``conj`` set, which must conjugate the
+    kernel's coefficients.  ``t`` replaces ``state.as_tensor()`` as input.
+    """
+    t = state.as_tensor() if t is None else t
+    t = kernel(t, 0, False)
+    if isinstance(state, DensityOperator):
+        t = kernel(t, state.layout.n_slots, True)
+    return t
+
+
+def populations(state) -> np.ndarray:
+    """Probability of every ket basis entry, shaped like the ket tensor."""
+    if isinstance(state, DensityOperator):
+        return state.diagonal().reshape(state.layout.dims)
+    return np.abs(state.as_tensor()) ** 2
+
+
+def branch_probability(state, t: np.ndarray) -> float:
+    """Probability carried by an unnormalized tensor shaped like ``state``'s:
+    its squared norm, or its trace for a density."""
+    if isinstance(state, DensityOperator):
+        d = state.layout.total_dim
+        return float(t.reshape(d, d).trace().real)
+    return float(np.linalg.norm(t) ** 2)
+
+
+def renormalized(state, t: np.ndarray, p: float):
+    """The state of ``state``'s kind built from the tensor ``t`` of
+    probability ``p``: amplitudes divide by sqrt(p), a density by p.
+
+    ``t`` is divided in place, so a density update holds one joint-sized
+    array less at its peak; pass a fresh array.
+    """
+    if isinstance(state, DensityOperator):
+        t /= p
+    else:
+        t /= np.sqrt(p)
+    return state.with_tensor(t)
 
 
 def _apply_axes(op: np.ndarray, tensor_in: np.ndarray, axes: Sequence[int]) -> np.ndarray:
@@ -210,40 +244,29 @@ def apply(op: np.ndarray, state, slots: Sequence[int]):
     d_sel = prod(dims[s] for s in slots)
     if op.shape != (d_sel, d_sel):
         raise LayoutError(f"operator shape {op.shape} does not match selected dims {d_sel}")
-    if isinstance(state, PureState):
-        out = _apply_axes(op, state.as_tensor(), slots)
-        return PureState(out.reshape(-1), state.layout)
-    if isinstance(state, DensityOperator):
-        nd = len(dims)
-        t = state.as_tensor()
-        t = _apply_axes(op, t, slots)
-        t = _apply_axes(op.conj(), t, [nd + s for s in slots])
-        d = state.layout.total_dim
-        return DensityOperator(t.reshape(d, d), state.layout)
-    raise TypeError(f"cannot apply operator to {type(state).__name__}")
+
+    def kernel(t, offset, conj):
+        return _apply_axes(op.conj() if conj else op, t, [offset + s for s in slots])
+
+    return state.with_tensor(apply_kernel(state, kernel))
 
 
-def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
-    """Reduced state on the kept slots (order preserved as listed)."""
+def partial_trace(state, keep: Sequence[int]) -> DensityOperator:
+    """Reduced state on the kept slots (order preserved as listed).
+
+    For amplitude states it is the Gram matrix of the ket tensor with the
+    kept axes in front, so no joint density is formed.
+    """
     keep = list(keep)
     if not keep:
         raise LayoutError("keep must name at least one slot")
-    nd = rho.layout.n_slots
-    t = rho.as_tensor()
-    row_idx = list(range(nd))
-    col_idx = [i if i not in keep else nd + i for i in range(nd)]
-    out_idx = [i for i in keep] + [nd + i for i in keep]
-    reduced = np.einsum(t, row_idx + col_idx, out_idx)
-    sub = rho.layout.keep(keep)
-    return DensityOperator(reduced.reshape(sub.total_dim, sub.total_dim), sub)
-
-
-def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > TOL.hermiticity:
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    evals, evecs = np.linalg.eigh(m)
-    return evals, evecs
+    sub = state.layout.keep(keep)
+    if isinstance(state, DensityOperator):
+        nd = state.layout.n_slots
+        row_idx = list(range(nd))
+        col_idx = [i if i not in keep else nd + i for i in range(nd)]
+        out_idx = [i for i in keep] + [nd + i for i in keep]
+        reduced = np.einsum(state.as_tensor(), row_idx + col_idx, out_idx)
+        return DensityOperator(reduced.reshape(sub.total_dim, sub.total_dim), sub)
+    mat = np.moveaxis(state.as_tensor(), keep, range(len(keep))).reshape(sub.total_dim, -1)
+    return DensityOperator(mat @ mat.conj().T, sub)

@@ -16,8 +16,12 @@ class Tolerances:
     povm: float = 1e-10          # completeness of POVM coefficient columns
     prob_floor: float = 1e-14    # outcomes below this carry a null post-state
     param_agreement: float = 1e-9  # |(1 - polarization) - epsilon| accepted as consistent
-    bound_forms: float = 1e-10   # closed-form vs sum-form ceiling cross-check
+    bound_forms: float = 1e-10   # spread between the closed, sum and program ceiling forms
     branch_weight: float = 1e-12  # qubit branches lighter than this get no phase
+    cross_block: float = 1e-9    # |cross| beyond sqrt(w_odd * w_even) in a SectorMixture
+    bound_range: float = 1e-12   # ceiling values accepted outside [1/2, 1]
+    program_mass: float = 1e-9   # greedy program weight sum vs 2^n
+    violation: float = 1e-9      # sampled fidelity above the ceiling counted as a violation
 
 
 TOL = Tolerances()

@@ -55,11 +55,6 @@ class SuiteResult:
     passed: bool
     checks: tuple
 
-    def summary(self) -> str:
-        n_pass = sum(1 for c in self.checks if c["passed"])
-        status = "pass" if self.passed else "FAIL"
-        return f"{self.suite}: {status} ({n_pass}/{len(self.checks)} checks)"
-
 
 def _check(name: str, value: float, tolerance: float) -> dict:
     value = float(value)
@@ -342,7 +337,3 @@ def run_suite(suite: str, seed: int = 0) -> SuiteResult:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     checks = tuple(_SUITE_FUNCS[suite](seed))
     return SuiteResult(suite, seed, all(c["passed"] for c in checks), checks)
-
-
-def run_all(seed: int = 0) -> list:
-    return [run_suite(name, seed) for name in SUITES]

@@ -1,9 +1,8 @@
 """Independent dense oracles for the unit tests.
 
-Everything here is built from first principles with plain numpy kron chains,
-matrix exponentials, and exact rational arithmetic, deliberately avoiding the
-package's own tensor machinery, so agreement is evidence rather than
-tautology.
+Everything here is built from first principles with plain numpy kron chains
+and exact rational arithmetic, deliberately avoiding the package's own tensor
+machinery, so agreement is evidence rather than tautology.
 """
 
 import math
@@ -11,7 +10,6 @@ from fractions import Fraction
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import expm
 
 ID2 = np.eye(2)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -30,15 +28,6 @@ def popcount(b: int) -> int:
 def dense_flip(n: int) -> np.ndarray:
     """X on every one of n sites as an explicit kron chain."""
     return kron_chain([SX] * n)
-
-
-def sum_sigma_x(n: int) -> np.ndarray:
-    acc = np.zeros((1 << n, 1 << n))
-    for j in range(n):
-        ops = [ID2] * n
-        ops[j] = SX
-        acc += kron_chain(ops)
-    return acc
 
 
 def joint_controlled(n: int, control: str, u: np.ndarray) -> np.ndarray:
@@ -75,12 +64,6 @@ def dicke_columns(n: int) -> np.ndarray:
         v = np.array([1.0 if popcount(b) == m else 0.0 for b in range(1 << n)])
         cols.append(v / np.linalg.norm(v))
     return np.stack(cols, axis=1)
-
-
-def ladder_rotation_oracle(n: int, theta: float) -> np.ndarray:
-    """exp(-i*theta*sum_j sigma_x) compressed to the symmetric ladder."""
-    d = dicke_columns(n)
-    return d.conj().T @ expm(-1j * theta * sum_sigma_x(n)) @ d
 
 
 def exact_bound(n: int, eps: Fraction) -> Fraction:

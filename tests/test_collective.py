@@ -8,27 +8,21 @@ from hypothesis import given, strategies as st
 
 from mesoparity.collective import (
     CollectiveBlockState,
-    DickeLadder,
     MsConfig,
     RepresentationError,
     SectorMixture,
-    SectorProjector,
     binomial_pmf,
     block_ground_state,
     collective_flip,
-    collective_rotation,
     dicke_basis,
     dicke_vector,
     edge_phase_gate,
     expand_to_dense,
     ghz_entangler,
-    ladder_generator,
-    ladder_ground,
     mixture_conditional,
     mixture_prepare,
     mixture_to_dense,
     popcounts,
-    rotation_matrix,
     sector_probabilities,
     thermal_ms_dense,
     total_excitation_grid,
@@ -52,7 +46,6 @@ from helpers import (
     dicke_columns,
     joint_controlled,
     kron_chain,
-    ladder_rotation_oracle,
     thermal_matrix,
 )
 
@@ -109,7 +102,6 @@ class TestMsConfig:
     def test_polarization_roundtrip(self):
         cfg = MsConfig(4, 0.3)
         assert cfg.polarization == pytest.approx(0.7)
-        assert MsConfig.from_polarization(4, 0.7).epsilon == pytest.approx(0.3)
         assert cfg.ground_probability == pytest.approx(0.85)
 
     def test_sector_weights_frozen_example(self):
@@ -138,14 +130,14 @@ def test_thermal_ms_dense_respects_density_cap():
         thermal_ms_dense(MsConfig(12, 0.5))
 
 
-def test_sector_projector_expectation():
+def test_sector_probabilities_of_ms_only_density():
     rho = thermal_ms_dense(MsConfig(2, 0.5))
-    assert SectorProjector(1).expectation(rho) == pytest.approx(0.375)
-    np.testing.assert_array_equal(SectorProjector(1).dense_mask(2), [0, 1, 1, 0])
+    np.testing.assert_allclose(sector_probabilities(rho), [0.5625, 0.375, 0.0625],
+                               atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
-# Dicke ladder machinery
+# Dicke vectors
 
 
 def test_dicke_vectors_match_independent_construction():
@@ -154,41 +146,6 @@ def test_dicke_vectors_match_independent_construction():
         for m in range(n + 1):
             np.testing.assert_allclose(dicke_vector(n, m), want[:, m], atol=1e-15)
         np.testing.assert_allclose(dicke_basis(n), want, atol=1e-15)
-
-
-def test_ladder_generator_is_compressed_sum_sigma_x():
-    for n in (1, 2, 5):
-        d = dicke_columns(n)
-        want = d.T @ helpers.sum_sigma_x(n) @ d
-        np.testing.assert_allclose(ladder_generator(n), want, atol=1e-12)
-
-
-@given(n=st.integers(1, 6), theta=st.floats(-7.0, 7.0))
-def test_rotation_matrix_matches_expm_oracle(n, theta):
-    got = rotation_matrix(n, theta)
-    want = ladder_rotation_oracle(n, theta)
-    np.testing.assert_allclose(got, want, atol=1e-10)
-
-
-def test_half_turn_reverses_the_ladder():
-    # exp(-i*(pi/2)*sum sigma_x) acts as (-i)^n times m -> n-m
-    for n in (1, 2, 3, 6):
-        u = rotation_matrix(n, math.pi / 2.0)
-        want = (-1j) ** n * np.eye(n + 1)[::-1]
-        np.testing.assert_allclose(u, want, atol=1e-12)
-
-
-def test_collective_rotation_moves_ground_to_top():
-    for n in (2, 5):
-        rotated = collective_rotation(math.pi / 2.0, ladder_ground(n))
-        amp = rotated.amplitudes
-        assert abs(abs(amp[-1]) - 1.0) < 1e-12
-        np.testing.assert_allclose(amp[:-1], 0.0, atol=1e-12)
-
-
-def test_ladder_normalization_enforced():
-    with pytest.raises(ValidationError):
-        DickeLadder(2, np.array([1.0, 1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ from mesoparity.metrics import (
     quantum_trace_distance,
 )
 from mesoparity.states import (
+    LABEL_Q1,
+    LABEL_Q2,
     DensityOperator,
     SubsystemLayout,
     ValidationError,
-    qubit_pair_layout,
 )
 
 from helpers import random_density_matrix, random_unit_vector
@@ -32,7 +33,7 @@ class FakeRecord:
 
 
 def _density(v):
-    return DensityOperator(np.outer(v, v.conj()), qubit_pair_layout())
+    return DensityOperator(np.outer(v, v.conj()), SubsystemLayout((2, 2), (LABEL_Q1, LABEL_Q2)))
 
 
 class TestBellTargets:

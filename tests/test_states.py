@@ -13,14 +13,15 @@ from mesoparity.states import (
     SubsystemLayout,
     ValidationError,
     apply,
-    hermitian_eig,
     partial_trace,
-    qubit_pair_layout,
-    tensor,
     validate_density,
 )
 
 from helpers import kron_chain, random_density_matrix, random_unit_vector
+
+
+def qubit_pair_layout():
+    return SubsystemLayout((2, 2), (LABEL_Q1, LABEL_Q2))
 
 
 def three_slot_layout(ms_dim=4):
@@ -54,11 +55,6 @@ class TestSubsystemLayout:
         assert lay.dims == (2, 2, 8)
         kept = lay.keep((0, 1))
         assert kept.labels == (LABEL_Q1, LABEL_Q2)
-
-    def test_require_target_qubits(self):
-        assert three_slot_layout().require_target_qubits() == (0, 1)
-        with pytest.raises(LayoutError):
-            SubsystemLayout((4,), (LABEL_MS,)).require_target_qubits()
 
 
 class TestStateValidation:
@@ -95,15 +91,6 @@ class TestStateValidation:
 
 
 class TestTensorAndApply:
-    def test_tensor_matches_kron(self, rng):
-        a = PureState(random_unit_vector(rng, 4), qubit_pair_layout())
-        b = PureState(random_unit_vector(rng, 8), SubsystemLayout((8,), (LABEL_MS,)))
-        joint = tensor(a, b)
-        np.testing.assert_allclose(
-            joint.amplitudes, np.kron(a.amplitudes, b.amplitudes), atol=1e-15
-        )
-        assert joint.layout.dims == (2, 2, 8)
-
     def test_apply_single_slot_matches_kron_oracle(self, rng):
         lay = three_slot_layout(4)
         psi = PureState(random_unit_vector(rng, 16), lay)
@@ -158,7 +145,8 @@ class TestPartialTrace:
     def test_trace_of_product_state_recovers_factor(self, rng):
         a = PureState(random_unit_vector(rng, 4), qubit_pair_layout())
         b = PureState(random_unit_vector(rng, 5), SubsystemLayout((5,), (LABEL_MS,)))
-        joint = tensor(a, b).to_density()
+        joint = PureState(np.kron(a.amplitudes, b.amplitudes),
+                          a.layout.concat(b.layout)).to_density()
         reduced = partial_trace(joint, keep=(0, 1))
         np.testing.assert_allclose(
             reduced.matrix, np.outer(a.amplitudes, a.amplitudes.conj()), atol=1e-13
@@ -172,9 +160,3 @@ class TestPartialTrace:
         reduced = partial_trace(rho, keep=(2,))
         validate_density(reduced)
 
-
-def test_hermitian_eig_reconstructs(rng):
-    m = random_density_matrix(rng, 6)
-    evals, vecs = hermitian_eig(m)
-    np.testing.assert_allclose((vecs * evals) @ vecs.conj().T, m, atol=1e-12)
-    assert np.all(np.diff(evals) >= 0)
