@@ -17,7 +17,6 @@ import numpy as np
 from . import bounds, circuits, measurement
 from .collective import (
     MsConfig,
-    SectorMixture,
     expand_to_dense,
     mixture_to_dense,
     sector_probabilities,
