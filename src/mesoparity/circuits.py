@@ -149,13 +149,15 @@ class CircuitSpec:
         n, eps = self.ms.n, self.ms.epsilon
         mixed = eps > 0.0
         dense_dim = 4 * (1 << n)
-        dense_fits = dense_dim <= (DENSE_DENSITY_DIM_CAP if mixed else DENSE_STATE_DIM_CAP)
+        dense_cap = DENSE_DENSITY_DIM_CAP if mixed else DENSE_STATE_DIM_CAP
+        dense_fits = dense_dim <= dense_cap
         mixture_ok = self.kind in ("parity_collective", "parity_conditioned") and not self.has_matrix_unitaries
         collective_ok = not self.has_matrix_unitaries and (not mixed or mixture_ok)
         if self.backend == "dense":
             if not dense_fits:
                 raise LayoutError(
-                    f"dense backend needs dimension {dense_dim}, beyond the cap"
+                    f"dense backend needs dimension {dense_dim}, beyond the dense "
+                    f"{'density' if mixed else 'state'} cap {dense_cap}"
                 )
             return "dense"
         if self.backend == "collective":

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -327,31 +327,17 @@ def _build_spec(cfg: ScenarioConfig) -> circuits.CircuitSpec:
     return circuits.CircuitSpec(cfg.kind, ms, backend=cfg.backend)
 
 
-def _run_measurement(cfg: ScenarioConfig, state):
+def _run_measurement(cfg: ScenarioConfig, state, finish):
     if cfg.measurement == "sector_pvm":
-        return measurement.measure(state, measurement.sector_pvm(cfg.n))
+        return measurement.measure(state, measurement.sector_pvm(cfg.n), finish)
     if cfg.measurement == "threshold_pvm":
-        return measurement.measure(state, measurement.threshold_pvm(cfg.n))
+        return measurement.measure(state, measurement.threshold_pvm(cfg.n), finish)
     if cfg.theta is not None:
         table = measurement.TwoOutcomeTheta(np.asarray(cfg.theta))
-        return measurement.measure(state, measurement.povm_from_theta(table))
+        return measurement.measure(state, measurement.povm_from_theta(table), finish)
     # with (g, t_m) given, run the explicit probe-qubit readout circuit
-    return measurement.apparatus_measure(state, measurement.ApparatusSpec(cfg.g, cfg.t_m))
-
-
-def _disentangled_records(spec, records):
-    out = []
-    for rec in records:
-        if rec.post_state is None:
-            out.append(rec)
-            continue
-        post = circuits.disentangle(spec, rec.post_state)
-        marg = circuits.qubit_marginal(post)
-        f_odd = fidelity(marg, BELL_ODD_PLUS)
-        f_even = fidelity(marg, BELL_EVEN_PLUS)
-        out.append(measurement.OutcomeRecord(
-            rec.outcome, rec.probability, post, f_odd, f_even, max(f_odd, f_even)))
-    return out
+    return measurement.apparatus_measure(
+        state, measurement.ApparatusSpec(cfg.g, cfg.t_m), finish)
 
 
 def _branch_phase_diagnostics(cfg: ScenarioConfig, spec, state):
@@ -384,28 +370,35 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError("simulate reports are JSON only")
     spec = _build_spec(cfg)
     state = circuits.evolve(spec, circuits.prepare_inputs(spec))
-    records = _run_measurement(cfg, state)
-    if cfg.disentangle:
-        records = _disentangled_records(spec, records)
-    if cfg.post_select is not None and not any(
-        r.outcome == cfg.post_select for r in records
-    ):
-        raise UsageError(
-            f"post_select={cfg.post_select} is not an outcome of this measurement"
-        )
     outcomes = []
-    for rec in records:
-        sectors = None
-        if rec.post_state is not None:
-            sectors = sector_probabilities(rec.post_state)
+
+    def finish(rec):
+        # report the outcome and drop its post state before the next is built
+        post = rec.post_state
+        if post is not None and cfg.disentangle:
+            post = circuits.disentangle(spec, post)
+            marg = circuits.qubit_marginal(post)
+            f_odd = fidelity(marg, BELL_ODD_PLUS)
+            f_even = fidelity(marg, BELL_EVEN_PLUS)
+            rec = replace(rec, fidelity_odd=f_odd, fidelity_even=f_even,
+                          fidelity_best=max(f_odd, f_even))
         outcomes.append({
             "id": int(rec.outcome),
             "p": float(rec.probability),
             "f_odd": rec.fidelity_odd,
             "f_even": rec.fidelity_even,
             "f_best": rec.fidelity_best,
-            "sectors": sectors,
+            "sectors": None if post is None else sector_probabilities(post),
         })
+        return replace(rec, post_state=None)
+
+    records = _run_measurement(cfg, state, finish)
+    if cfg.post_select is not None and not any(
+        r.outcome == cfg.post_select for r in records
+    ):
+        raise UsageError(
+            f"post_select={cfg.post_select} is not an outcome of this measurement"
+        )
     diagnostics = {
         "backend": spec.resolved_backend(),
         "pre_measurement_sectors": sector_probabilities(state),

@@ -19,7 +19,7 @@ square-root rule with the same cos^2/sin^2 coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -152,6 +152,10 @@ def _record(outcome, p, post) -> OutcomeRecord:
     return OutcomeRecord(outcome, float(p), post, f_o, f_e, max(f_o, f_e))
 
 
+def _as_built(record: OutcomeRecord) -> OutcomeRecord:
+    return record
+
+
 def _sqrt_update(state, sqrt_coeffs: np.ndarray, p: float):
     """sqrt(E) state / sqrt(p) for one sector-diagonal effect."""
     if isinstance(state, SectorMixture):
@@ -171,25 +175,34 @@ def _sqrt_update(state, sqrt_coeffs: np.ndarray, p: float):
     return renormalized(state, t * weight, p)
 
 
-def measure(state: JointState, povm: CollectivePOVM) -> list:
+def _sqrt_outcome(state, alpha: int, a: np.ndarray, sectors: np.ndarray) -> OutcomeRecord:
+    p = float(a @ sectors)
+    if p < TOL.prob_floor:
+        return _record(alpha, p, None)
+    return _record(alpha, p, _sqrt_update(state, np.sqrt(a), p))
+
+
+def measure(
+    state: JointState,
+    povm: CollectivePOVM,
+    finish: Callable[[OutcomeRecord], OutcomeRecord] = _as_built,
+) -> list:
     """Apply a sector POVM: one OutcomeRecord per effect, probabilities from
-    the sector distribution, post states from the square-root rule."""
+    the sector distribution, post states from the square-root rule.
+
+    Outcomes are built one at a time, and each record goes through
+    ``finish`` before the next post state exists; the list holds what
+    ``finish`` returns.  A caller that keeps only a summary of each outcome
+    thus holds at most one post state at a time.
+    """
     sectors = sector_probabilities(state)
     n = sectors.size - 1
     if povm.n_sites != n:
         raise LayoutError(
             f"POVM covers sectors 0..{povm.n_sites} but the MS has {n} sites"
         )
-    records = []
-    for alpha in range(povm.n_outcomes):
-        a = povm.coefficients[alpha]
-        p = float(a @ sectors)
-        if p < TOL.prob_floor:
-            records.append(_record(alpha, p, None))
-            continue
-        post = _sqrt_update(state, np.sqrt(a), p)
-        records.append(_record(alpha, p, post))
-    return records
+    return [finish(_sqrt_outcome(state, alpha, a, sectors))
+            for alpha, a in enumerate(povm.coefficients)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +229,24 @@ def _theta_table(spec, n: int) -> TwoOutcomeTheta:
     return table
 
 
-def apparatus_measure(state: JointState, spec: Union[ApparatusSpec, TwoOutcomeTheta]) -> list:
+def _probe_outcome(state, index: np.ndarray, k: int, amp: np.ndarray) -> OutcomeRecord:
+    # the probe entered in |0> and was read out in |k>
+    raw = apply_kernel(state, sector_diagonal(amp, index))
+    p = branch_probability(state, raw)
+    if p < TOL.prob_floor:
+        return _record(k, p, None)
+    corrected = apply_kernel(state, sector_diagonal(_sector_signs(amp), index), raw)
+    return _record(k, p, renormalized(state, corrected, p))
+
+
+def apparatus_measure(
+    state: JointState,
+    spec: Union[ApparatusSpec, TwoOutcomeTheta],
+    finish: Callable[[OutcomeRecord], OutcomeRecord] = _as_built,
+) -> list:
     """Measure via the probe qubit and return records identical to
-    `measure` with `povm_from_theta`.
+    `measure` with `povm_from_theta`, each passed through ``finish`` before
+    the next outcome is built, as there.
 
     Steps: attach |0>, rotate the probe by theta(m) on each sector, read the
     probe in its computational basis, discard it, then apply the
@@ -226,17 +254,8 @@ def apparatus_measure(state: JointState, spec: Union[ApparatusSpec, TwoOutcomeTh
     or sum_m sign(sin theta(m)) Pi(m) (outcome 1).
     """
     if isinstance(state, SectorMixture):
-        return measure(state, povm_from_theta(_theta_table(spec, state.n)))
+        return measure(state, povm_from_theta(_theta_table(spec, state.n)), finish)
     index = excitation_index(state)
     table = _theta_table(spec, int(index.max()))
-    records = []
-    for k, amp in enumerate(_probe_rotation(table.theta)[:, 0]):
-        # the probe entered in |0> and was read out in |k>
-        raw = apply_kernel(state, sector_diagonal(amp, index))
-        p = branch_probability(state, raw)
-        if p < TOL.prob_floor:
-            records.append(_record(k, p, None))
-            continue
-        corrected = apply_kernel(state, sector_diagonal(_sector_signs(amp), index), raw)
-        records.append(_record(k, p, renormalized(state, corrected, p)))
-    return records
+    return [finish(_probe_outcome(state, index, k, amp))
+            for k, amp in enumerate(_probe_rotation(table.theta)[:, 0])]

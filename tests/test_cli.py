@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -219,10 +220,54 @@ class TestSimulate:
         assert report["scenario"]["backend"] == "auto"
         assert report["diagnostics"]["backend"] == "collective"
 
+    def test_mixed_input_past_the_density_cap(self, tmp_path):
+        """n=10 mixed is one past the 2^11 density cap: `auto` resolves it to
+        the sector mixture, and forcing the dense backend is refused."""
+        args = ["simulate", "--kind", "parity_conditioned", "--v-odd", "collective_flip",
+                "--n", "10", "--epsilon", "0.3"]
+        out = tmp_path / "auto.json"
+        assert main([*args, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["scenario"]["backend"] == "auto"
+        assert report["diagnostics"]["backend"] == "collective"
+        proc = run_cli(*args, "--backend", "dense", check=False)
+        assert proc.returncode == 3
+        assert "dense density cap 2048" in proc.stderr
+
     def test_byte_determinism(self):
         args = ("simulate", "--kind", "parity_collective", "--n", "4",
                 "--epsilon", "0.2", "--measurement", "threshold_pvm")
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+MIX = ("simulate", "--kind", "parity_conditioned", "--v-odd", "collective_flip",
+       "--measurement", "sector_pvm")
+
+
+class TestPinnedReports:
+    """Report bytes that must not move: the dense mixed reference, the
+    density disentangle route, the sector mixture, a pure threshold run and
+    the density probe-qubit route."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (MIX + ("--n", "9", "--epsilon", "0.3"),
+         "1dd3e744e6623541f6f1907da67ce7f5c34f60697b55b58d8c5cd233bd756c9c"),
+        (MIX + ("--n", "8", "--epsilon", "0.3", "--post-select", "3", "--disentangle"),
+         "03489701dc127148e73e260bdedc693bb0cac5311f92439d62d6f254919d980b"),
+        (MIX + ("--n", "300", "--epsilon", "0.5", "--post-select", "7", "--disentangle"),
+         "e79e8b0ca9f55d335f0975324e614a0fdad515f7f7c08e596d67e132364f359e"),
+        (("simulate", "--kind", "parity_collective", "--n", "12",
+          "--measurement", "threshold_pvm", "--disentangle"),
+         "22a0da6e94ecb5d944e5d7595dd6f740696dfb995454bc05bbbf4d1324a7bb2b"),
+        (("simulate", "--kind", "parity_collective", "--n", "4", "--epsilon", "0.3",
+          "--measurement", "two_outcome", "--g", "0.3", "--t-m", "1.1"),
+         "9c8d778fbfc50f0e030d618ecb38c4e5f3cf44498484974d4135b4d5abf49d19"),
+    ], ids=["mixed-n9", "mixed-n8-disentangle", "mixture-n300-disentangle",
+            "pure-threshold-n12", "density-probe-n4"])
+    def test_report_sha256(self, tmp_path, argv, digest):
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestBound:

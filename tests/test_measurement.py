@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,6 +185,63 @@ class TestSqrtRule:
             )
             assert gap < 1e-11
             assert a.fidelity_odd == pytest.approx(b.fidelity_odd, abs=1e-11)
+
+
+class TestOutcomeStream:
+    def test_memory_does_not_grow_with_the_outcome_count(self):
+        """Each record is finished before the next post state is built, so
+        nine sector outcomes peak like two threshold outcomes, not at nine
+        joint densities."""
+        n = 8
+        spec = CircuitSpec("parity_conditioned", MsConfig(n, 0.3), backend="dense",
+                           v_odd=TAG_FLIP)
+        state = evolve(spec, prepare_inputs(spec))
+        joint_bytes = state.matrix.nbytes
+        assert joint_bytes == 16 * 2**20
+        peaks, live = {}, {}
+        for name, povm in (("sector", sector_pvm(n)), ("threshold", threshold_pvm(n))):
+            seen = []
+
+            def finish(rec):
+                seen.append(rec.post_state is not None)
+                return replace(rec, post_state=None)
+
+            tracemalloc.start()
+            try:
+                records = measure(state, povm, finish)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert all(rec.post_state is None for rec in records)
+            live[name] = sum(seen)
+        assert live == {"sector": n + 1, "threshold": 2}
+        assert peaks["sector"] >= joint_bytes
+        assert abs(peaks["sector"] - peaks["threshold"]) < joint_bytes
+
+    @pytest.mark.parametrize("route", ["povm", "apparatus"])
+    def test_finish_sees_every_record_in_order(self, rng, route):
+        rho = _joint_pure(rng, 3).to_density()
+        app = ApparatusSpec(g=1.4, t_m=0.9)
+
+        def run(*finish):
+            if route == "povm":
+                return measure(rho, povm_from_theta(app.theta(3)), *finish)
+            return apparatus_measure(rho, app, *finish)
+
+        seen = []
+
+        def finish(rec):
+            seen.append(rec)
+            return replace(rec, post_state=None)
+
+        plain, slim = run(), run(finish)
+        assert [rec.outcome for rec in seen] == [0, 1]
+        for a, b, c in zip(seen, plain, slim):
+            assert c.post_state is None
+            assert (a.outcome, a.probability, a.fidelity_best) == (
+                b.outcome, b.probability, b.fidelity_best) == (
+                c.outcome, c.probability, c.fidelity_best)
+            np.testing.assert_array_equal(a.post_state.matrix, b.post_state.matrix)
 
 
 class TestConditionedFidelities:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from mesoparity.states import (
     DENSE_STATE_DIM_CAP,
+    HERMITICITY_TILE,
     LABEL_MS,
     LABEL_Q1,
     LABEL_Q2,
@@ -13,9 +14,11 @@ from mesoparity.states import (
     SubsystemLayout,
     ValidationError,
     apply,
+    hermiticity_residual,
     partial_trace,
     validate_density,
 )
+from mesoparity.tolerances import TOL
 
 from helpers import kron_chain, random_density_matrix, random_unit_vector
 
@@ -88,6 +91,53 @@ class TestStateValidation:
         with pytest.raises(LayoutError):
             dim = DENSE_STATE_DIM_CAP * 2
             PureState(np.zeros(dim), SubsystemLayout((dim,), (LABEL_MS,)))
+
+
+# whole tiles, partial last tiles and a single partial tile, up to the density cap
+RESIDUAL_DIMS = sorted({1, 3, 255, 256, 257, 1000, 2048,
+                        HERMITICITY_TILE - 1, HERMITICITY_TILE, HERMITICITY_TILE + 1})
+
+
+def _exactly_hermitian(rng, d):
+    """Unit-trace matrix with M[j, i] == conj(M[i, j]) bit for bit."""
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = (a + a.conj().T) * (0.5 / d)
+    np.fill_diagonal(m, 1.0 / d)
+    return m
+
+
+class TestHermiticityResidual:
+    @given(st.sampled_from(RESIDUAL_DIMS), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1e-12, 1e-8, 1.0]))
+    def test_equals_the_whole_matrix_residual(self, d, seed, skew):
+        rng = np.random.default_rng(seed)
+        m = _exactly_hermitian(rng, d)
+        m += skew * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        assert hermiticity_residual(m) == np.abs(m - m.conj().T).max()
+
+    def test_nan_propagates(self):
+        m = np.eye(300, dtype=complex) / 300
+        m[299, 1] = np.nan
+        assert np.isnan(hermiticity_residual(m))
+
+    @given(st.sampled_from([d for d in RESIDUAL_DIMS if d > 1]).flatmap(
+               lambda d: st.tuples(st.just(d), st.integers(0, d - 1), st.integers(0, d - 1))),
+           st.integers(0, 2**32 - 1))
+    @example((257, 256, 3), 0)
+    @example((257, 3, 256), 0)
+    @example((1000, 999, 961), 1)
+    @example((2048, 2047, 0), 2)
+    @example((HERMITICITY_TILE + 1, HERMITICITY_TILE, HERMITICITY_TILE - 1), 3)
+    def test_one_off_diagonal_perturbation_is_refused(self, dij, seed):
+        d, i, j = dij
+        assume(i != j)
+        lay = SubsystemLayout((d,), (LABEL_MS,))
+        m = _exactly_hermitian(np.random.default_rng(seed), d)
+        DensityOperator(m, lay)
+        bad = m.copy()
+        bad[i, j] += 10 * TOL.hermiticity
+        with pytest.raises(ValidationError, match="Hermitian"):
+            DensityOperator(bad, lay)
 
 
 class TestTensorAndApply:
