@@ -327,17 +327,37 @@ def _build_spec(cfg: ScenarioConfig) -> circuits.CircuitSpec:
     return circuits.CircuitSpec(cfg.kind, ms, backend=cfg.backend)
 
 
-def _run_measurement(cfg: ScenarioConfig, state, finish):
+def _readout(cfg: ScenarioConfig):
     if cfg.measurement == "sector_pvm":
-        return measurement.measure(state, measurement.sector_pvm(cfg.n), finish)
+        return measurement.sector_pvm(cfg.n)
     if cfg.measurement == "threshold_pvm":
-        return measurement.measure(state, measurement.threshold_pvm(cfg.n), finish)
+        return measurement.threshold_pvm(cfg.n)
     if cfg.theta is not None:
         table = measurement.TwoOutcomeTheta(np.asarray(cfg.theta))
-        return measurement.measure(state, measurement.povm_from_theta(table), finish)
+        return measurement.povm_from_theta(table)
     # with (g, t_m) given, run the explicit probe-qubit readout circuit
-    return measurement.apparatus_measure(
-        state, measurement.ApparatusSpec(cfg.g, cfg.t_m), finish)
+    return measurement.ApparatusSpec(cfg.g, cfg.t_m)
+
+
+def _report_outcome(cfg: ScenarioConfig, spec, rec):
+    """The report entry of one outcome, and its record without the post state."""
+    post = rec.post_state
+    if post is not None and cfg.disentangle:
+        post = circuits.disentangle(spec, post)
+        marg = circuits.qubit_marginal(post)
+        f_odd = fidelity(marg, BELL_ODD_PLUS)
+        f_even = fidelity(marg, BELL_EVEN_PLUS)
+        rec = replace(rec, fidelity_odd=f_odd, fidelity_even=f_even,
+                      fidelity_best=max(f_odd, f_even))
+    entry = {
+        "id": int(rec.outcome),
+        "p": float(rec.probability),
+        "f_odd": rec.fidelity_odd,
+        "f_even": rec.fidelity_even,
+        "f_best": rec.fidelity_best,
+        "sectors": None if post is None else sector_probabilities(post),
+    }
+    return entry, replace(rec, post_state=None)
 
 
 def _branch_phase_diagnostics(cfg: ScenarioConfig, spec, state):
@@ -370,29 +390,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError("simulate reports are JSON only")
     spec = _build_spec(cfg)
     state = circuits.evolve(spec, circuits.prepare_inputs(spec))
-    outcomes = []
-
-    def finish(rec):
-        # report the outcome and drop its post state before the next is built
-        post = rec.post_state
-        if post is not None and cfg.disentangle:
-            post = circuits.disentangle(spec, post)
-            marg = circuits.qubit_marginal(post)
-            f_odd = fidelity(marg, BELL_ODD_PLUS)
-            f_even = fidelity(marg, BELL_EVEN_PLUS)
-            rec = replace(rec, fidelity_odd=f_odd, fidelity_even=f_even,
-                          fidelity_best=max(f_odd, f_even))
-        outcomes.append({
-            "id": int(rec.outcome),
-            "p": float(rec.probability),
-            "f_odd": rec.fidelity_odd,
-            "f_even": rec.fidelity_even,
-            "f_best": rec.fidelity_best,
-            "sectors": None if post is None else sector_probabilities(post),
-        })
-        return replace(rec, post_state=None)
-
-    records = _run_measurement(cfg, state, finish)
+    records, outcomes = [], []
+    for rec in measurement.measure_each(state, _readout(cfg)):
+        # rebinding rec drops the post state before the next one is built
+        entry, rec = _report_outcome(cfg, spec, rec)
+        outcomes.append(entry)
+        records.append(rec)
     if cfg.post_select is not None and not any(
         r.outcome == cfg.post_select for r in records
     ):

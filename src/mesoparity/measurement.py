@@ -19,7 +19,7 @@ square-root rule with the same cos^2/sin^2 coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -152,10 +152,6 @@ def _record(outcome, p, post) -> OutcomeRecord:
     return OutcomeRecord(outcome, float(p), post, f_o, f_e, max(f_o, f_e))
 
 
-def _as_built(record: OutcomeRecord) -> OutcomeRecord:
-    return record
-
-
 def _sqrt_update(state, sqrt_coeffs: np.ndarray, p: float):
     """sqrt(E) state / sqrt(p) for one sector-diagonal effect."""
     if isinstance(state, SectorMixture):
@@ -175,25 +171,16 @@ def _sqrt_update(state, sqrt_coeffs: np.ndarray, p: float):
     return renormalized(state, t * weight, p)
 
 
-def _sqrt_outcome(state, alpha: int, a: np.ndarray, sectors: np.ndarray) -> OutcomeRecord:
-    p = float(a @ sectors)
-    if p < TOL.prob_floor:
-        return _record(alpha, p, None)
-    return _record(alpha, p, _sqrt_update(state, np.sqrt(a), p))
-
-
 def measure(
     state: JointState,
     povm: CollectivePOVM,
-    finish: Callable[[OutcomeRecord], OutcomeRecord] = _as_built,
+    outcomes: Optional[Sequence[int]] = None,
 ) -> list:
     """Apply a sector POVM: one OutcomeRecord per effect, probabilities from
     the sector distribution, post states from the square-root rule.
 
-    Outcomes are built one at a time, and each record goes through
-    ``finish`` before the next post state exists; the list holds what
-    ``finish`` returns.  A caller that keeps only a summary of each outcome
-    thus holds at most one post state at a time.
+    ``outcomes`` names the effects to build records for, in that order (all
+    of them by default); the post states of the others are never built.
     """
     sectors = sector_probabilities(state)
     n = sectors.size - 1
@@ -201,8 +188,16 @@ def measure(
         raise LayoutError(
             f"POVM covers sectors 0..{povm.n_sites} but the MS has {n} sites"
         )
-    return [finish(_sqrt_outcome(state, alpha, a, sectors))
-            for alpha, a in enumerate(povm.coefficients)]
+    records = []
+    for alpha in range(povm.n_outcomes) if outcomes is None else outcomes:
+        a = povm.coefficients[alpha]
+        p = float(a @ sectors)
+        if p < TOL.prob_floor:
+            records.append(_record(alpha, p, None))
+            continue
+        post = _sqrt_update(state, np.sqrt(a), p)
+        records.append(_record(alpha, p, post))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -229,24 +224,13 @@ def _theta_table(spec, n: int) -> TwoOutcomeTheta:
     return table
 
 
-def _probe_outcome(state, index: np.ndarray, k: int, amp: np.ndarray) -> OutcomeRecord:
-    # the probe entered in |0> and was read out in |k>
-    raw = apply_kernel(state, sector_diagonal(amp, index))
-    p = branch_probability(state, raw)
-    if p < TOL.prob_floor:
-        return _record(k, p, None)
-    corrected = apply_kernel(state, sector_diagonal(_sector_signs(amp), index), raw)
-    return _record(k, p, renormalized(state, corrected, p))
-
-
 def apparatus_measure(
     state: JointState,
     spec: Union[ApparatusSpec, TwoOutcomeTheta],
-    finish: Callable[[OutcomeRecord], OutcomeRecord] = _as_built,
+    outcomes: Optional[Sequence[int]] = None,
 ) -> list:
     """Measure via the probe qubit and return records identical to
-    `measure` with `povm_from_theta`, each passed through ``finish`` before
-    the next outcome is built, as there.
+    `measure` with `povm_from_theta`, for the same ``outcomes``.
 
     Steps: attach |0>, rotate the probe by theta(m) on each sector, read the
     probe in its computational basis, discard it, then apply the
@@ -254,8 +238,36 @@ def apparatus_measure(
     or sum_m sign(sin theta(m)) Pi(m) (outcome 1).
     """
     if isinstance(state, SectorMixture):
-        return measure(state, povm_from_theta(_theta_table(spec, state.n)), finish)
+        return measure(state, povm_from_theta(_theta_table(spec, state.n)), outcomes)
     index = excitation_index(state)
     table = _theta_table(spec, int(index.max()))
-    return [finish(_probe_outcome(state, index, k, amp))
-            for k, amp in enumerate(_probe_rotation(table.theta)[:, 0])]
+    amps = _probe_rotation(table.theta)[:, 0]
+    records = []
+    for k in range(len(amps)) if outcomes is None else outcomes:
+        # the probe entered in |0> and was read out in |k>
+        raw = apply_kernel(state, sector_diagonal(amps[k], index))
+        p = branch_probability(state, raw)
+        if p < TOL.prob_floor:
+            records.append(_record(k, p, None))
+            continue
+        corrected = apply_kernel(state, sector_diagonal(_sector_signs(amps[k]), index), raw)
+        records.append(_record(k, p, renormalized(state, corrected, p)))
+    return records
+
+
+def measure_each(
+    state: JointState,
+    readout: Union[CollectivePOVM, ApparatusSpec, TwoOutcomeTheta],
+) -> Iterator[OutcomeRecord]:
+    """The records of `measure` (for a POVM) or `apparatus_measure` (for a
+    probe readout), built one outcome per call as they are asked for.
+
+    A consumer that drops each post state before asking for the next record
+    holds at most one post state at a time, whatever the outcome count.
+    """
+    if isinstance(readout, CollectivePOVM):
+        run, count = measure, readout.n_outcomes
+    else:
+        run, count = apparatus_measure, 2
+    for k in range(count):
+        yield from run(state, readout, (k,))

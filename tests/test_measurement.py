@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from mesoparity.measurement import (
     TwoOutcomeTheta,
     apparatus_measure,
     measure,
+    measure_each,
     povm_from_theta,
     sector_pvm,
     threshold_pvm,
@@ -189,7 +189,7 @@ class TestSqrtRule:
 
 class TestOutcomeStream:
     def test_memory_does_not_grow_with_the_outcome_count(self):
-        """Each record is finished before the next post state is built, so
+        """Each record is dropped before the next post state is built, so
         nine sector outcomes peak like two threshold outcomes, not at nine
         joint densities."""
         n = 8
@@ -200,48 +200,36 @@ class TestOutcomeStream:
         assert joint_bytes == 16 * 2**20
         peaks, live = {}, {}
         for name, povm in (("sector", sector_pvm(n)), ("threshold", threshold_pvm(n))):
-            seen = []
-
-            def finish(rec):
-                seen.append(rec.post_state is not None)
-                return replace(rec, post_state=None)
-
+            live[name] = 0
             tracemalloc.start()
             try:
-                records = measure(state, povm, finish)
+                for rec in measure_each(state, povm):
+                    live[name] += rec.post_state is not None
+                    del rec
                 peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert all(rec.post_state is None for rec in records)
-            live[name] = sum(seen)
         assert live == {"sector": n + 1, "threshold": 2}
         assert peaks["sector"] >= joint_bytes
         assert abs(peaks["sector"] - peaks["threshold"]) < joint_bytes
 
     @pytest.mark.parametrize("route", ["povm", "apparatus"])
-    def test_finish_sees_every_record_in_order(self, rng, route):
+    def test_stream_and_chosen_outcomes_match_the_full_list(self, rng, route):
         rho = _joint_pure(rng, 3).to_density()
         app = ApparatusSpec(g=1.4, t_m=0.9)
-
-        def run(*finish):
-            if route == "povm":
-                return measure(rho, povm_from_theta(app.theta(3)), *finish)
-            return apparatus_measure(rho, app, *finish)
-
-        seen = []
-
-        def finish(rec):
-            seen.append(rec)
-            return replace(rec, post_state=None)
-
-        plain, slim = run(), run(finish)
-        assert [rec.outcome for rec in seen] == [0, 1]
-        for a, b, c in zip(seen, plain, slim):
-            assert c.post_state is None
+        readout = povm_from_theta(app.theta(3)) if route == "povm" else app
+        run = measure if route == "povm" else apparatus_measure
+        full = run(rho, readout)
+        streamed = list(measure_each(rho, readout))
+        chosen = run(rho, readout, [1, 0])
+        assert [rec.outcome for rec in full] == [0, 1]
+        assert [rec.outcome for rec in chosen] == [1, 0]
+        for a, b, c in zip(full, streamed, chosen[::-1]):
             assert (a.outcome, a.probability, a.fidelity_best) == (
                 b.outcome, b.probability, b.fidelity_best) == (
                 c.outcome, c.probability, c.fidelity_best)
             np.testing.assert_array_equal(a.post_state.matrix, b.post_state.matrix)
+            np.testing.assert_array_equal(a.post_state.matrix, c.post_state.matrix)
 
 
 class TestConditionedFidelities:
