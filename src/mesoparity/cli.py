@@ -450,10 +450,20 @@ def _bound_row(task):
     return (n, eps, pol, value)
 
 
+def _bound_block(tasks) -> list:
+    return [_bound_row(task) for task in tasks]
+
+
 def compute_bound_rows(sweep: SweepConfig) -> list:
+    """Every grid row, each cross-checked between two forms.  The pool gets
+    one contiguous block of rows per worker, so the rows of one N run back to
+    back and reuse the pmf coefficients cached for that N."""
     tasks = [(n, eps, pol) for n in sweep.n_values for eps, pol in sweep.pairs]
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(tasks)))) as pool:
-        rows = list(pool.map(_bound_row, tasks))
+    workers = min(8, len(tasks))
+    size = -(-len(tasks) // workers)
+    blocks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = [row for block in pool.map(_bound_block, blocks) for row in block]
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows
 

@@ -67,17 +67,38 @@ def total_excitation_grid(block_sizes: tuple[int, ...]) -> np.ndarray:
     return grid
 
 
+# Entries kept by `_pmf_coefficients`.  Each holds two arrays of n+1 values,
+# so a bounded cache keeps a 1:N sweep at O(N) memory instead of O(N^2).
+PMF_COEFFICIENT_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=PMF_COEFFICIENT_CACHE_SIZE)
+def _pmf_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The p-independent part of `binomial_pmf`: m = 0..n and either the
+    exact C(n, m) as floats (n <= 50) or log C(n, m) (beyond).  Read-only,
+    since every caller of the same n shares them."""
+    m = np.arange(n + 1)
+    if n <= 50:
+        coef = np.array([math.comb(n, k) for k in m], dtype=float)
+    else:
+        coef = gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1)
+    m.setflags(write=False)
+    coef.setflags(write=False)
+    return m, coef
+
+
 def binomial_pmf(n: int, p: float) -> np.ndarray:
     """b(m; n, p) for m = 0..n.
 
     Exact products up to n = 50, log-space beyond so that large-n tails do not
-    underflow through intermediate factors.
+    underflow through intermediate factors.  The binomial coefficients of each
+    n are computed once (`_pmf_coefficients`); the expression order is that of
+    the one-line formula, so the values are the same bit for bit.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"success probability {p} outside [0, 1]")
-    m = np.arange(n + 1)
     if p == 0.0:
         out = np.zeros(n + 1)
         out[0] = 1.0
@@ -86,17 +107,10 @@ def binomial_pmf(n: int, p: float) -> np.ndarray:
         out = np.zeros(n + 1)
         out[n] = 1.0
         return out
+    m, coef = _pmf_coefficients(n)
     if n <= 50:
-        combs = np.array([math.comb(n, k) for k in m], dtype=float)
-        return combs * p**m * (1.0 - p) ** (n - m)
-    log_pmf = (
-        gammaln(n + 1)
-        - gammaln(m + 1)
-        - gammaln(n - m + 1)
-        + m * np.log(p)
-        + (n - m) * np.log1p(-p)
-    )
-    return np.exp(log_pmf)
+        return coef * p**m * (1.0 - p) ** (n - m)
+    return np.exp(coef + m * np.log(p) + (n - m) * np.log1p(-p))
 
 
 @dataclass(frozen=True)
@@ -175,7 +189,7 @@ class CollectiveBlockState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > TOL.norm:
+        if not abs(nrm - 1.0) <= TOL.norm:
             raise ValidationError(f"state norm {nrm} deviates from 1 beyond {TOL.norm}")
 
     @property
@@ -441,13 +455,13 @@ class SectorMixture:
         if self.weight_odd.min() < -TOL.norm or self.weight_even.min() < -TOL.norm:
             raise ValidationError("negative sector weight")
         total = 0.5 * (self.weight_odd.sum() + self.weight_even.sum())
-        if abs(total - 1.0) > TOL.norm:
+        if not abs(total - 1.0) <= TOL.norm:
             raise ValidationError(f"mixture trace {total} deviates from 1")
         # the cross block connects sector m of the even branch with sector m
         # (or n-m, when it carries the flip) of the odd branch
         w_o = self.weight_odd[::-1] if self.cross_flipped else self.weight_odd
         bound = np.sqrt(np.clip(w_o, 0, None) * np.clip(self.weight_even, 0, None))
-        if np.any(np.abs(self.cross) > bound + TOL.cross_block):
+        if not np.all(np.abs(self.cross) <= bound + TOL.cross_block):
             raise ValidationError("cross block exceeds its Cauchy-Schwarz bound")
 
     @property

@@ -107,7 +107,7 @@ class PureState:
                 f"{amps.size} amplitudes for total dimension {self.layout.total_dim}"
             )
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > TOL.norm:
+        if not abs(nrm - 1.0) <= TOL.norm:
             raise ValidationError(f"state norm {nrm} deviates from 1 beyond {TOL.norm}")
 
     def norm(self) -> float:
@@ -145,10 +145,10 @@ class DensityOperator:
             )
         if mat.shape != (d, d):
             raise LayoutError(f"matrix shape {mat.shape} for total dimension {d}")
-        if hermiticity_residual(mat) > TOL.hermiticity:
+        if not hermiticity_residual(mat) <= TOL.hermiticity:
             raise ValidationError("density matrix is not Hermitian within tolerance")
         tr = mat.trace().real
-        if abs(tr - 1.0) > TOL.norm:
+        if not abs(tr - 1.0) <= TOL.norm:
             raise ValidationError(f"density trace {tr} deviates from 1 beyond {TOL.norm}")
 
     def diagonal(self) -> np.ndarray:

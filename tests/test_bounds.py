@@ -4,12 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mesoparity.bounds import (
     BoundResult,
     CoefficientProgram,
     DomainError,
     ViolationReport,
+    _exact_sum,
     binomial_cdf,
     bound_closed_form,
     bound_coefficient_program,
@@ -26,6 +28,34 @@ from mesoparity.metrics import average_fidelity_from_distributions
 from mesoparity.states import ValidationError
 
 from helpers import exact_bound
+
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+
+# exact zeros, subnormals and normal values from 1e-300 to 1, as in a pmf's tails
+SUMMANDS = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, SMALLEST_NORMAL, exclude_max=True),
+    st.floats(1e-300, 1.0),
+)
+
+
+@st.composite
+def permuted_summands(draw):
+    arr = draw(arrays(np.float64, st.integers(0, 300), elements=SUMMANDS))
+    return arr[draw(st.permutations(range(arr.size)))] if arr.size else arr
+
+
+class TestExactSum:
+    @given(permuted_summands())
+    def test_equals_fsum_in_any_order(self, arr):
+        assert _exact_sum(arr) == math.fsum(list(arr))
+
+    def test_pmf_tails_bit_for_bit(self):
+        for n, p in ((1, 0.5), (51, 0.140625), (1000, 0.359375), (2001, 0.01)):
+            pmf = binomial_pmf(n, p)
+            assert _exact_sum(pmf) == math.fsum(list(pmf))
+            assert _exact_sum(pmf[: n // 2]) == math.fsum(list(pmf[: n // 2]))
 
 
 class TestClosedForm:

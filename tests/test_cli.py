@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,12 +244,14 @@ class TestSimulate:
 
 MIX = ("simulate", "--kind", "parity_conditioned", "--v-odd", "collective_flip",
        "--measurement", "sector_pvm")
+SWEEP = ("bound", "--n", "1:100", "--polarization", "0.5,0.7,0.9,0.99")
 
 
 class TestPinnedReports:
     """Report bytes that must not move: the dense mixed reference, the
-    density disentangle route, the sector mixture, a pure threshold run and
-    the density probe-qubit route."""
+    density disentangle route, the sector mixture, a pure threshold run, the
+    density probe-qubit route and the bound sweep in each format (its 1:1000
+    grid is the benchmark's)."""
 
     @pytest.mark.parametrize("argv, digest", [
         (MIX + ("--n", "9", "--epsilon", "0.3"),
@@ -262,8 +266,18 @@ class TestPinnedReports:
         (("simulate", "--kind", "parity_collective", "--n", "4", "--epsilon", "0.3",
           "--measurement", "two_outcome", "--g", "0.3", "--t-m", "1.1"),
          "9c8d778fbfc50f0e030d618ecb38c4e5f3cf44498484974d4135b4d5abf49d19"),
+        (SWEEP,
+         "79713aa33abe30e061036eb984fcf8b43d5200e85edc1d9bf2407bb29fe7d598"),
+        (SWEEP + ("--format", "json"),
+         "66a18a61be5d2c93980db27815f1568074e8f7d8160a916f150156e267a5ad4a"),
+        (SWEEP + ("--format", "svg"),
+         "d01433e35ace62bafe8221ab52f3976602c071dec29fd917811e178402082474"),
+        (("bound", "--n", "1:1000", "--polarization", "0.28125,0.40625,0.59375,0.71875",
+          "--format", "csv"),
+         "1fc79a82813d6d4333b634170eabca786f6009f49551c05975daaccb44ab8e76"),
     ], ids=["mixed-n9", "mixed-n8-disentangle", "mixture-n300-disentangle",
-            "pure-threshold-n12", "density-probe-n4"])
+            "pure-threshold-n12", "density-probe-n4", "bound-csv", "bound-json",
+            "bound-svg", "bound-n1000-csv"])
     def test_report_sha256(self, tmp_path, argv, digest):
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == 0
@@ -371,3 +385,27 @@ class TestExitCodes:
                      "--polarization", "0.1"])
         assert code == 2
         assert "disagree" in capsys.readouterr().err
+
+
+def readme_commands():
+    """Every `python -m mesoparity` line of README's command-line block, with
+    backslash continuations joined, as argument lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    prefix = ["python", "-m", "mesoparity"]
+    return [argv[3:] for argv in map(shlex.split, lines) if argv[:3] == prefix]
+
+
+def test_readme_commands_run_in_order(tmp_path, monkeypatch):
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "simulate", "simulate", "bound", "bound", "plot", "verify"]
+    # one directory for all of them, so that `plot bound.csv` reads what
+    # `bound --out bound.csv` wrote
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert main(argv) == 0, argv

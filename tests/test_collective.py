@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, strategies as st
+from scipy.special import gammaln
 
 from mesoparity.collective import (
+    PMF_COEFFICIENT_CACHE_SIZE,
     CollectiveBlockState,
     MsConfig,
     RepresentationError,
@@ -22,6 +24,7 @@ from mesoparity.collective import (
     mixture_conditional,
     mixture_prepare,
     mixture_to_dense,
+    _pmf_coefficients,
     popcounts,
     sector_probabilities,
     thermal_ms_dense,
@@ -85,6 +88,40 @@ def test_binomial_pmf_against_scipy_large():
 def test_binomial_pmf_degenerate_edges():
     np.testing.assert_array_equal(binomial_pmf(4, 0.0), [1, 0, 0, 0, 0])
     np.testing.assert_array_equal(binomial_pmf(4, 1.0), [0, 0, 0, 0, 1])
+
+
+def _uncached_binomial_pmf(n, p):
+    """`binomial_pmf` as one expression per call, the reference for its cache."""
+    m = np.arange(n + 1)
+    if n <= 50:
+        combs = np.array([math.comb(n, k) for k in m], dtype=float)
+        return combs * p**m * (1.0 - p) ** (n - m)
+    return np.exp(
+        gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1)
+        + m * np.log(p) + (n - m) * np.log1p(-p)
+    )
+
+
+PMF_SIZES = (1, 2, 50, 51, 52, 1000, 2001)
+PMF_PROBABILITIES = (1e-9, 0.140625, 0.25, 0.5, 0.859375, 1.0 - 1e-12)
+
+
+def test_binomial_pmf_cache_is_bit_identical():
+    # interleave the sizes, so that a cache entry kept for the wrong n, or
+    # shared and written through, would show; then evict every entry
+    want = {(n, p): _uncached_binomial_pmf(n, p)
+            for n in PMF_SIZES for p in PMF_PROBABILITIES}
+    evicting = range(100, 100 + PMF_COEFFICIENT_CACHE_SIZE + 1)
+    for sizes in (PMF_SIZES, PMF_SIZES[::-1], evicting, PMF_SIZES):
+        for p in PMF_PROBABILITIES:
+            for n in sizes:
+                got = binomial_pmf(n, p)
+                assert got.flags.writeable
+                if (n, p) in want:
+                    assert got.tobytes() == want[n, p].tobytes()
+                got[:] = -1.0
+    for n in PMF_SIZES:
+        assert not any(a.flags.writeable for a in _pmf_coefficients(n))
 
 
 @given(n=st.integers(1, 300), p=st.floats(0.0, 1.0))
@@ -201,6 +238,14 @@ def test_block_state_flip_agrees_with_dense():
     start = expand_to_dense(block_ground_state(amps, (3,)))
     want = joint_controlled(3, "q1", dense_flip(3)) @ start.amplitudes
     np.testing.assert_allclose(dense.amplitudes, want, atol=1e-13)
+
+
+def test_block_state_nan_amplitude_refused():
+    amps = np.zeros((2, 2, 4), dtype=complex)
+    amps[0, 0, 0] = 1.0
+    amps[1, 1, 3] = np.nan
+    with pytest.raises(ValidationError):
+        CollectiveBlockState(amps, (3,))
 
 
 def test_mixture_only_supports_unconditional_flip():
@@ -400,6 +445,15 @@ class TestSectorMixture:
         too_big = np.full(3, 1.0)
         with pytest.raises(ValidationError):
             SectorMixture(2, w, w, too_big)
+
+    @pytest.mark.parametrize("weights, cross", [
+        ((np.nan, 0.0, 1.0), (0.0, 0.0, 0.0)),
+        ((0.5625, 0.375, 0.0625), (np.nan, 0.0, 0.0)),
+    ], ids=["nan-weight", "nan-cross"])
+    def test_nan_entry_refused(self, weights, cross):
+        w = binomial_pmf(2, 0.25)
+        with pytest.raises(ValidationError):
+            SectorMixture(2, np.array(weights), w, np.array(cross))
 
     def test_to_dense_respects_cap(self):
         with pytest.raises(LayoutError):

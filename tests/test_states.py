@@ -60,6 +60,12 @@ class TestSubsystemLayout:
         assert kept.labels == (LABEL_Q1, LABEL_Q2)
 
 
+def _density_with_nan(i, j):
+    m = np.eye(4, dtype=complex) / 4.0
+    m[i, j] = np.nan
+    return DensityOperator(m, qubit_pair_layout())
+
+
 class TestStateValidation:
     def test_pure_state_norm_enforced(self):
         lay = qubit_pair_layout()
@@ -80,6 +86,17 @@ class TestStateValidation:
     def test_density_trace_enforced(self):
         with pytest.raises(ValidationError):
             DensityOperator(np.eye(4), qubit_pair_layout())
+
+    @pytest.mark.parametrize("build", [
+        lambda: _density_with_nan(0, 1),
+        lambda: _density_with_nan(2, 2),
+        lambda: PureState(np.array([np.nan, 0.0, 0.0, 1.0]), qubit_pair_layout()),
+    ], ids=["density-off-diagonal", "density-diagonal", "pure-amplitude"])
+    def test_nan_entry_refused(self, build):
+        # a NaN residual, trace or norm compares False against any tolerance,
+        # so each check must be written to fail on it
+        with pytest.raises(ValidationError):
+            build()
 
     def test_validate_density_flags_negative_eigenvalues(self):
         lay = SubsystemLayout((2,), (LABEL_MS,))
