@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -411,22 +411,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         chosen = next(o for o in outcomes if o["id"] == cfg.post_select)
         diagnostics["post_selected"] = dict(chosen)
     report = {
-        "scenario": {
-            "kind": cfg.kind,
-            "n": cfg.n,
-            "epsilon": cfg.epsilon,
-            "polarization": cfg.polarization,
-            "backend": cfg.backend,
-            "measurement": cfg.measurement,
-            "theta": list(cfg.theta) if cfg.theta is not None else None,
-            "g": cfg.g,
-            "t_m": cfg.t_m,
-            "v_odd": cfg.v_odd,
-            "v_even": cfg.v_even,
-            "post_select": cfg.post_select,
-            "disentangle": cfg.disentangle,
-            "seed": cfg.seed,
-        },
+        "scenario": asdict(cfg),
         "outcomes": outcomes,
         "f_avg": average_fidelity(records),
         "diagnostics": diagnostics,
@@ -456,8 +441,7 @@ def _bound_block(tasks) -> list:
 
 def compute_bound_rows(sweep: SweepConfig) -> list:
     """Every grid row, each cross-checked between two forms.  The pool gets
-    one contiguous block of rows per worker, so the rows of one N run back to
-    back and reuse the pmf coefficients cached for that N."""
+    one contiguous block of rows per worker."""
     tasks = [(n, eps, pol) for n in sweep.n_values for eps, pol in sweep.pairs]
     workers = min(8, len(tasks))
     size = -(-len(tasks) // workers)

@@ -18,13 +18,13 @@ Convention: m always counts constituents in |1> (per-site number operator
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .states import (
     DENSE_DENSITY_DIM_CAP,
@@ -67,33 +67,67 @@ def total_excitation_grid(block_sizes: tuple[int, ...]) -> np.ndarray:
     return grid
 
 
-# Entries kept by `_pmf_coefficients`.  Each holds two arrays of n+1 values,
-# so a bounded cache keeps a 1:N sweep at O(N) memory instead of O(N^2).
-PMF_COEFFICIENT_CACHE_SIZE = 32
+# cephes `lgam` at the positive integers, the algorithm behind
+# scipy.special.gammaln, with libm's log through `math.log` (np.log may use
+# other code): the values equal gammaln's bit for bit.  The Stirling series
+# in 1/x^2 takes five coefficients below x = 1000 and three from there on.
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LGAM_A_LARGE = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+                 0.0833333333333333333333)
 
 
-@lru_cache(maxsize=PMF_COEFFICIENT_CACHE_SIZE)
-def _pmf_coefficients(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The p-independent part of `binomial_pmf`: m = 0..n and either the
-    exact C(n, m) as floats (n <= 50) or log C(n, m) (beyond).  Read-only,
-    since every caller of the same n shares them."""
-    m = np.arange(n + 1)
-    if n <= 50:
-        coef = np.array([math.comb(n, k) for k in m], dtype=float)
-    else:
-        coef = gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1)
-    m.setflags(write=False)
-    coef.setflags(write=False)
-    return m, coef
+def _lgam(k: int) -> float:
+    """log Gamma(k) for an integer k >= 0 (a pole at 0)."""
+    if k == 0:
+        return math.inf
+    if k < 13:
+        return math.log(math.factorial(k - 1))
+    x = float(k)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    coeffs = _LGAM_A if x < 1000.0 else _LGAM_A_LARGE
+    poly = coeffs[0]
+    for a in coeffs[1:]:
+        poly = poly * p + a
+    return q + poly / x
+
+
+# lgam(0..K), read-only.  It only ever grows, under the lock, and each caller
+# keeps the table it took, so sweep threads never see it change underneath.
+_lgam_table = np.empty(0)
+_lgam_table.setflags(write=False)
+_lgam_lock = threading.Lock()
+
+
+def _log_gamma_table(size: int) -> np.ndarray:
+    """A read-only table of lgam(k) for k = 0..K, K >= size - 1; a short one
+    is replaced by one at least twice its length."""
+    global _lgam_table
+    table = _lgam_table
+    if len(table) < size:
+        with _lgam_lock:
+            table = _lgam_table
+            if len(table) < size:
+                grown = range(len(table), max(size, 2 * len(table)))
+                table = np.concatenate([table, [_lgam(k) for k in grown]])
+                table.setflags(write=False)
+                _lgam_table = table
+    return table
 
 
 def binomial_pmf(n: int, p: float) -> np.ndarray:
     """b(m; n, p) for m = 0..n.
 
     Exact products up to n = 50, log-space beyond so that large-n tails do not
-    underflow through intermediate factors.  The binomial coefficients of each
-    n are computed once (`_pmf_coefficients`); the expression order is that of
-    the one-line formula, so the values are the same bit for bit.
+    underflow through intermediate factors.  Beyond, log C(n, m) is read off
+    the log-gamma table as lgam(n+1) - lgam(m+1) - lgam(n-m+1), the same
+    operations in the same order as with scipy's gammaln, and so the same
+    bits.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -107,9 +141,13 @@ def binomial_pmf(n: int, p: float) -> np.ndarray:
         out = np.zeros(n + 1)
         out[n] = 1.0
         return out
-    m, coef = _pmf_coefficients(n)
+    m = np.arange(n + 1)
     if n <= 50:
-        return coef * p**m * (1.0 - p) ** (n - m)
+        combs = np.array([math.comb(n, k) for k in m], dtype=float)
+        return combs * p**m * (1.0 - p) ** (n - m)
+    table = _log_gamma_table(n + 2)
+    lt = table[1:n + 2]
+    coef = table[n + 1] - lt - lt[::-1]
     return np.exp(coef + m * np.log(p) + (n - m) * np.log1p(-p))
 
 

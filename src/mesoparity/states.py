@@ -77,9 +77,6 @@ class SubsystemLayout:
             raise LayoutError(f"expected exactly one {label!r} slot, found {len(found)}")
         return found[0]
 
-    def concat(self, other: "SubsystemLayout") -> "SubsystemLayout":
-        return SubsystemLayout(self.dims + other.dims, self.labels + other.labels)
-
     def keep(self, slots: Sequence[int]) -> "SubsystemLayout":
         return SubsystemLayout(
             tuple(self.dims[i] for i in slots), tuple(self.labels[i] for i in slots)
@@ -109,9 +106,6 @@ class PureState:
         nrm = np.linalg.norm(amps)
         if not abs(nrm - 1.0) <= TOL.norm:
             raise ValidationError(f"state norm {nrm} deviates from 1 beyond {TOL.norm}")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.layout.dims)
@@ -250,29 +244,6 @@ def _apply_axes(op: np.ndarray, tensor_in: np.ndarray, axes: Sequence[int]) -> n
     mat = op @ mat
     t = mat.reshape(lead + rest)
     return np.moveaxis(t, range(k), axes)
-
-
-def apply(op: np.ndarray, state, slots: Sequence[int]):
-    """Embed ``op (x) identity`` over the listed slots and apply it.
-
-    The operator indexes the selected slots in the listed order, first slot
-    most significant.  Densities are conjugated, U rho U^dag.
-    """
-    slots = list(slots)
-    op = np.asarray(op, dtype=complex)
-    dims = state.layout.dims
-    if len(set(slots)) != len(slots):
-        raise LayoutError(f"repeated slot in {slots}")
-    if any(s < 0 or s >= len(dims) for s in slots):
-        raise LayoutError(f"slot out of range in {slots} for {len(dims)} slots")
-    d_sel = prod(dims[s] for s in slots)
-    if op.shape != (d_sel, d_sel):
-        raise LayoutError(f"operator shape {op.shape} does not match selected dims {d_sel}")
-
-    def kernel(t, offset, conj):
-        return _apply_axes(op.conj() if conj else op, t, [offset + s for s in slots])
-
-    return state.with_tensor(apply_kernel(state, kernel))
 
 
 def partial_trace(state, keep: Sequence[int]) -> DensityOperator:

@@ -409,3 +409,14 @@ def test_readme_commands_run_in_order(tmp_path, monkeypatch):
             i = argv.index("--out") + 1
             argv[i] = str(tmp_path / argv[i])
         assert main(argv) == 0, argv
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy only; scipy is an oracle of the tests
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mesoparity.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,6 @@ from hypothesis import given, strategies as st
 from scipy.special import gammaln
 
 from mesoparity.collective import (
-    PMF_COEFFICIENT_CACHE_SIZE,
     CollectiveBlockState,
     MsConfig,
     RepresentationError,
@@ -24,12 +25,12 @@ from mesoparity.collective import (
     mixture_conditional,
     mixture_prepare,
     mixture_to_dense,
-    _pmf_coefficients,
     popcounts,
     sector_probabilities,
     thermal_ms_dense,
     total_excitation_grid,
 )
+from mesoparity import collective
 from mesoparity.bounds import random_collective_povm
 from mesoparity.measurement import measure
 from mesoparity.states import (
@@ -90,8 +91,9 @@ def test_binomial_pmf_degenerate_edges():
     np.testing.assert_array_equal(binomial_pmf(4, 1.0), [0, 0, 0, 0, 1])
 
 
-def _uncached_binomial_pmf(n, p):
-    """`binomial_pmf` as one expression per call, the reference for its cache."""
+def _gammaln_binomial_pmf(n, p):
+    """`binomial_pmf` as one expression with scipy's gammaln, the reference
+    for its log-gamma table."""
     m = np.arange(n + 1)
     if n <= 50:
         combs = np.array([math.comb(n, k) for k in m], dtype=float)
@@ -106,22 +108,56 @@ PMF_SIZES = (1, 2, 50, 51, 52, 1000, 2001)
 PMF_PROBABILITIES = (1e-9, 0.140625, 0.25, 0.5, 0.859375, 1.0 - 1e-12)
 
 
-def test_binomial_pmf_cache_is_bit_identical():
-    # interleave the sizes, so that a cache entry kept for the wrong n, or
-    # shared and written through, would show; then evict every entry
-    want = {(n, p): _uncached_binomial_pmf(n, p)
-            for n in PMF_SIZES for p in PMF_PROBABILITIES}
-    evicting = range(100, 100 + PMF_COEFFICIENT_CACHE_SIZE + 1)
-    for sizes in (PMF_SIZES, PMF_SIZES[::-1], evicting, PMF_SIZES):
+def _check_pmf_sizes_interleaved(want):
+    # interleave the sizes, so that a table grown wrongly, or a result shared
+    # and written through, would show
+    for sizes in (PMF_SIZES, PMF_SIZES[::-1], PMF_SIZES):
         for p in PMF_PROBABILITIES:
             for n in sizes:
                 got = binomial_pmf(n, p)
                 assert got.flags.writeable
-                if (n, p) in want:
-                    assert got.tobytes() == want[n, p].tobytes()
+                assert got.tobytes() == want[n, p].tobytes()
                 got[:] = -1.0
-    for n in PMF_SIZES:
-        assert not any(a.flags.writeable for a in _pmf_coefficients(n))
+
+
+def test_binomial_pmf_cache_is_bit_identical(monkeypatch):
+    want = {(n, p): _gammaln_binomial_pmf(n, p)
+            for n in PMF_SIZES for p in PMF_PROBABILITIES}
+    _check_pmf_sizes_interleaved(want)
+    table = collective._log_gamma_table(max(PMF_SIZES) + 2)
+    assert not table.flags.writeable
+    # a smaller request takes the larger table as it is
+    assert collective._log_gamma_table(53) is table
+    assert collective._lgam_table is table
+
+    # the same from eight sweep-style threads that all start from an empty
+    # table and switch often, so that they grow it concurrently
+    empty = np.empty(0)
+    empty.setflags(write=False)
+    monkeypatch.setattr(collective, "_lgam_table", empty)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(_check_pmf_sizes_interleaved, want) for _ in range(8)]
+            for fut in futures:
+                fut.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    table = collective._lgam_table
+    assert len(table) >= max(PMF_SIZES) + 2
+    assert not table.flags.writeable
+
+
+def test_log_gamma_table_equals_gammaln():
+    # every cephes branch: the exact factorial below 13, the five-constant
+    # series below 1000, the three-term one above; a libm log that rounds
+    # differently from the one scipy was built against shows here
+    k = np.arange(200_002)
+    table = collective._log_gamma_table(len(k))
+    assert table[:len(k)].tobytes() == gammaln(k).tobytes()
+    for big in (10**8, 10**8 + 1, 10**12):
+        assert collective._lgam(big) == gammaln(big)
 
 
 @given(n=st.integers(1, 300), p=st.floats(0.0, 1.0))

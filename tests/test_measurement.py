@@ -139,7 +139,7 @@ class TestSqrtRule:
         for rec in records:
             assert rec.probability >= -1e-14
             if rec.post_state is not None:
-                assert abs(rec.post_state.norm() - 1.0) < 1e-10
+                assert abs(np.linalg.norm(rec.post_state.amplitudes) - 1.0) < 1e-10
 
     def test_size_mismatch_rejected(self, rng):
         with pytest.raises(LayoutError):

@@ -13,14 +13,13 @@ from mesoparity.states import (
     PureState,
     SubsystemLayout,
     ValidationError,
-    apply,
     hermiticity_residual,
     partial_trace,
     validate_density,
 )
 from mesoparity.tolerances import TOL
 
-from helpers import kron_chain, random_density_matrix, random_unit_vector
+from helpers import random_density_matrix, random_unit_vector
 
 
 def qubit_pair_layout():
@@ -53,11 +52,10 @@ class TestSubsystemLayout:
         with pytest.raises(LayoutError):
             SubsystemLayout((2, 0), (LABEL_Q1, LABEL_Q2))
 
-    def test_concat_and_keep(self):
-        lay = qubit_pair_layout().concat(SubsystemLayout((8,), (LABEL_MS,)))
-        assert lay.dims == (2, 2, 8)
-        kept = lay.keep((0, 1))
-        assert kept.labels == (LABEL_Q1, LABEL_Q2)
+    def test_keep(self):
+        kept = three_slot_layout(8).keep((2, 0))
+        assert kept.dims == (8, 2)
+        assert kept.labels == (LABEL_MS, LABEL_Q1)
 
 
 def _density_with_nan(i, j):
@@ -157,41 +155,6 @@ class TestHermiticityResidual:
             DensityOperator(bad, lay)
 
 
-class TestTensorAndApply:
-    def test_apply_single_slot_matches_kron_oracle(self, rng):
-        lay = three_slot_layout(4)
-        psi = PureState(random_unit_vector(rng, 16), lay)
-        u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-        got = apply(u, psi, [2])
-        want = kron_chain([np.eye(2), np.eye(2), u]) @ psi.amplitudes
-        np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
-
-    def test_apply_two_slots_matches_kron_oracle(self, rng):
-        lay = three_slot_layout(4)
-        psi = PureState(random_unit_vector(rng, 16), lay)
-        u = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
-        got = apply(u, psi, [1, 2])
-        want = np.kron(np.eye(2), u) @ psi.amplitudes
-        np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
-
-    def test_apply_on_density_conjugates(self, rng):
-        lay = three_slot_layout(2)
-        rho = DensityOperator(random_density_matrix(rng, 8), lay)
-        u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
-        got = apply(u, rho, [2])
-        full = kron_chain([np.eye(2), np.eye(2), u])
-        np.testing.assert_allclose(got.matrix, full @ rho.matrix @ full.conj().T, atol=1e-12)
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_unitary_application_preserves_norm(self, seed):
-        rng = np.random.default_rng(seed)
-        lay = three_slot_layout(4)
-        psi = PureState(random_unit_vector(rng, 16), lay)
-        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        u = np.linalg.qr(z)[0]
-        assert abs(apply(u, psi, [2]).norm() - 1.0) < 1e-12
-
-
 class TestPartialTrace:
     def test_against_loop_oracle(self, rng):
         lay = three_slot_layout(3)
@@ -211,9 +174,9 @@ class TestPartialTrace:
 
     def test_trace_of_product_state_recovers_factor(self, rng):
         a = PureState(random_unit_vector(rng, 4), qubit_pair_layout())
-        b = PureState(random_unit_vector(rng, 5), SubsystemLayout((5,), (LABEL_MS,)))
-        joint = PureState(np.kron(a.amplitudes, b.amplitudes),
-                          a.layout.concat(b.layout)).to_density()
+        b = random_unit_vector(rng, 5)
+        joint = PureState(np.kron(a.amplitudes, b),
+                          three_slot_layout(5)).to_density()
         reduced = partial_trace(joint, keep=(0, 1))
         np.testing.assert_allclose(
             reduced.matrix, np.outer(a.amplitudes, a.amplitudes.conj()), atol=1e-13
