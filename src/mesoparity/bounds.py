@@ -236,15 +236,10 @@ def _ms_sector_probs(n: int, rho: np.ndarray) -> np.ndarray:
     return np.bincount(pops, weights=np.diagonal(rho).real, minlength=n + 1)
 
 
-def bound_violation_search(
-    n: int,
-    epsilon: float,
-    trials: int,
-    seed: int,
-    raise_on_violation: bool = True,
-) -> ViolationReport:
+def bound_violation_search(n: int, epsilon: float, trials: int, seed: int) -> ViolationReport:
     """Sample random (V_odd, V_even) pairs and random collective POVMs and
-    check no sampled strategy exceeds the ceiling by more than TOL.violation.
+    count the sampled strategies that exceed the ceiling by more than
+    TOL.violation; the caller reads ``violations``.
 
     Each trial owns the RNG stream (seed, trial), so results do not depend on
     evaluation order.  Alongside the collective-POVM reading, every trial also
@@ -291,7 +286,7 @@ def bound_violation_search(
             violations += 1
     p_odd_opt, p_even_opt = optimal_outcome_distributions(n, epsilon)
     f_opt = 0.5 * _exact_sum(np.maximum(p_odd_opt.probs, p_even_opt.probs))
-    report = ViolationReport(
+    return ViolationReport(
         n=n,
         epsilon=epsilon,
         trials=trials,
@@ -304,9 +299,3 @@ def bound_violation_search(
         eigen_max_f_avg=eigen_max_f,
         eigen_pvm_max_gap=eigen_gap,
     )
-    if raise_on_violation and violations:
-        raise ValidationError(
-            f"{violations} sampled strategies exceeded the ceiling {bound} "
-            f"(max average fidelity {max(max_f, eigen_max_f)})"
-        )
-    return report

@@ -1,21 +1,27 @@
 """Protocol circuits joining the two target qubits to the MS.
 
-Five evolution kinds are supported:
+Every evolution kind but one has the form U = sum_jk |jk><jk| (x) V_jk: qubit
+basis branch (j, k) gets its own MS operation, and `_branch_ops` writes the
+table for `collective.branch_conditional`.  An entry flips MS blocks (the
+empty tuple is the identity) or is an explicit unitary (dense backend only):
 
-- ``parity_collective``: both qubits control a flip of every MS site, writing
-  the qubit parity into the sectors {0, n}.
-- ``hamming_half``: each qubit controls a flip of its own half of the MS, so
-  the total excitation records the two-qubit Hamming weight.
-- ``ghz_local``: the MS is steered through the collective entangler onto the
-  {m=0, m=n} manifold, each qubit phases its nearby edge site, and the
-  entangler is undone — parity ends up encoded with only one two-body gate
-  per qubit.
-- ``parity_conditioned``: odd/even qubit branches receive V_odd/V_even on the
-  MS (tags or explicit matrices).
-- ``general_conditional``: each qubit basis branch receives its own unitary.
+- ``parity_collective``: V = flip on the odd branches (01, 10), so the
+  parity lands in the sectors {0, n}.
+- ``hamming_half``: each excited qubit flips its own half of the MS (q1 the
+  first block, q2 the second), so the total excitation records the
+  two-qubit Hamming weight.
+- ``parity_conditioned``: V_odd on the odd and V_even on the even branches,
+  each a tag ("identity", "collective_flip") or an explicit matrix.
+- ``general_conditional``: an explicit unitary per branch.
 
-All evolutions here are involutions or have their inverse built from the same
-blocks, which is what `disentangle` applies.
+The exception is ``ghz_local``: the MS is steered through the collective
+entangler onto the {m=0, m=n} manifold, each qubit phases its nearby edge
+site, and the entangler is undone, so parity is encoded with only one
+two-body gate per qubit.  A `SectorMixture` runs the parity family through
+`mixture_conditional` instead of the table.
+
+`disentangle` reverses each evolution: flips are their own inverse, explicit
+unitaries are daggered, and the GHZ route is self-inverse.
 """
 
 from __future__ import annotations
@@ -25,12 +31,15 @@ from typing import Mapping, Union
 
 import numpy as np
 
+# collective_flip is not called here but stays importable from this module,
+# where the benchmark's tracer wraps it
 from .collective import (
     CollectiveBlockState,
     MsConfig,
     RepresentationError,
     SectorMixture,
     block_ground_state,
+    branch_conditional,
     collective_flip,
     edge_phase_gate,
     ghz_entangler,
@@ -50,8 +59,6 @@ from .states import (
     PureState,
     SubsystemLayout,
     ValidationError,
-    _apply_axes,
-    apply_kernel,
     partial_trace,
 )
 from .tolerances import TOL
@@ -181,10 +188,6 @@ def _is_identity_tag(v) -> bool:
     return isinstance(v, str) and v == TAG_IDENTITY
 
 
-def _is_flip_tag(v) -> bool:
-    return isinstance(v, str) and v == TAG_FLIP
-
-
 # ---------------------------------------------------------------------------
 # preparation
 
@@ -213,42 +216,6 @@ def prepare_inputs(spec: CircuitSpec) -> JointState:
 # evolution
 
 
-def _conditional_ms_apply(state, table: Mapping[tuple, np.ndarray]):
-    """Apply a distinct MS unitary on every qubit basis branch (dense only)."""
-    if not isinstance(state, (PureState, DensityOperator)):
-        raise RepresentationError(
-            "explicit conditional unitaries need the dense backend"
-        )
-    s1 = state.layout.slot(LABEL_Q1)
-    s2 = state.layout.slot(LABEL_Q2)
-    ms = state.layout.slot(LABEL_MS)
-    if (s1, s2) != (0, 1) or ms != 2:
-        raise LayoutError("conditional evolution expects the (q1, q2, ms, ...) layout")
-
-    def kernel(t, offset, conj):
-        out = t.copy()
-        for (j, k), op in table.items():
-            sl = (slice(None),) * offset + (j, k)
-            out[sl] = _apply_axes(op.conj() if conj else op, t[sl], [offset])
-        return out
-
-    return state.with_tensor(apply_kernel(state, kernel))
-
-
-def _apply_tag_conditioned(state, odd_flip: bool, even_flip: bool, spec: CircuitSpec):
-    """V_odd/V_even from {identity, flip}: realized as a parity-controlled flip
-    (one controlled flip per qubit) plus an optional unconditional flip."""
-    if isinstance(state, SectorMixture):
-        return mixture_conditional(state, odd_flip, even_flip)
-    out = state
-    if odd_flip != even_flip:
-        out = collective_flip(out, controlled_on=LABEL_Q1, block_sizes=spec.block_sizes)
-        out = collective_flip(out, controlled_on=LABEL_Q2, block_sizes=spec.block_sizes)
-    if even_flip:
-        out = collective_flip(out, block_sizes=spec.block_sizes)
-    return out
-
-
 def evolve(spec: CircuitSpec, state: JointState) -> JointState:
     """Run the circuit's entangling evolution on a prepared input."""
     return _evolve_impl(spec, state, dagger=False)
@@ -257,7 +224,7 @@ def evolve(spec: CircuitSpec, state: JointState) -> JointState:
 def disentangle(spec: CircuitSpec, state: JointState) -> JointState:
     """Reverse the entangling evolution (the post-processing gate).
 
-    Every tag-built evolution here is self-inverse; explicit unitaries are
+    Flips and the GHZ route are their own inverse; explicit unitaries are
     daggered branch by branch.
     """
     return _evolve_impl(spec, state, dagger=True)
@@ -265,44 +232,42 @@ def disentangle(spec: CircuitSpec, state: JointState) -> JointState:
 
 def _evolve_impl(spec: CircuitSpec, state: JointState, dagger: bool) -> JointState:
     kind = spec.kind
-    if kind == "parity_collective":
-        return _apply_tag_conditioned(state, True, False, spec)
     if kind in ("hamming_half", "ghz_local") and isinstance(state, SectorMixture):
         raise RepresentationError(f"{kind} on mixed inputs needs the dense backend")
-    if kind == "hamming_half":
-        out = collective_flip(state, controlled_on=LABEL_Q1, blocks=(0,),
-                              block_sizes=spec.block_sizes)
-        return collective_flip(out, controlled_on=LABEL_Q2, blocks=(1,),
-                               block_sizes=spec.block_sizes)
     if kind == "ghz_local":
         out = ghz_entangler(state)
         out = edge_phase_gate(out, LABEL_Q1)
         out = edge_phase_gate(out, LABEL_Q2)
         return ghz_entangler(out, inverse=True)
-    if kind == "parity_conditioned":
+    ops = _branch_ops(spec, dagger)
+    if isinstance(state, SectorMixture):
         if spec.has_matrix_unitaries:
-            v_o = _tag_to_matrix(spec.v_odd, spec.ms.n)
-            v_e = _tag_to_matrix(spec.v_even, spec.ms.n)
-            if dagger:
-                v_o, v_e = v_o.conj().T, v_e.conj().T
-            return _conditional_ms_apply(
-                state, {(0, 0): v_e, (0, 1): v_o, (1, 0): v_o, (1, 1): v_e}
-            )
-        return _apply_tag_conditioned(
-            state, _is_flip_tag(spec.v_odd), _is_flip_tag(spec.v_even), spec
-        )
-    table = spec.conditionals
+            raise RepresentationError("explicit conditional unitaries need the dense backend")
+        return mixture_conditional(state, ops[(0, 1)] != (), ops[(0, 0)] != ())
+    return branch_conditional(state, ops, spec.block_sizes)
+
+
+def _branch_ops(spec: CircuitSpec, dagger: bool) -> dict:
+    """The MS operation of every qubit basis branch (j, k), as
+    `branch_conditional` takes it: MS blocks to flip or an explicit unitary."""
+    if spec.kind == "hamming_half":
+        # each excited qubit flips its own half of the MS
+        return {(0, 0): (), (0, 1): (1,), (1, 0): (0,), (1, 1): (0, 1)}
+    if spec.kind == "general_conditional":
+        ops = spec.conditionals
+    else:
+        odd, even = map(_tag_op, (TAG_FLIP, TAG_IDENTITY) if spec.kind == "parity_collective"
+                        else (spec.v_odd, spec.v_even))
+        ops = {(0, 0): even, (0, 1): odd, (1, 0): odd, (1, 1): even}
     if dagger:
-        table = {jk: u.conj().T for jk, u in table.items()}
-    return _conditional_ms_apply(state, table)
+        ops = {jk: op if isinstance(op, tuple) else op.conj().T for jk, op in ops.items()}
+    return ops
 
 
-def _tag_to_matrix(v, n: int) -> np.ndarray:
+def _tag_op(v):
     if not isinstance(v, str):
         return v
-    if v == TAG_IDENTITY:
-        return np.eye(1 << n, dtype=complex)
-    return np.eye(1 << n, dtype=complex)[::-1]
+    return (0,) if v == TAG_FLIP else ()
 
 
 # ---------------------------------------------------------------------------

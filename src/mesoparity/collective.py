@@ -1,10 +1,10 @@
 """Permutation-symmetric machinery for the mesoscopic system (MS).
 
-Excitation-sector bookkeeping, Dicke-block pure states, the collective flip,
-the GHZ-manifold entangler and the edge phase gate, and a sector-resolved
-mixed-state form for the parity-conditioned protocol family.  The MS is an
-ensemble of n identical two-level systems addressed only through collective
-operations.
+Excitation-sector bookkeeping, Dicke-block pure states, one kernel for every
+qubit-conditioned MS operation (the collective flip is one), the GHZ-manifold
+entangler and the edge phase gate, and a sector-resolved mixed-state form for
+the parity-conditioned protocol family.  The MS is an ensemble of n identical
+two-level systems addressed only through collective operations.
 
 Each gate is written once for every representation with a tensor: the MS
 slot of the ket tensor (see `excitation_index`) and `states.apply_kernel`,
@@ -37,6 +37,7 @@ from .states import (
     PureState,
     SubsystemLayout,
     ValidationError,
+    _apply_axes,
     apply_kernel,
     populations,
 )
@@ -319,26 +320,50 @@ def sector_diagonal(f: np.ndarray, index: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# collective flips, the GHZ-manifold entangler, and the edge phase gate
+# qubit-conditioned MS operations, the GHZ-manifold entangler, and the edge
+# phase gate
 
 
-def _flip_ms_tensor(t, ms_axis, block_dims, which_blocks, control_axis=None):
-    nd = t.ndim
-    t2 = np.moveaxis(t, ms_axis, nd - 1)
-    lead = t2.shape[:-1]
-    t2 = t2.reshape(lead + tuple(block_dims))
-    flip_axes = tuple(len(lead) + j for j in which_blocks)
-    if control_axis is None:
-        t2 = np.flip(t2, axis=flip_axes)
-    else:
-        cpos = control_axis if control_axis < ms_axis else control_axis - 1
-        t2 = t2.copy()
-        sl = [slice(None)] * t2.ndim
-        sl[cpos] = slice(1, 2)
-        sl = tuple(sl)
-        t2[sl] = np.flip(t2[sl], axis=flip_axes)
-    t2 = t2.reshape(lead + (prod(block_dims),))
-    return np.moveaxis(t2, nd - 1, ms_axis)
+QUBIT_BRANCHES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def branch_conditional(state, ops, block_sizes=None):
+    """U = sum_jk |jk><jk| (x) V_jk: qubit basis branch (j, k) gets its own MS
+    operation ``ops[(j, k)]``, a tuple of MS blocks to flip (``()`` is the
+    identity) or an explicit MS unitary (dense states only).
+
+    `block_sizes` partitions a dense MS slot into contiguous site ranges
+    (default: one block of all sites); collective-backend states flip their
+    own declared blocks.  Each side of the tensor is written once, branch by
+    branch: a flip splits the branch's MS axis into its blocks, a view, and
+    copies it reversed.
+    """
+    slot, dims, _ = _ms_frame(state, block_sizes)
+    if set(ops) != set(QUBIT_BRANCHES):
+        raise LayoutError(f"need one MS operation per qubit branch, got {sorted(ops)}")
+    for op in ops.values():
+        if not isinstance(op, tuple) and isinstance(state, CollectiveBlockState):
+            raise RepresentationError("explicit conditional unitaries need the dense backend")
+        if isinstance(op, tuple) and not all(0 <= b < len(dims) for b in op):
+            raise LayoutError(f"block selection {op} outside {len(dims)} blocks")
+    q1, q2 = state.layout.slot(LABEL_Q1), state.layout.slot(LABEL_Q2)
+    ms = slot - (q1 < slot) - (q2 < slot)  # once both qubit axes are indexed away
+
+    def kernel(t, offset, conj):
+        out, axis = np.empty_like(t), offset + ms
+        for (j, k), op in ops.items():
+            sl = [slice(None)] * t.ndim
+            sl[offset + q1], sl[offset + q2] = j, k
+            src, dst = t[tuple(sl)], out[tuple(sl)]
+            if isinstance(op, tuple):
+                split = src.shape[:axis] + dims + src.shape[axis + 1:]
+                flip_axes = tuple(axis + b for b in op)
+                dst.reshape(split)[...] = np.flip(src.reshape(split), flip_axes)
+            else:
+                dst[...] = _apply_axes(op.conj() if conj else op, src, [axis])
+        return out
+
+    return state.with_tensor(apply_kernel(state, kernel))
 
 
 def collective_flip(state, controlled_on=None, blocks=None, block_sizes=None):
@@ -356,17 +381,13 @@ def collective_flip(state, controlled_on=None, blocks=None, block_sizes=None):
                 "use the parity-conditioned evolution instead"
             )
         return mixture_conditional(state, True, True)
-    slot, dims, _ = _ms_frame(state, block_sizes)
-    which = tuple(range(len(dims))) if blocks is None else tuple(blocks)
-    if any(j < 0 or j >= len(dims) for j in which):
-        raise LayoutError(f"block selection {which} outside {len(dims)} blocks")
-    ctrl = None if controlled_on is None else state.layout.slot(controlled_on)
-
-    def kernel(t, offset, conj):
-        c = None if ctrl is None else offset + ctrl
-        return _flip_ms_tensor(t, offset + slot, dims, which, c)
-
-    return state.with_tensor(apply_kernel(state, kernel))
+    if controlled_on not in (None, LABEL_Q1, LABEL_Q2):
+        raise LayoutError(f"unknown control label {controlled_on!r}")
+    if blocks is None:
+        blocks = range(len(_ms_frame(state, block_sizes)[1]))
+    ctrl = None if controlled_on is None else (LABEL_Q1, LABEL_Q2).index(controlled_on)
+    ops = {jk: tuple(blocks) if ctrl is None or jk[ctrl] else () for jk in QUBIT_BRANCHES}
+    return branch_conditional(state, ops, block_sizes)
 
 
 def ghz_entangler(state, inverse: bool = False):

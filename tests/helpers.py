@@ -41,15 +41,25 @@ def joint_controlled(n: int, control: str, u: np.ndarray) -> np.ndarray:
     raise ValueError(control)
 
 
-def parity_conditioned_unitary(n: int, v_odd: np.ndarray, v_even: np.ndarray) -> np.ndarray:
-    """sum_{jk} |jk><jk| (x) V_{parity(jk)} on the (q1, q2, ms) product."""
-    blocks = {(0, 0): v_even, (0, 1): v_odd, (1, 0): v_odd, (1, 1): v_even}
+# per-branch tables of MS blocks to flip: the parity readout flips the whole
+# MS on the odd branches, the Hamming readout one half per excited qubit
+PARITY_TABLE = {(0, 0): (), (0, 1): (0,), (1, 0): (0,), (1, 1): ()}
+HAMMING_TABLE = {(0, 0): (), (0, 1): (1,), (1, 0): (0,), (1, 1): (0, 1)}
+
+
+def branch_unitary(n: int, blocks: dict) -> np.ndarray:
+    """sum_{jk} |jk><jk| (x) blocks[(j, k)] on the (q1, q2, ms) product."""
     dim = 1 << n
     out = np.zeros((4 * dim, 4 * dim), dtype=complex)
     for (j, k), v in blocks.items():
         idx = 2 * j + k
         out[idx * dim:(idx + 1) * dim, idx * dim:(idx + 1) * dim] = v
     return out
+
+
+def parity_conditioned_unitary(n: int, v_odd: np.ndarray, v_even: np.ndarray) -> np.ndarray:
+    """sum_{jk} |jk><jk| (x) V_{parity(jk)} on the (q1, q2, ms) product."""
+    return branch_unitary(n, {(0, 0): v_even, (0, 1): v_odd, (1, 0): v_odd, (1, 1): v_even})
 
 
 def thermal_matrix(n: int, eps: float) -> np.ndarray:

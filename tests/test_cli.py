@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mesoparity import bounds
 from mesoparity.cli import (
     CSV_HEADER,
     CSV_SCHEMA_LINE,
@@ -362,6 +363,18 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_2(self):
         proc = run_cli("verify", "nonsense", check=False)
         assert proc.returncode == 2
+
+    def test_beaten_bound_fails_the_search_check(self, tmp_path, monkeypatch):
+        # a ceiling of 1/2 is beaten by random strategies: the suite reports
+        # the violations as a failed check and exits 1, it does not raise
+        monkeypatch.setattr(bounds, "bound_closed_form", lambda n, eps: 0.5)
+        out = tmp_path / "verify.json"
+        assert main(["verify", "bound-search", "--out", str(out)]) == 1
+        payload = json.loads(out.read_text())
+        checks = {c["name"]: c for s in payload["suites"] for c in s["checks"]}
+        assert payload["passed"] is False
+        assert checks["no_random_strategy_beats_bound"]["passed"] is False
+        assert checks["no_random_strategy_beats_bound"]["value"] > 0
 
 
 class TestExitCodes:

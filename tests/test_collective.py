@@ -16,6 +16,7 @@ from mesoparity.collective import (
     SectorMixture,
     binomial_pmf,
     block_ground_state,
+    branch_conditional,
     collective_flip,
     dicke_basis,
     dicke_vector,
@@ -31,7 +32,7 @@ from mesoparity.collective import (
     total_excitation_grid,
 )
 from mesoparity import collective
-from mesoparity.bounds import random_collective_povm
+from mesoparity.bounds import haar_unitary, random_collective_povm
 from mesoparity.measurement import measure
 from mesoparity.states import (
     LABEL_MS,
@@ -42,10 +43,13 @@ from mesoparity.states import (
     PureState,
     SubsystemLayout,
     ValidationError,
+    validate_density,
 )
 
 import helpers
 from helpers import (
+    HAMMING_TABLE,
+    PARITY_TABLE,
     dense_flip,
     dicke_columns,
     joint_controlled,
@@ -222,7 +226,16 @@ def test_dicke_vectors_match_independent_construction():
 
 
 # ---------------------------------------------------------------------------
-# collective flip across representations
+# collective flip and per-branch tables across representations
+
+
+def _hamming_oracle():
+    """HAMMING_TABLE at n = 4: q1 flips sites 1-2, q2 flips sites 3-4."""
+    flip2, eye4 = dense_flip(2), np.eye(4)
+    return helpers.branch_unitary(4, {
+        (j, k): np.kron(flip2 if j else eye4, flip2 if k else eye4)
+        for j in (0, 1) for k in (0, 1)
+    })
 
 
 def _joint_pure(rng, n):
@@ -274,6 +287,25 @@ def test_block_state_flip_agrees_with_dense():
     start = expand_to_dense(block_ground_state(amps, (3,)))
     want = joint_controlled(3, "q1", dense_flip(3)) @ start.amplitudes
     np.testing.assert_allclose(dense.amplitudes, want, atol=1e-13)
+
+
+def test_branch_table_on_block_state_agrees_with_dense(rng):
+    amps = rng.standard_normal((2, 2, 3, 3)) + 1j * rng.standard_normal((2, 2, 3, 3))
+    block = CollectiveBlockState(amps / np.linalg.norm(amps), (2, 2))
+    got = expand_to_dense(branch_conditional(block, HAMMING_TABLE))
+    want = _hamming_oracle() @ expand_to_dense(block).amplitudes
+    np.testing.assert_allclose(got.amplitudes, want, atol=1e-13)
+
+
+def test_branch_table_refusals(rng):
+    block = block_ground_state(np.full((2, 2), 0.5), (3,))
+    with pytest.raises(RepresentationError):
+        branch_conditional(block, {**PARITY_TABLE, (0, 1): np.eye(8)})
+    psi = _joint_pure(rng, 3)
+    with pytest.raises(LayoutError):
+        branch_conditional(psi, {(0, 0): ()})
+    with pytest.raises(LayoutError):
+        branch_conditional(psi, {**PARITY_TABLE, (1, 1): (1,)})
 
 
 def test_block_state_nan_amplitude_refused():
@@ -345,10 +377,12 @@ def _joint_density(rng, n):
     return DensityOperator(helpers.random_density_matrix(rng, lay.total_dim), lay)
 
 
-def _density_gate_cases(n):
+def _density_gate_cases(rng, n):
     """(name, gate on a state, joint unitary) for every gate at MS size n."""
     eye2, eye = np.eye(2), np.eye(1 << n)
     flip = dense_flip(n)
+    haar = haar_unitary(1 << n, rng)
+    mixed = {(0, 0): (0,), (0, 1): haar, (1, 0): haar, (1, 1): (0,)}
     z_first = np.diag([(-1.0) ** ((b >> (n - 1)) & 1) for b in range(1 << n)])
     z_last = np.diag([(-1.0) ** (b & 1) for b in range(1 << n)])
     cases = [
@@ -365,6 +399,10 @@ def _density_gate_cases(n):
          joint_controlled(n, "q1", z_first)),
         ("edge_q2", lambda s: edge_phase_gate(s, LABEL_Q2),
          joint_controlled(n, "q2", z_last)),
+        ("parity_table", lambda s: branch_conditional(s, PARITY_TABLE),
+         helpers.parity_conditioned_unitary(n, flip, eye)),
+        ("haar_odd_flip_even_table", lambda s: branch_conditional(s, mixed),
+         helpers.parity_conditioned_unitary(n, haar, flip)),
     ]
     if n == 4:
         half = np.kron(dense_flip(2), np.eye(4))
@@ -375,6 +413,9 @@ def _density_gate_cases(n):
              lambda s: collective_flip(s, controlled_on=LABEL_Q1, blocks=(0,),
                                        block_sizes=(2, 2)),
              joint_controlled(n, "q1", half)),
+            ("hamming_table",
+             lambda s: branch_conditional(s, HAMMING_TABLE, block_sizes=(2, 2)),
+             _hamming_oracle()),
         ]
     return cases
 
@@ -382,11 +423,12 @@ def _density_gate_cases(n):
 @pytest.mark.parametrize("n", [1, 3, 4])
 def test_density_gates_match_kron_conjugation(rng, n):
     rho = _joint_density(rng, n)
-    for name, gate, u in _density_gate_cases(n):
+    for name, gate, u in _density_gate_cases(rng, n):
         got = gate(rho)
         assert isinstance(got, DensityOperator), name
         want = u @ rho.matrix @ u.conj().T
         np.testing.assert_allclose(got.matrix, want, atol=1e-12, rtol=0, err_msg=name)
+        validate_density(got)
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])

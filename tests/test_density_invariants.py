@@ -1,15 +1,21 @@
 """Every gate and measurement leaves a random joint density a density.
 
 The joint (q1, q2, MS) density of up to four sites, any rank, goes through
-each collective gate and each post-state of each readout; every result must
-pass `validate_density` (Hermitian, unit trace, no eigenvalue below the
-positivity tolerance).
+each collective gate, three per-branch tables and each post-state of each
+readout; every result must pass `validate_density` (Hermitian, unit trace,
+no eigenvalue below the positivity tolerance).
 """
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from mesoparity.collective import collective_flip, edge_phase_gate, ghz_entangler
+from mesoparity.bounds import haar_unitary
+from mesoparity.collective import (
+    branch_conditional,
+    collective_flip,
+    edge_phase_gate,
+    ghz_entangler,
+)
 from mesoparity.measurement import (
     TwoOutcomeTheta,
     apparatus_measure,
@@ -27,19 +33,30 @@ from mesoparity.states import (
     validate_density,
 )
 
-from helpers import random_density_matrix
+from helpers import HAMMING_TABLE, PARITY_TABLE, random_density_matrix
+
+
+def _haar_odd_flip_even(rho, n, rng):
+    haar = haar_unitary(1 << n, rng)
+    return branch_conditional(rho, {(0, 0): (0,), (0, 1): haar, (1, 0): haar, (1, 1): (0,)})
+
 
 GATES = {
-    "flip": lambda rho, n: collective_flip(rho),
-    "flip_q1": lambda rho, n: collective_flip(rho, controlled_on=LABEL_Q1),
-    "flip_q2": lambda rho, n: collective_flip(rho, controlled_on=LABEL_Q2),
+    "flip": lambda rho, n, rng: collective_flip(rho),
+    "flip_q1": lambda rho, n, rng: collective_flip(rho, controlled_on=LABEL_Q1),
+    "flip_q2": lambda rho, n, rng: collective_flip(rho, controlled_on=LABEL_Q2),
     # block 0 is the first site, or all of them at n = 1
-    "flip_block_0": lambda rho, n: collective_flip(
+    "flip_block_0": lambda rho, n, rng: collective_flip(
         rho, blocks=(0,), block_sizes=(1, n - 1) if n > 1 else None),
-    "ghz": lambda rho, n: ghz_entangler(rho),
-    "ghz_inverse": lambda rho, n: ghz_entangler(rho, inverse=True),
-    "edge_q1": lambda rho, n: edge_phase_gate(rho, LABEL_Q1),
-    "edge_q2": lambda rho, n: edge_phase_gate(rho, LABEL_Q2),
+    "ghz": lambda rho, n, rng: ghz_entangler(rho),
+    "ghz_inverse": lambda rho, n, rng: ghz_entangler(rho, inverse=True),
+    "edge_q1": lambda rho, n, rng: edge_phase_gate(rho, LABEL_Q1),
+    "edge_q2": lambda rho, n, rng: edge_phase_gate(rho, LABEL_Q2),
+    "parity_table": lambda rho, n, rng: branch_conditional(rho, PARITY_TABLE),
+    # two halves of n // 2 and n - n // 2 sites (the first empty at n = 1)
+    "hamming_table": lambda rho, n, rng: branch_conditional(
+        rho, HAMMING_TABLE, block_sizes=(n // 2, n - n // 2)),
+    "haar_odd_flip_even_table": _haar_odd_flip_even,
 }
 
 
@@ -55,9 +72,9 @@ def joint_densities(draw):
 
 @given(joint_densities())
 def test_every_gate_output_is_a_density(case):
-    n, rho, _ = case
+    n, rho, rng = case
     for name, gate in GATES.items():
-        out = gate(rho, n)
+        out = gate(rho, n, rng)
         assert isinstance(out, DensityOperator), name
         validate_density(out)
 

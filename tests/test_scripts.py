@@ -21,11 +21,12 @@ def test_reproduce_bound_figure_writes_the_bound_csv(tmp_path):
     proc = run_script("reproduce_bound_figure.py", "--n-max", "20",
                       "--out-dir", str(tmp_path / "fig"))
     assert proc.returncode == 0, proc.stderr
-    want = tmp_path / "want.csv"
-    assert main(["bound", "--n", "1:20", "--polarization", "0.2,0.5,0.8,0.9",
-                 "--out", str(want)]) == 0
-    assert (tmp_path / "fig" / "bound_sweep.csv").read_bytes() == want.read_bytes()
-    assert (tmp_path / "fig" / "bound_sweep.svg").read_text().startswith("<svg")
+    sweep = ["bound", "--n", "1:20", "--polarization", "0.2,0.5,0.8,0.9"]
+    for fmt in ("csv", "svg"):
+        want = tmp_path / f"want.{fmt}"
+        assert main([*sweep, "--format", fmt, "--out", str(want)]) == 0
+        got = tmp_path / "fig" / f"bound_sweep.{fmt}"
+        assert got.read_bytes() == want.read_bytes(), fmt
 
 
 def test_optimal_strategy_demo_meets_the_closed_form():
