@@ -1,9 +1,11 @@
 """Protocol circuits joining the two target qubits to the MS.
 
 Every evolution kind but one has the form U = sum_jk |jk><jk| (x) V_jk: qubit
-basis branch (j, k) gets its own MS operation, and `_branch_ops` writes the
-table for `collective.branch_conditional`.  An entry flips MS blocks (the
-empty tuple is the identity) or is an explicit unitary (dense backend only):
+basis branch (j, k) gets its own MS operation.  `CircuitSpec` checks its tags
+and unitaries and builds that table once, as ``spec.ops``, which `evolve` and
+`disentangle` hand to `collective.branch_conditional`.  An entry flips MS
+blocks (the empty tuple is the identity) or is an explicit unitary (dense
+backend only):
 
 - ``parity_collective``: V = flip on the odd branches (01, 10), so the
   parity lands in the sectors {0, n}.
@@ -27,7 +29,7 @@ unitaries are daggered, and the GHZ route is self-inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -87,6 +89,15 @@ def _require_unitary(u, dim: int, name: str) -> np.ndarray:
     return u
 
 
+def _tag_or_unitary(v, dim: int, name: str):
+    """A parity branch's MS operation: the blocks a tag flips, or a checked unitary."""
+    if not isinstance(v, str):
+        return _require_unitary(v, dim, name)
+    if v not in (TAG_IDENTITY, TAG_FLIP):
+        raise ValueError(f"unknown {name} tag {v!r}")
+    return (0,) if v == TAG_FLIP else ()
+
+
 @dataclass(frozen=True, eq=False)
 class CircuitSpec:
     """Which circuit to run, on which MS, with which backend.
@@ -94,7 +105,8 @@ class CircuitSpec:
     v_odd / v_even apply to ``parity_conditioned`` only and are either the
     tags "identity" / "collective_flip" or explicit MS unitaries;
     ``conditionals`` maps each qubit basis pair (j, k) to its MS unitary for
-    ``general_conditional``.
+    ``general_conditional``.  ``ops`` is the kind's table for
+    `branch_conditional`, built once here (None for ``ghz_local``).
     """
 
     kind: str
@@ -103,6 +115,7 @@ class CircuitSpec:
     v_odd: Union[str, np.ndarray] = TAG_IDENTITY
     v_even: Union[str, np.ndarray] = TAG_IDENTITY
     conditionals: Mapping[tuple, np.ndarray] = field(default=None)
+    ops: Optional[dict] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in CIRCUIT_KINDS:
@@ -111,38 +124,36 @@ class CircuitSpec:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.kind == "hamming_half" and self.ms.n % 2:
             raise ValueError(f"hamming_half needs an even MS size, got {self.ms.n}")
-        dim = 1 << self.ms.n
-        if self.kind == "parity_conditioned":
-            for name in ("v_odd", "v_even"):
-                v = getattr(self, name)
-                if isinstance(v, str):
-                    if v not in (TAG_IDENTITY, TAG_FLIP):
-                        raise ValueError(f"unknown {name} tag {v!r}")
-                else:
-                    object.__setattr__(self, name, _require_unitary(v, dim, name))
-        elif not (_is_identity_tag(self.v_odd) and _is_identity_tag(self.v_even)):
+        if self.kind != "parity_conditioned" and not all(
+            isinstance(v, str) and v == TAG_IDENTITY for v in (self.v_odd, self.v_even)
+        ):
             raise ValueError("v_odd/v_even apply to parity_conditioned circuits only")
-        if self.kind == "general_conditional":
-            if self.conditionals is None or set(self.conditionals) != {
-                (0, 0), (0, 1), (1, 0), (1, 1)
-            }:
-                raise ValueError(
-                    "general_conditional needs one unitary per qubit basis pair"
-                )
-            table = {
-                jk: _require_unitary(u, dim, f"conditionals[{jk}]")
-                for jk, u in self.conditionals.items()
-            }
-            object.__setattr__(self, "conditionals", table)
-        elif self.conditionals is not None:
+        if self.kind != "general_conditional" and self.conditionals is not None:
             raise ValueError("conditionals apply to general_conditional circuits only")
+        dim = 1 << self.ms.n
+        if self.kind == "general_conditional":
+            if set(self.conditionals or ()) != {(0, 0), (0, 1), (1, 0), (1, 1)}:
+                raise ValueError("general_conditional needs one unitary per qubit basis pair")
+            ops = {jk: _require_unitary(u, dim, f"conditionals[{jk}]")
+                   for jk, u in self.conditionals.items()}
+        elif self.kind == "hamming_half":
+            # each excited qubit flips its own half of the MS
+            ops = {(0, 0): (), (0, 1): (1,), (1, 0): (0,), (1, 1): (0, 1)}
+        elif self.kind == "ghz_local":
+            ops = None
+        else:
+            # the parity family: V_odd on the odd branches, V_even on the even ones
+            tags = ((TAG_FLIP, TAG_IDENTITY) if self.kind == "parity_collective"
+                    else (self.v_odd, self.v_even))
+            odd, even = (_tag_or_unitary(v, dim, name)
+                         for v, name in zip(tags, ("v_odd", "v_even")))
+            ops = {(0, 0): even, (0, 1): odd, (1, 0): odd, (1, 1): even}
+        object.__setattr__(self, "ops", ops)
 
     @property
     def has_matrix_unitaries(self) -> bool:
-        if self.kind == "general_conditional":
-            return True
-        return self.kind == "parity_conditioned" and not (
-            isinstance(self.v_odd, str) and isinstance(self.v_even, str)
+        return self.ops is not None and not all(
+            isinstance(op, tuple) for op in self.ops.values()
         )
 
     @property
@@ -182,10 +193,6 @@ class CircuitSpec:
             f"no backend can run {self.kind} at n={n}, epsilon={eps}: dense "
             "exceeds its cap and the collective form does not apply"
         )
-
-
-def _is_identity_tag(v) -> bool:
-    return isinstance(v, str) and v == TAG_IDENTITY
 
 
 # ---------------------------------------------------------------------------
@@ -239,35 +246,14 @@ def _evolve_impl(spec: CircuitSpec, state: JointState, dagger: bool) -> JointSta
         out = edge_phase_gate(out, LABEL_Q1)
         out = edge_phase_gate(out, LABEL_Q2)
         return ghz_entangler(out, inverse=True)
-    ops = _branch_ops(spec, dagger)
+    ops = spec.ops
+    if dagger:
+        ops = {jk: op if isinstance(op, tuple) else op.conj().T for jk, op in ops.items()}
     if isinstance(state, SectorMixture):
         if spec.has_matrix_unitaries:
             raise RepresentationError("explicit conditional unitaries need the dense backend")
         return mixture_conditional(state, ops[(0, 1)] != (), ops[(0, 0)] != ())
     return branch_conditional(state, ops, spec.block_sizes)
-
-
-def _branch_ops(spec: CircuitSpec, dagger: bool) -> dict:
-    """The MS operation of every qubit basis branch (j, k), as
-    `branch_conditional` takes it: MS blocks to flip or an explicit unitary."""
-    if spec.kind == "hamming_half":
-        # each excited qubit flips its own half of the MS
-        return {(0, 0): (), (0, 1): (1,), (1, 0): (0,), (1, 1): (0, 1)}
-    if spec.kind == "general_conditional":
-        ops = spec.conditionals
-    else:
-        odd, even = map(_tag_op, (TAG_FLIP, TAG_IDENTITY) if spec.kind == "parity_collective"
-                        else (spec.v_odd, spec.v_even))
-        ops = {(0, 0): even, (0, 1): odd, (1, 0): odd, (1, 1): even}
-    if dagger:
-        ops = {jk: op if isinstance(op, tuple) else op.conj().T for jk, op in ops.items()}
-    return ops
-
-
-def _tag_op(v):
-    if not isinstance(v, str):
-        return v
-    return (0,) if v == TAG_FLIP else ()
 
 
 # ---------------------------------------------------------------------------

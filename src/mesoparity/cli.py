@@ -3,8 +3,11 @@
 Subcommands: ``simulate`` (run one scenario, emit a JSON report), ``bound``
 (sweep the fidelity ceiling over a grid, emit CSV/JSON/SVG), ``verify`` (run a
 diagnostic suite, emit a JSON summary), ``plot`` (turn a bound CSV into an SVG
-chart).  Scenarios come from a flat key=value config file, with every key also
-exposed as a command-line flag that overrides the file.
+chart).  ``simulate`` and ``bound`` also read a flat key=value file
+(``--config``): each key is the name of one of the subcommand's flags with
+'_' for '-', and its value is parsed by that flag, so every input has one
+cast, one set of choices and one default, all in `build_parser`.  Flags on
+the command line beat the file.
 
 Outputs are deterministic: floats are printed with 17 significant digits, grid
 sweeps are computed in parallel but written sorted, and charts use fixed
@@ -19,7 +22,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -137,50 +140,30 @@ def read_flat_config(path: str) -> dict:
     return out
 
 
-def _merge(file_cfg: dict, args: argparse.Namespace, key: str, cast, default=None):
-    """Flag wins over config file wins over default."""
-    flag_val = getattr(args, key, None)
-    if flag_val is not None:
-        return flag_val
-    if key in file_cfg:
-        raw = file_cfg[key]
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"config key {key}={raw!r}: {exc}") from exc
-    return default
-
-
-def _as_bool(raw) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    text = str(raw).strip().lower()
+def _as_bool(raw: str) -> bool:
+    text = raw.strip().lower()
     if text in ("1", "true", "yes", "on"):
         return True
     if text in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    raise argparse.ArgumentTypeError(f"not a boolean: {raw!r}")
 
 
-def _float_list(raw) -> tuple:
-    if isinstance(raw, tuple):
-        return raw
-    return tuple(float(tok) for tok in str(raw).split(",") if tok.strip())
+def _float_list(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
 
-def _int_grid(raw) -> tuple:
+def _int_grid(raw: str) -> tuple:
     """Accept '4', '1,2,5', or an inclusive range '1:100'."""
-    if isinstance(raw, tuple):
-        return raw
-    text = str(raw).strip()
+    text = raw.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
-            raise ValueError(f"range syntax is lo:hi[:step], got {text!r}")
+            raise argparse.ArgumentTypeError(f"range syntax is lo:hi[:step], got {text!r}")
         lo, hi = int(parts[0]), int(parts[1])
         step = int(parts[2]) if len(parts) == 3 else 1
         if step < 1 or hi < lo:
-            raise ValueError(f"empty range {text!r}")
+            raise argparse.ArgumentTypeError(f"empty range {text!r}")
         return tuple(range(lo, hi + 1, step))
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
@@ -221,14 +204,6 @@ class ScenarioConfig:
     seed: int
 
     def __post_init__(self):
-        if self.kind not in ("parity_collective", "hamming_half", "ghz_local",
-                             "parity_conditioned"):
-            raise UsageError(
-                f"kind {self.kind!r} not runnable from the CLI "
-                "(general_conditional needs explicit matrices; use the library)"
-            )
-        if self.measurement not in ("sector_pvm", "threshold_pvm", "two_outcome"):
-            raise UsageError(f"unknown measurement {self.measurement!r}")
         if self.measurement == "two_outcome":
             has_theta = self.theta is not None
             has_gt = self.g is not None and self.t_m is not None
@@ -244,36 +219,14 @@ class ScenarioConfig:
 
 
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    file_cfg = read_flat_config(args.config) if args.config else {}
-    known = {"kind", "n", "epsilon", "polarization", "backend", "measurement",
-             "theta", "g", "t_m", "v_odd", "v_even", "post_select",
-             "disentangle", "seed"}
-    unknown = set(file_cfg) - known
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    n = _merge(file_cfg, args, "n", int)
-    if n is None:
+    if args.n is None:
         raise UsageError("scenario needs n (number of MS sites)")
-    epsilon, polarization = _resolve_epsilon(
-        _merge(file_cfg, args, "epsilon", float),
-        _merge(file_cfg, args, "polarization", float),
-    )
-    return ScenarioConfig(
-        kind=_merge(file_cfg, args, "kind", str, "parity_collective"),
-        n=n,
-        epsilon=epsilon,
-        polarization=polarization,
-        backend=_merge(file_cfg, args, "backend", str, "auto"),
-        measurement=_merge(file_cfg, args, "measurement", str, "sector_pvm"),
-        theta=_merge(file_cfg, args, "theta", _float_list),
-        g=_merge(file_cfg, args, "g", float),
-        t_m=_merge(file_cfg, args, "t_m", float),
-        v_odd=_merge(file_cfg, args, "v_odd", str, circuits.TAG_IDENTITY),
-        v_even=_merge(file_cfg, args, "v_even", str, circuits.TAG_IDENTITY),
-        post_select=_merge(file_cfg, args, "post_select", int),
-        disentangle=_merge(file_cfg, args, "disentangle", _as_bool, False),
-        seed=args.seed,
-    )
+    epsilon, polarization = _resolve_epsilon(args.epsilon, args.polarization)
+    return ScenarioConfig(**{
+        **{f.name: getattr(args, f.name) for f in fields(ScenarioConfig)},
+        "epsilon": epsilon,
+        "polarization": polarization,
+    })
 
 
 @dataclass(frozen=True)
@@ -291,15 +244,9 @@ class SweepConfig:
 
 
 def _sweep_from_args(args: argparse.Namespace) -> SweepConfig:
-    file_cfg = read_flat_config(args.config) if args.config else {}
-    unknown = set(file_cfg) - {"n", "epsilon", "polarization"}
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    n_values = _merge(file_cfg, args, "n", _int_grid)
-    if n_values is None:
+    if args.n is None:
         raise UsageError("sweep needs n (grid of MS sizes, e.g. 1:100 or 2,4,8)")
-    eps_list = _merge(file_cfg, args, "epsilon", _float_list)
-    pol_list = _merge(file_cfg, args, "polarization", _float_list)
+    eps_list, pol_list = args.epsilon, args.polarization
     if eps_list is None and pol_list is None:
         raise UsageError("sweep needs epsilon=<list> or polarization=<list>")
     if eps_list is not None and pol_list is not None and len(eps_list) != len(pol_list):
@@ -312,7 +259,7 @@ def _sweep_from_args(args: argparse.Namespace) -> SweepConfig:
         )
         for i in range(count)
     )
-    return SweepConfig(tuple(n_values), pairs, args.out, args.format or "csv")
+    return SweepConfig(args.n, pairs, args.out, args.format or "csv")
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +267,8 @@ def _sweep_from_args(args: argparse.Namespace) -> SweepConfig:
 
 
 def _build_spec(cfg: ScenarioConfig) -> circuits.CircuitSpec:
-    ms = MsConfig(cfg.n, cfg.epsilon)
-    if cfg.kind == "parity_conditioned":
-        return circuits.CircuitSpec(cfg.kind, ms, backend=cfg.backend,
-                                    v_odd=cfg.v_odd, v_even=cfg.v_even)
-    return circuits.CircuitSpec(cfg.kind, ms, backend=cfg.backend)
+    return circuits.CircuitSpec(cfg.kind, MsConfig(cfg.n, cfg.epsilon), backend=cfg.backend,
+                                v_odd=cfg.v_odd, v_even=cfg.v_even)
 
 
 def _readout(cfg: ScenarioConfig):
@@ -586,27 +530,30 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", parents=[common],
                          help="run one scenario and report per-outcome fidelities")
     sim.add_argument("--config", help="flat key=value scenario file")
-    sim.add_argument("--kind", choices=("parity_collective", "hamming_half",
-                                        "ghz_local", "parity_conditioned"))
+    sim.add_argument("--kind", default="parity_collective",
+                     choices=("parity_collective", "hamming_half", "ghz_local",
+                              "parity_conditioned"))
     sim.add_argument("--n", type=int, help="number of MS sites")
     sim.add_argument("--epsilon", type=float)
     sim.add_argument("--polarization", type=float)
-    sim.add_argument("--backend", choices=circuits.BACKENDS)
-    sim.add_argument("--measurement",
+    sim.add_argument("--backend", default="auto", choices=circuits.BACKENDS)
+    sim.add_argument("--measurement", default="sector_pvm",
                      choices=("sector_pvm", "threshold_pvm", "two_outcome"))
     sim.add_argument("--theta", type=_float_list,
                      help="two_outcome angle table, comma-separated (n+1 entries)")
     sim.add_argument("--g", type=float, help="probe coupling strength")
-    sim.add_argument("--t-m", dest="t_m", type=float, help="probe interaction time")
-    sim.add_argument("--v-odd", dest="v_odd",
-                     choices=(circuits.TAG_IDENTITY, circuits.TAG_FLIP))
-    sim.add_argument("--v-even", dest="v_even",
-                     choices=(circuits.TAG_IDENTITY, circuits.TAG_FLIP))
-    sim.add_argument("--post-select", dest="post_select", type=int,
+    sim.add_argument("--t-m", type=float, help="probe interaction time")
+    for flag in ("--v-odd", "--v-even"):
+        sim.add_argument(flag, default=circuits.TAG_IDENTITY,
+                         choices=(circuits.TAG_IDENTITY, circuits.TAG_FLIP),
+                         help=f"MS operation on the {flag[4:]} qubit branches "
+                              "(parity_conditioned only)")
+    sim.add_argument("--post-select", type=int,
                      help="outcome id to highlight in diagnostics")
-    sim.add_argument("--disentangle", action="store_const", const=True, default=None,
+    sim.add_argument("--disentangle", nargs="?", const=True, default=False, type=_as_bool,
                      help="apply the reversing gate to each post-measurement branch")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_simulate,
+                     config_keys=tuple(f.name for f in fields(ScenarioConfig)))
 
     bnd = sub.add_parser("bound", parents=[common],
                          help="sweep the average-fidelity ceiling over a grid")
@@ -615,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--epsilon", type=_float_list, help="comma-separated epsilons")
     bnd.add_argument("--polarization", type=_float_list,
                      help="comma-separated polarizations (1 - epsilon)")
-    bnd.set_defaults(func=cmd_bound)
+    bnd.set_defaults(func=cmd_bound, config_keys=("n", "epsilon", "polarization"))
 
     ver = sub.add_parser("verify", parents=[common],
                          help="run a diagnostic suite and report residuals")
@@ -629,10 +576,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_argv(argv: list, args: argparse.Namespace) -> list:
+    """The command line with the config file's keys spliced in as flags right
+    after the subcommand, so that flags typed after them win.  The ``=`` form
+    keeps a value that starts with '-' (``theta=-1,0.5``) a value."""
+    file_cfg = read_flat_config(args.config)
+    unknown = set(file_cfg) - set(args.config_keys)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in file_cfg.items()]
+    return argv[:1] + flags + argv[1:]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            args = parser.parse_args(_config_argv(argv, args))
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

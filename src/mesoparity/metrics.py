@@ -62,20 +62,6 @@ def average_fidelity(records) -> float:
     return acc
 
 
-def average_fidelity_from_distributions(p_odd, p_even) -> float:
-    """The distribution form: 1/2 * sum_alpha max(p_odd, p_even).
-
-    Equivalent to `average_fidelity` when the odd and even branches enter with
-    weight 1/2 each, since each outcome's best fidelity is
-    max(p_o, p_e)/(p_o + p_e).
-    """
-    p_odd = _as_distribution(p_odd)
-    p_even = _as_distribution(p_even)
-    if p_odd.size != p_even.size:
-        raise ValidationError(f"distribution lengths differ: {p_odd.size} vs {p_even.size}")
-    return 0.5 * float(np.maximum(p_odd, p_even).sum())
-
-
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Probability distribution over measurement outcomes."""

@@ -22,6 +22,12 @@ class Tolerances:
     bound_range: float = 1e-12   # ceiling values accepted outside [1/2, 1]
     program_mass: float = 1e-9   # greedy program weight sum vs 2^n
     violation: float = 1e-9      # sampled fidelity above the ceiling counted as a violation
+    # residuals accepted by the `verify` checks
+    exact: float = 0.0           # identities with no rounding: binary tables, refusal counts
+    negative_prob: float = 1e-14  # how far below zero an outcome probability may read
+    roundoff: float = 1e-12      # identities a few floating-point operations deep
+    accumulated: float = 1e-10   # identities through a whole evolution, measurement or eigensolve
+    eigen_readout: float = 1e-9  # eigenbasis readout vs trace distance in the violation search
 
 
 TOL = Tolerances()

@@ -36,6 +36,7 @@ from .states import (
     SubsystemLayout,
     ValidationError,
 )
+from .tolerances import TOL
 
 SUITES = (
     "povm-axioms",
@@ -86,8 +87,8 @@ def _suite_povm_axioms(seed: int) -> list:
         a = povm.coefficients
         worst_range = max(worst_range, float(-a.min()), float(a.max() - 1.0), 0.0)
         worst_sum = max(worst_sum, float(np.abs(a.sum(axis=0) - 1.0).max()))
-    checks.append(_check("random_povm_coefficients_in_unit_interval", worst_range, 1e-12))
-    checks.append(_check("random_povm_columns_sum_to_one", worst_sum, 1e-12))
+    checks.append(_check("random_povm_coefficients_in_unit_interval", worst_range, TOL.roundoff))
+    checks.append(_check("random_povm_columns_sum_to_one", worst_sum, TOL.roundoff))
 
     for n in (1, 3, 6):
         theta = measurement.TwoOutcomeTheta(rng.uniform(-4.0, 4.0, n + 1))
@@ -96,7 +97,7 @@ def _suite_povm_axioms(seed: int) -> list:
             _check(
                 f"theta_family_completeness_n{n}",
                 float(np.abs(a.sum(axis=0) - 1.0).max()),
-                1e-12,
+                TOL.roundoff,
             )
         )
     for n in (2, 3, 5):
@@ -106,7 +107,7 @@ def _suite_povm_axioms(seed: int) -> list:
                 _check(
                     f"projective_coefficients_are_binary_n{n}_k{povm.n_outcomes}",
                     float(np.abs(prod).max()),
-                    0.0,
+                    TOL.exact,
                 )
             )
 
@@ -119,8 +120,8 @@ def _suite_povm_axioms(seed: int) -> list:
         probs = [r.probability for r in measurement.measure(state, povm)]
         worst_total = max(worst_total, abs(math.fsum(probs) - 1.0))
         worst_floor = max(worst_floor, max(0.0, -min(probs)))
-    checks.append(_check("outcome_probabilities_sum_to_one", worst_total, 1e-12))
-    checks.append(_check("outcome_probabilities_nonnegative", worst_floor, 1e-14))
+    checks.append(_check("outcome_probabilities_sum_to_one", worst_total, TOL.roundoff))
+    checks.append(_check("outcome_probabilities_nonnegative", worst_floor, TOL.negative_prob))
 
     rejected = 0.0
     bad_tables = [
@@ -132,7 +133,7 @@ def _suite_povm_axioms(seed: int) -> list:
             measurement.CollectivePOVM(table)
         except ValidationError:
             rejected += 1.0
-    checks.append(_check("invalid_tables_rejected", len(bad_tables) - rejected, 0.0))
+    checks.append(_check("invalid_tables_rejected", len(bad_tables) - rejected, TOL.exact))
     return checks
 
 
@@ -144,12 +145,11 @@ def _suite_backend_agreement(seed: int) -> list:
         dense = circuits.evolve(spec_d, circuits.prepare_inputs(spec_d))
         block = circuits.evolve(spec_c, circuits.prepare_inputs(spec_c))
         overlap = abs(np.vdot(dense.amplitudes, expand_to_dense(block).amplitudes))
-        checks.append(_check(f"pure_parity_state_overlap_n{n}", abs(overlap - 1.0), 1e-12))
+        checks.append(_check(f"pure_parity_state_overlap_n{n}", abs(overlap - 1.0), TOL.roundoff))
         d_sec = sector_probabilities(dense)
         c_sec = sector_probabilities(block)
-        checks.append(
-            _check(f"pure_sector_probabilities_n{n}", float(np.abs(d_sec - c_sec).max()), 1e-12)
-        )
+        worst = float(np.abs(d_sec - c_sec).max())
+        checks.append(_check(f"pure_sector_probabilities_n{n}", worst, TOL.roundoff))
     for n, eps in ((2, 0.3), (3, 0.5), (4, 0.7)):
         strat = bounds.optimal_strategy(n)
         spec_d = circuits.CircuitSpec(
@@ -165,18 +165,18 @@ def _suite_backend_agreement(seed: int) -> list:
         td = quantum_trace_distance(
             circuits.qubit_marginal(dense), circuits.qubit_marginal(mix)
         )
-        checks.append(_check(f"mixed_qubit_marginal_n{n}_eps{eps}", td, 1e-10))
+        checks.append(_check(f"mixed_qubit_marginal_n{n}_eps{eps}", td, TOL.accumulated))
         dense_full = mixture_to_dense(mix)
         gap = 0.5 * float(
             np.abs(np.linalg.eigvalsh(dense_full.matrix - dense.matrix)).sum()
         )
-        checks.append(_check(f"mixed_full_state_n{n}_eps{eps}", gap, 1e-10))
+        checks.append(_check(f"mixed_full_state_n{n}_eps{eps}", gap, TOL.accumulated))
         rec_d = measurement.measure(dense, strat.povm)
         rec_m = measurement.measure(mix, strat.povm)
         worst = max(
             abs(a.probability - b.probability) for a, b in zip(rec_d, rec_m)
         )
-        checks.append(_check(f"mixed_outcome_probabilities_n{n}_eps{eps}", worst, 1e-10))
+        checks.append(_check(f"mixed_outcome_probabilities_n{n}_eps{eps}", worst, TOL.accumulated))
     return checks
 
 
@@ -193,14 +193,14 @@ def _suite_circuit_equivalence(seed: int) -> list:
             worst = max(worst, abs(w_p - w_g))
             if v_p is not None and v_g is not None:
                 worst = max(worst, 1.0 - abs(np.vdot(v_p, v_g)))
-        checks.append(_check(f"ghz_matches_parity_per_branch_n{n}", worst, 1e-10))
+        checks.append(_check(f"ghz_matches_parity_per_branch_n{n}", worst, TOL.accumulated))
 
     spec_h = circuits.CircuitSpec("hamming_half", MsConfig(4))
     psi_h = circuits.evolve(spec_h, circuits.prepare_inputs(spec_h))
     sec = sector_probabilities(psi_h)
     target = np.array([0.25, 0.0, 0.5, 0.0, 0.25])
     checks.append(
-        _check("hamming_half_sector_table_n4", float(np.abs(sec - target).max()), 1e-12)
+        _check("hamming_half_sector_table_n4", float(np.abs(sec - target).max()), TOL.roundoff)
     )
 
     rng = np.random.default_rng((seed, 2))
@@ -225,8 +225,8 @@ def _suite_circuit_equivalence(seed: int) -> list:
                         ).max()
                     ),
                 )
-    checks.append(_check("apparatus_probabilities_match_povm_rule", worst_p, 1e-12))
-    checks.append(_check("apparatus_post_states_match_povm_rule", worst_s, 1e-10))
+    checks.append(_check("apparatus_probabilities_match_povm_rule", worst_p, TOL.roundoff))
+    checks.append(_check("apparatus_post_states_match_povm_rule", worst_s, TOL.accumulated))
     return checks
 
 
@@ -241,29 +241,30 @@ def _suite_bound_saturation(seed: int) -> list:
         state = circuits.evolve(spec, circuits.prepare_inputs(spec))
         f_avg = average_fidelity(measurement.measure(state, strat.povm))
         residual = abs(f_avg - bounds.bound_closed_form(n, eps))
-        checks.append(_check(f"simulated_optimum_meets_bound_n{n}_eps{eps}", residual, 1e-10))
+        name = f"simulated_optimum_meets_bound_n{n}_eps{eps}"
+        checks.append(_check(name, residual, TOL.accumulated))
     res, program = bounds.bound_coefficient_program(12, 0.4)
     spread = max(res.closed_form, res.sum_form, res.program_form) - min(
         res.closed_form, res.sum_form, res.program_form
     )
-    checks.append(_check("three_bound_forms_agree_n12", spread, 1e-10))
+    checks.append(_check("three_bound_forms_agree_n12", spread, TOL.bound_forms))
     return checks
 
 
 def _suite_bound_search(seed: int) -> list:
     checks = []
     report = bounds.bound_violation_search(3, 0.5, trials=200, seed=seed)
-    checks.append(_check("no_random_strategy_beats_bound", float(report.violations), 0.0))
+    checks.append(_check("no_random_strategy_beats_bound", float(report.violations), TOL.exact))
     checks.append(
         _check(
             "best_random_strategy_below_bound",
             max(0.0, report.max_f_avg - report.bound),
-            1e-9,
+            TOL.violation,
         )
     )
-    checks.append(_check("optimal_strategy_gap", abs(report.optimal_gap), 1e-10))
+    checks.append(_check("optimal_strategy_gap", abs(report.optimal_gap), TOL.accumulated))
     checks.append(
-        _check("eigenbasis_pvm_attains_trace_distance", report.eigen_pvm_max_gap, 1e-9)
+        _check("eigenbasis_pvm_attains_trace_distance", report.eigen_pvm_max_gap, TOL.eigen_readout)
     )
     return checks
 
@@ -289,7 +290,7 @@ def _suite_trace_identities(seed: int) -> list:
         q_even = OutcomeDistribution(povm.coefficients @ p_even.probs)
         d_c = classical_trace_distance(q_odd, q_even)
         worst_id = max(worst_id, abs(f_avg - 0.5 * (1.0 + d_c)))
-    checks.append(_check("average_fidelity_equals_half_one_plus_dc", worst_id, 1e-10))
+    checks.append(_check("average_fidelity_equals_half_one_plus_dc", worst_id, TOL.accumulated))
 
     worst_order = 0.0
     worst_eigen = 0.0
@@ -316,8 +317,8 @@ def _suite_trace_identities(seed: int) -> list:
         q_b = OutcomeDistribution(povm_cols @ np.diagonal(b.matrix).real)
         d_diag = classical_trace_distance(q_a, q_b)
         worst_order = max(worst_order, max(0.0, d_diag - d_q))
-    checks.append(_check("eigenbasis_distance_equals_quantum", worst_eigen, 1e-10))
-    checks.append(_check("classical_distance_never_exceeds_quantum", worst_order, 1e-12))
+    checks.append(_check("eigenbasis_distance_equals_quantum", worst_eigen, TOL.accumulated))
+    checks.append(_check("classical_distance_never_exceeds_quantum", worst_order, TOL.roundoff))
     return checks
 
 

@@ -83,6 +83,29 @@ class TestCircuitSpecValidation:
             CircuitSpec("parity_collective", MsConfig(1), conditionals=table)
 
 
+class TestBranchTable:
+    def test_tables_of_the_tag_kinds(self):
+        assert CircuitSpec("parity_collective", MsConfig(2)).ops == helpers.PARITY_TABLE
+        assert CircuitSpec("hamming_half", MsConfig(2)).ops == helpers.HAMMING_TABLE
+        assert CircuitSpec("parity_conditioned", MsConfig(2), v_odd=TAG_FLIP,
+                           v_even=TAG_FLIP).ops == dict.fromkeys(helpers.PARITY_TABLE, (0,))
+        assert CircuitSpec("ghz_local", MsConfig(2)).ops is None
+
+    def test_matrix_entries_are_the_checked_unitaries(self, rng):
+        u = _haar(rng, 4)
+        spec = CircuitSpec("parity_conditioned", MsConfig(2), v_even=u)
+        assert spec.has_matrix_unitaries
+        assert spec.ops[(0, 1)] == spec.ops[(1, 0)] == ()
+        for jk in ((0, 0), (1, 1)):
+            assert spec.ops[jk].dtype == complex
+            np.testing.assert_array_equal(spec.ops[jk], u)
+        table = {jk: _haar(rng, 2) for jk in helpers.PARITY_TABLE}
+        spec = CircuitSpec("general_conditional", MsConfig(1), conditionals=table)
+        assert spec.has_matrix_unitaries
+        for jk, v in table.items():
+            np.testing.assert_array_equal(spec.ops[jk], v)
+
+
 class TestBackendResolution:
     def test_small_auto_prefers_dense(self):
         assert CircuitSpec("parity_collective", MsConfig(3)).resolved_backend() == "dense"

@@ -160,10 +160,56 @@ class TestSimulate:
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "s.cfg"
-        cfg.write_text("kind=parity_collective\nn=2\nepsilon=0\n")
-        proc = run_cli("simulate", "--config", str(cfg), "--n", "3")
-        report = json.loads(proc.stdout)
-        assert report["scenario"]["n"] == 3
+        cfg.write_text("kind=parity_collective\nn=3\nepsilon=0\ndisentangle=false\n"
+                       "measurement=two_outcome\ntheta=-1,0.5,-0.25,2\n")
+        out = tmp_path / "r.json"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        scenario = json.loads(out.read_text())["scenario"]
+        assert (scenario["n"], scenario["disentangle"]) == (3, False)
+        assert scenario["theta"] == [-1.0, 0.5, -0.25, 2.0]
+        assert main(["simulate", "--config", str(cfg), "--n", "4", "--theta=0,1,2,3,4",
+                     "--disentangle", "--out", str(out)]) == 0
+        scenario = json.loads(out.read_text())["scenario"]
+        assert (scenario["n"], scenario["disentangle"]) == (4, True)
+        assert scenario["theta"] == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_config_file_seed_is_reported(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("n=2\nseed=5\n")
+        for extra, seed in (((), 5), (("--seed", "7"), 7)):
+            report = json.loads(run_cli("simulate", "--config", str(cfg), *extra).stdout)
+            assert report["scenario"]["seed"] == seed
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("simulate", "n=x\n", "argument --n: invalid int value: 'x'"),
+        ("simulate", "n=3\ndisentangle=maybe\n",
+         "argument --disentangle: not a boolean: 'maybe'"),
+        ("simulate", "n=3\nkind=general_conditional\n", "argument --kind: invalid choice"),
+        ("simulate", "n=3\nfoo=1\n", "unknown config keys: ['foo']"),
+        ("simulate", "n=3\nconfig=other.cfg\n", "unknown config keys: ['config']"),
+        ("bound", "n=1:3\nepsilon=0.5\nseed=3\n", "unknown config keys: ['seed']"),
+    ], ids=["bad-int", "bad-bool", "bad-choice", "unknown-key", "config-key",
+            "bound-seed-key"])
+    def test_bad_config_values_exit_2(self, tmp_path, command, text, message):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(text)
+        proc = run_cli(command, "--config", str(cfg), check=False)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("kind, tag", [("parity_collective", "v_odd"),
+                                           ("hamming_half", "v_even"),
+                                           ("ghz_local", "v_odd")])
+    def test_tags_refused_outside_parity_conditioned(self, tmp_path, kind, tag):
+        flag = "--" + tag.replace("_", "-")
+        proc = run_cli("simulate", "--kind", kind, "--n", "2", flag, "collective_flip",
+                       check=False)
+        assert proc.returncode == 2
+        assert "apply to parity_conditioned circuits only" in proc.stderr
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"kind={kind}\nn=2\n{tag}=collective_flip\n")
+        assert run_cli("simulate", "--config", str(cfg), check=False).returncode == 2
 
     def test_dense_and_collective_backends_agree(self, tmp_path):
         """At n=9, the largest mixed input that still fits the dense density,
@@ -248,13 +294,33 @@ MIX = ("simulate", "--kind", "parity_conditioned", "--v-odd", "collective_flip",
 SWEEP = ("bound", "--n", "1:100", "--polarization", "0.5,0.7,0.9,0.99")
 
 
+def as_config_file(argv, path):
+    """The same call with every config key moved from the flags into a
+    key=value file at ``path``; ``--format`` stays a flag."""
+    rest, lines, i = [argv[0]], [], 1
+    while i < len(argv):
+        key = argv[i][2:].replace("-", "_")
+        if key == "format":
+            rest += argv[i:i + 2]
+            i += 2
+        elif i + 1 == len(argv) or argv[i + 1].startswith("--"):
+            lines.append(f"{key}=true")
+            i += 1
+        else:
+            lines.append(f"{key}={argv[i + 1]}")
+            i += 2
+    path.write_text("\n".join(lines) + "\n")
+    return [*rest, "--config", str(path)]
+
+
 class TestPinnedReports:
     """Report bytes that must not move: the dense mixed reference, the
     density disentangle route, the sector mixture, a pure threshold run, the
     density probe-qubit route and the bound sweep in each format (its 1:1000
-    grid is the benchmark's)."""
+    grid is the benchmark's).  Each call gives the same bytes when its inputs
+    come from a config file."""
 
-    @pytest.mark.parametrize("argv, digest", [
+    PINNED = pytest.mark.parametrize("argv, digest", [
         (MIX + ("--n", "9", "--epsilon", "0.3"),
          "1dd3e744e6623541f6f1907da67ce7f5c34f60697b55b58d8c5cd233bd756c9c"),
         (MIX + ("--n", "8", "--epsilon", "0.3", "--post-select", "3", "--disentangle"),
@@ -279,9 +345,18 @@ class TestPinnedReports:
     ], ids=["mixed-n9", "mixed-n8-disentangle", "mixture-n300-disentangle",
             "pure-threshold-n12", "density-probe-n4", "bound-csv", "bound-json",
             "bound-svg", "bound-n1000-csv"])
+
+    @PINNED
     def test_report_sha256(self, tmp_path, argv, digest):
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @PINNED
+    def test_report_sha256_from_config_file(self, tmp_path, argv, digest):
+        out = tmp_path / "report.json"
+        cfg_argv = as_config_file(argv, tmp_path / "run.cfg")
+        assert main([*cfg_argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

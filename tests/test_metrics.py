@@ -10,7 +10,6 @@ from mesoparity.metrics import (
     BellTarget,
     OutcomeDistribution,
     average_fidelity,
-    average_fidelity_from_distributions,
     classical_trace_distance,
     fidelity,
     quantum_trace_distance,
@@ -88,23 +87,6 @@ class TestAverageFidelity:
     def test_unnormalized_probabilities_rejected(self):
         with pytest.raises(ValidationError):
             average_fidelity([FakeRecord(0.5, 1.0)])
-
-    def test_distribution_form(self):
-        p_odd = OutcomeDistribution([0.25, 0.75])
-        p_even = OutcomeDistribution([0.75, 0.25])
-        assert average_fidelity_from_distributions(p_odd, p_even) == pytest.approx(0.75)
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_distribution_form_bounds(self, seed):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(2, 8))
-        p = rng.dirichlet(np.ones(k))
-        q = rng.dirichlet(np.ones(k))
-        f = average_fidelity_from_distributions(p, q)
-        assert 0.5 - 1e-12 <= f <= 1.0 + 1e-12
-        # and the identity with the classical distance
-        d = classical_trace_distance(p, q)
-        assert f == pytest.approx(0.5 * (1.0 + d), abs=1e-12)
 
 
 class TestDistributions:
