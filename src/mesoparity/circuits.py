@@ -2,10 +2,9 @@
 
 Every evolution kind but one has the form U = sum_jk |jk><jk| (x) V_jk: qubit
 basis branch (j, k) gets its own MS operation.  `CircuitSpec` checks its tags
-and unitaries and builds that table once, as ``spec.ops``, which `evolve` and
-`disentangle` hand to `collective.branch_conditional`.  An entry flips MS
-blocks (the empty tuple is the identity) or is an explicit unitary (dense
-backend only):
+and builds that table once, as ``spec.ops``, which `evolve` and `disentangle`
+hand to `collective.branch_conditional`.  An entry is the tuple of MS blocks
+to flip (the empty tuple is the identity):
 
 - ``parity_collective``: V = flip on the odd branches (01, 10), so the
   parity lands in the sectors {0, n}.
@@ -13,8 +12,7 @@ backend only):
   first block, q2 the second), so the total excitation records the
   two-qubit Hamming weight.
 - ``parity_conditioned``: V_odd on the odd and V_even on the even branches,
-  each a tag ("identity", "collective_flip") or an explicit matrix.
-- ``general_conditional``: an explicit unitary per branch.
+  each a tag ("identity", "collective_flip").
 
 The exception is ``ghz_local``: the MS is steered through the collective
 entangler onto the {m=0, m=n} manifold, each qubit phases its nearby edge
@@ -22,14 +20,14 @@ site, and the entangler is undone, so parity is encoded with only one
 two-body gate per qubit.  A `SectorMixture` runs the parity family through
 `mixture_conditional` instead of the table.
 
-`disentangle` reverses each evolution: flips are their own inverse, explicit
-unitaries are daggered, and the GHZ route is self-inverse.
+`disentangle` reverses each evolution: block flips and the GHZ route are
+their own inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -60,7 +58,6 @@ from .states import (
     LayoutError,
     PureState,
     SubsystemLayout,
-    ValidationError,
     partial_trace,
 )
 from .tolerances import TOL
@@ -72,49 +69,37 @@ CIRCUIT_KINDS = (
     "hamming_half",
     "ghz_local",
     "parity_conditioned",
-    "general_conditional",
 )
 BACKENDS = ("dense", "collective", "auto")
 TAG_IDENTITY = "identity"
 TAG_FLIP = "collective_flip"
 
 
-def _require_unitary(u, dim: int, name: str) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (dim, dim):
-        raise LayoutError(f"{name} has shape {u.shape}, expected {(dim, dim)}")
-    res = np.abs(u.conj().T @ u - np.eye(dim)).max()
-    if res > TOL.unitarity:
-        raise ValidationError(f"{name} is not unitary (residual {res})")
-    return u
+# the MS blocks each parity-branch tag flips
+_TAG_BLOCKS = {TAG_IDENTITY: (), TAG_FLIP: (0,)}
 
 
-def _tag_or_unitary(v, dim: int, name: str):
-    """A parity branch's MS operation: the blocks a tag flips, or a checked unitary."""
-    if not isinstance(v, str):
-        return _require_unitary(v, dim, name)
-    if v not in (TAG_IDENTITY, TAG_FLIP):
+def _tag_blocks(v, name: str) -> tuple:
+    if not isinstance(v, str) or v not in _TAG_BLOCKS:
         raise ValueError(f"unknown {name} tag {v!r}")
-    return (0,) if v == TAG_FLIP else ()
+    return _TAG_BLOCKS[v]
 
 
 @dataclass(frozen=True, eq=False)
 class CircuitSpec:
     """Which circuit to run, on which MS, with which backend.
 
-    v_odd / v_even apply to ``parity_conditioned`` only and are either the
-    tags "identity" / "collective_flip" or explicit MS unitaries;
-    ``conditionals`` maps each qubit basis pair (j, k) to its MS unitary for
-    ``general_conditional``.  ``ops`` is the kind's table for
-    `branch_conditional`, built once here (None for ``ghz_local``).
+    v_odd / v_even apply to ``parity_conditioned`` only and are the tags
+    "identity" / "collective_flip".  ``ops`` is the kind's table for
+    `branch_conditional`, each entry the tuple of MS blocks to flip, built
+    once here (None for ``ghz_local``).
     """
 
     kind: str
     ms: MsConfig
     backend: str = "auto"
-    v_odd: Union[str, np.ndarray] = TAG_IDENTITY
-    v_even: Union[str, np.ndarray] = TAG_IDENTITY
-    conditionals: Mapping[tuple, np.ndarray] = field(default=None)
+    v_odd: str = TAG_IDENTITY
+    v_even: str = TAG_IDENTITY
     ops: Optional[dict] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -128,15 +113,7 @@ class CircuitSpec:
             isinstance(v, str) and v == TAG_IDENTITY for v in (self.v_odd, self.v_even)
         ):
             raise ValueError("v_odd/v_even apply to parity_conditioned circuits only")
-        if self.kind != "general_conditional" and self.conditionals is not None:
-            raise ValueError("conditionals apply to general_conditional circuits only")
-        dim = 1 << self.ms.n
-        if self.kind == "general_conditional":
-            if set(self.conditionals or ()) != {(0, 0), (0, 1), (1, 0), (1, 1)}:
-                raise ValueError("general_conditional needs one unitary per qubit basis pair")
-            ops = {jk: _require_unitary(u, dim, f"conditionals[{jk}]")
-                   for jk, u in self.conditionals.items()}
-        elif self.kind == "hamming_half":
+        if self.kind == "hamming_half":
             # each excited qubit flips its own half of the MS
             ops = {(0, 0): (), (0, 1): (1,), (1, 0): (0,), (1, 1): (0, 1)}
         elif self.kind == "ghz_local":
@@ -145,16 +122,9 @@ class CircuitSpec:
             # the parity family: V_odd on the odd branches, V_even on the even ones
             tags = ((TAG_FLIP, TAG_IDENTITY) if self.kind == "parity_collective"
                     else (self.v_odd, self.v_even))
-            odd, even = (_tag_or_unitary(v, dim, name)
-                         for v, name in zip(tags, ("v_odd", "v_even")))
+            odd, even = (_tag_blocks(v, name) for v, name in zip(tags, ("v_odd", "v_even")))
             ops = {(0, 0): even, (0, 1): odd, (1, 0): odd, (1, 1): even}
         object.__setattr__(self, "ops", ops)
-
-    @property
-    def has_matrix_unitaries(self) -> bool:
-        return self.ops is not None and not all(
-            isinstance(op, tuple) for op in self.ops.values()
-        )
 
     @property
     def block_sizes(self) -> tuple:
@@ -169,8 +139,7 @@ class CircuitSpec:
         dense_dim = 4 * (1 << n)
         dense_cap = DENSE_DENSITY_DIM_CAP if mixed else DENSE_STATE_DIM_CAP
         dense_fits = dense_dim <= dense_cap
-        mixture_ok = self.kind in ("parity_collective", "parity_conditioned") and not self.has_matrix_unitaries
-        collective_ok = not self.has_matrix_unitaries and (not mixed or mixture_ok)
+        collective_ok = not mixed or self.kind in ("parity_collective", "parity_conditioned")
         if self.backend == "dense":
             if not dense_fits:
                 raise LayoutError(
@@ -181,8 +150,8 @@ class CircuitSpec:
         if self.backend == "collective":
             if not collective_ok:
                 raise RepresentationError(
-                    "collective backend supports tag unitaries only, and mixed "
-                    "inputs only for the parity-conditioned family"
+                    "collective backend supports mixed inputs only for the "
+                    "parity-conditioned family"
                 )
             return "collective"
         if dense_fits:
@@ -225,19 +194,19 @@ def prepare_inputs(spec: CircuitSpec) -> JointState:
 
 def evolve(spec: CircuitSpec, state: JointState) -> JointState:
     """Run the circuit's entangling evolution on a prepared input."""
-    return _evolve_impl(spec, state, dagger=False)
+    return _evolve_impl(spec, state)
 
 
 def disentangle(spec: CircuitSpec, state: JointState) -> JointState:
     """Reverse the entangling evolution (the post-processing gate).
 
-    Flips and the GHZ route are their own inverse; explicit unitaries are
-    daggered branch by branch.
+    Block flips and the GHZ route are their own inverse, so this is the
+    evolution run once more.
     """
-    return _evolve_impl(spec, state, dagger=True)
+    return _evolve_impl(spec, state)
 
 
-def _evolve_impl(spec: CircuitSpec, state: JointState, dagger: bool) -> JointState:
+def _evolve_impl(spec: CircuitSpec, state: JointState) -> JointState:
     kind = spec.kind
     if kind in ("hamming_half", "ghz_local") and isinstance(state, SectorMixture):
         raise RepresentationError(f"{kind} on mixed inputs needs the dense backend")
@@ -246,14 +215,9 @@ def _evolve_impl(spec: CircuitSpec, state: JointState, dagger: bool) -> JointSta
         out = edge_phase_gate(out, LABEL_Q1)
         out = edge_phase_gate(out, LABEL_Q2)
         return ghz_entangler(out, inverse=True)
-    ops = spec.ops
-    if dagger:
-        ops = {jk: op if isinstance(op, tuple) else op.conj().T for jk, op in ops.items()}
     if isinstance(state, SectorMixture):
-        if spec.has_matrix_unitaries:
-            raise RepresentationError("explicit conditional unitaries need the dense backend")
-        return mixture_conditional(state, ops[(0, 1)] != (), ops[(0, 0)] != ())
-    return branch_conditional(state, ops, spec.block_sizes)
+        return mixture_conditional(state, spec.ops[(0, 1)] != (), spec.ops[(0, 0)] != ())
+    return branch_conditional(state, spec.ops, spec.block_sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -333,21 +333,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if (args.format or "json") != "json":
         raise UsageError("simulate reports are JSON only")
     spec = _build_spec(cfg)
+    backend = spec.resolved_backend()
+    # the readout fixes the outcome ids before any state is built
+    readout = _readout(cfg)
+    ids = range(measurement.outcome_count(readout))
+    if cfg.post_select is not None and cfg.post_select not in ids:
+        raise UsageError(f"post_select={cfg.post_select} is not an outcome of this measurement")
     state = circuits.evolve(spec, circuits.prepare_inputs(spec))
     records, outcomes = [], []
-    for rec in measurement.measure_each(state, _readout(cfg)):
+    for rec in measurement.measure_each(state, readout):
         # rebinding rec drops the post state before the next one is built
         entry, rec = _report_outcome(cfg, spec, rec)
         outcomes.append(entry)
         records.append(rec)
-    if cfg.post_select is not None and not any(
-        r.outcome == cfg.post_select for r in records
-    ):
-        raise UsageError(
-            f"post_select={cfg.post_select} is not an outcome of this measurement"
-        )
+    # sector_pvm's table is (n+1)^2 floats: free it before the report is built
+    del readout
     diagnostics = {
-        "backend": spec.resolved_backend(),
+        "backend": backend,
         "pre_measurement_sectors": sector_probabilities(state),
         "branch_phases_vs_collective_flip": _branch_phase_diagnostics(cfg, spec, state),
     }
@@ -531,8 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run one scenario and report per-outcome fidelities")
     sim.add_argument("--config", help="flat key=value scenario file")
     sim.add_argument("--kind", default="parity_collective",
-                     choices=("parity_collective", "hamming_half", "ghz_local",
-                              "parity_conditioned"))
+                     choices=circuits.CIRCUIT_KINDS)
     sim.add_argument("--n", type=int, help="number of MS sites")
     sim.add_argument("--epsilon", type=float)
     sim.add_argument("--polarization", type=float)

@@ -37,7 +37,6 @@ from .states import (
     PureState,
     SubsystemLayout,
     ValidationError,
-    _apply_axes,
     apply_kernel,
     populations,
 )
@@ -329,8 +328,8 @@ QUBIT_BRANCHES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 def branch_conditional(state, ops, block_sizes=None):
     """U = sum_jk |jk><jk| (x) V_jk: qubit basis branch (j, k) gets its own MS
-    operation ``ops[(j, k)]``, a tuple of MS blocks to flip (``()`` is the
-    identity) or an explicit MS unitary (dense states only).
+    operation ``ops[(j, k)]``, the tuple of MS blocks to flip (``()`` is the
+    identity).
 
     `block_sizes` partitions a dense MS slot into contiguous site ranges
     (default: one block of all sites); collective-backend states flip their
@@ -342,10 +341,8 @@ def branch_conditional(state, ops, block_sizes=None):
     if set(ops) != set(QUBIT_BRANCHES):
         raise LayoutError(f"need one MS operation per qubit branch, got {sorted(ops)}")
     for op in ops.values():
-        if not isinstance(op, tuple) and isinstance(state, CollectiveBlockState):
-            raise RepresentationError("explicit conditional unitaries need the dense backend")
-        if isinstance(op, tuple) and not all(0 <= b < len(dims) for b in op):
-            raise LayoutError(f"block selection {op} outside {len(dims)} blocks")
+        if not (isinstance(op, tuple) and all(0 <= b < len(dims) for b in op)):
+            raise LayoutError(f"block selection {op!r} outside {len(dims)} blocks")
     q1, q2 = state.layout.slot(LABEL_Q1), state.layout.slot(LABEL_Q2)
     ms = slot - (q1 < slot) - (q2 < slot)  # once both qubit axes are indexed away
 
@@ -355,12 +352,8 @@ def branch_conditional(state, ops, block_sizes=None):
             sl = [slice(None)] * t.ndim
             sl[offset + q1], sl[offset + q2] = j, k
             src, dst = t[tuple(sl)], out[tuple(sl)]
-            if isinstance(op, tuple):
-                split = src.shape[:axis] + dims + src.shape[axis + 1:]
-                flip_axes = tuple(axis + b for b in op)
-                dst.reshape(split)[...] = np.flip(src.reshape(split), flip_axes)
-            else:
-                dst[...] = _apply_axes(op.conj() if conj else op, src, [axis])
+            split = src.shape[:axis] + dims + src.shape[axis + 1:]
+            dst.reshape(split)[...] = np.flip(src.reshape(split), tuple(axis + b for b in op))
         return out
 
     return state.with_tensor(apply_kernel(state, kernel))

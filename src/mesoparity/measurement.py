@@ -265,9 +265,11 @@ def measure_each(
     A consumer that drops each post state before asking for the next record
     holds at most one post state at a time, whatever the outcome count.
     """
-    if isinstance(readout, CollectivePOVM):
-        run, count = measure, readout.n_outcomes
-    else:
-        run, count = apparatus_measure, 2
-    for k in range(count):
+    run = measure if isinstance(readout, CollectivePOVM) else apparatus_measure
+    for k in range(outcome_count(readout)):
         yield from run(state, readout, (k,))
+
+
+def outcome_count(readout: Union[CollectivePOVM, ApparatusSpec, TwoOutcomeTheta]) -> int:
+    """Outcome ids run 0..count-1: one per POVM effect, two for a probe readout."""
+    return readout.n_outcomes if isinstance(readout, CollectivePOVM) else 2

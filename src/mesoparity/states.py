@@ -234,18 +234,6 @@ def renormalized(state, t: np.ndarray, p: float):
     return state.with_tensor(t)
 
 
-def _apply_axes(op: np.ndarray, tensor_in: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Contract a square operator against the given axes of a tensor."""
-    axes = list(axes)
-    k = len(axes)
-    t = np.moveaxis(tensor_in, axes, range(k))
-    lead, rest = t.shape[:k], t.shape[k:]
-    mat = t.reshape(prod(lead), -1)
-    mat = op @ mat
-    t = mat.reshape(lead + rest)
-    return np.moveaxis(t, range(k), axes)
-
-
 def partial_trace(state, keep: Sequence[int]) -> DensityOperator:
     """Reduced state on the kept slots (order preserved as listed).
 

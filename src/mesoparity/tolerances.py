@@ -12,7 +12,6 @@ class Tolerances:
     norm: float = 1e-10          # L2 norm of pure states, trace of densities
     hermiticity: float = 1e-8    # max |M - M^dag| accepted as Hermitian
     positivity: float = -1e-9    # smallest admissible eigenvalue of a density
-    unitarity: float = 1e-8      # max |U^dag U - I| for supplied unitaries
     povm: float = 1e-10          # completeness of POVM coefficient columns
     prob_floor: float = 1e-14    # outcomes below this carry a null post-state
     param_agreement: float = 1e-9  # |(1 - polarization) - epsilon| accepted as consistent

@@ -17,6 +17,7 @@ from mesoparity.circuits import (
     qubit_marginal,
 )
 from mesoparity.collective import (
+    CollectiveBlockState,
     MsConfig,
     RepresentationError,
     SectorMixture,
@@ -28,7 +29,6 @@ from mesoparity.states import (
     DensityOperator,
     LayoutError,
     PureState,
-    ValidationError,
 )
 
 import helpers
@@ -39,12 +39,6 @@ from helpers import (
     parity_conditioned_unitary,
     thermal_matrix,
 )
-
-
-def _haar(rng, dim):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 class TestCircuitSpecValidation:
@@ -65,45 +59,27 @@ class TestCircuitSpecValidation:
             CircuitSpec("parity_collective", MsConfig(2), v_odd=TAG_FLIP)
 
     def test_unknown_tag(self):
-        with pytest.raises(ValueError):
-            CircuitSpec("parity_conditioned", MsConfig(2), v_odd="transpose")
-
-    def test_matrix_unitaries_checked(self):
-        with pytest.raises(ValidationError):
-            CircuitSpec("parity_conditioned", MsConfig(1), v_odd=np.ones((2, 2)))
-
-    def test_general_conditional_needs_full_table(self, rng):
-        u = _haar(rng, 4)
-        with pytest.raises(ValueError):
-            CircuitSpec("general_conditional", MsConfig(2), conditionals={(0, 0): u})
-
-    def test_conditionals_only_on_general_kind(self, rng):
-        table = {jk: np.eye(2) for jk in ((0, 0), (0, 1), (1, 0), (1, 1))}
-        with pytest.raises(ValueError):
-            CircuitSpec("parity_collective", MsConfig(1), conditionals=table)
+        # a tag names the blocks to flip; an explicit MS matrix is no tag
+        for field in ("v_odd", "v_even"):
+            for bad in ("transpose", np.eye(4)):
+                with pytest.raises(ValueError, match=field):
+                    CircuitSpec("parity_conditioned", MsConfig(2), **{field: bad})
 
 
 class TestBranchTable:
     def test_tables_of_the_tag_kinds(self):
         assert CircuitSpec("parity_collective", MsConfig(2)).ops == helpers.PARITY_TABLE
         assert CircuitSpec("hamming_half", MsConfig(2)).ops == helpers.HAMMING_TABLE
-        assert CircuitSpec("parity_conditioned", MsConfig(2), v_odd=TAG_FLIP,
-                           v_even=TAG_FLIP).ops == dict.fromkeys(helpers.PARITY_TABLE, (0,))
+        for v_odd in (TAG_IDENTITY, TAG_FLIP):
+            for v_even in (TAG_IDENTITY, TAG_FLIP):
+                odd, even = ((0,) if v == TAG_FLIP else () for v in (v_odd, v_even))
+                spec = CircuitSpec("parity_conditioned", MsConfig(2), v_odd=v_odd,
+                                   v_even=v_even)
+                assert spec.ops == {(0, 0): even, (0, 1): odd, (1, 0): odd, (1, 1): even}
         assert CircuitSpec("ghz_local", MsConfig(2)).ops is None
 
-    def test_matrix_entries_are_the_checked_unitaries(self, rng):
-        u = _haar(rng, 4)
-        spec = CircuitSpec("parity_conditioned", MsConfig(2), v_even=u)
-        assert spec.has_matrix_unitaries
-        assert spec.ops[(0, 1)] == spec.ops[(1, 0)] == ()
-        for jk in ((0, 0), (1, 1)):
-            assert spec.ops[jk].dtype == complex
-            np.testing.assert_array_equal(spec.ops[jk], u)
-        table = {jk: _haar(rng, 2) for jk in helpers.PARITY_TABLE}
-        spec = CircuitSpec("general_conditional", MsConfig(1), conditionals=table)
-        assert spec.has_matrix_unitaries
-        for jk, v in table.items():
-            np.testing.assert_array_equal(spec.ops[jk], v)
+
+D, C, LE, RE = "dense", "collective", LayoutError, RepresentationError
 
 
 class TestBackendResolution:
@@ -121,16 +97,42 @@ class TestBackendResolution:
         with pytest.raises(LayoutError):
             CircuitSpec("parity_collective", MsConfig(30), backend="dense").resolved_backend()
 
-    def test_matrix_unitaries_are_dense_only(self, rng):
-        spec = CircuitSpec("parity_conditioned", MsConfig(2), backend="collective",
-                           v_odd=_haar(rng, 4))
-        with pytest.raises(RepresentationError):
-            spec.resolved_backend()
-
     def test_mixed_non_parity_kinds_have_no_collective_form(self):
         spec = CircuitSpec("ghz_local", MsConfig(3, 0.2), backend="collective")
         with pytest.raises(RepresentationError):
             spec.resolved_backend()
+
+    # the backend resolved_backend picks, or the exact error it raises, for
+    # every CLI kind on each side of the dense caps: a mixed input fits up to
+    # n = 9 (2^11 density), a pure one up to n = 20 (2^22 state); hamming_half
+    # takes the nearest even n
+    @pytest.mark.parametrize("kind, epsilon, n, dense, collective, auto", [
+        ("parity_collective", 0.3, 9, D, C, D),
+        ("parity_collective", 0.3, 10, LE, C, C),
+        ("parity_collective", 0.0, 20, D, C, D),
+        ("parity_collective", 0.0, 21, LE, C, C),
+        ("parity_conditioned", 0.3, 9, D, C, D),
+        ("parity_conditioned", 0.3, 10, LE, C, C),
+        ("parity_conditioned", 0.0, 20, D, C, D),
+        ("parity_conditioned", 0.0, 21, LE, C, C),
+        ("hamming_half", 0.3, 8, D, RE, D),
+        ("hamming_half", 0.3, 10, LE, RE, RE),
+        ("hamming_half", 0.0, 20, D, C, D),
+        ("hamming_half", 0.0, 22, LE, C, C),
+        ("ghz_local", 0.3, 9, D, RE, D),
+        ("ghz_local", 0.3, 10, LE, RE, RE),
+        ("ghz_local", 0.0, 20, D, C, D),
+        ("ghz_local", 0.0, 21, LE, C, C),
+    ])
+    def test_decision_table(self, kind, epsilon, n, dense, collective, auto):
+        for backend, want in (("dense", dense), ("collective", collective), ("auto", auto)):
+            spec = CircuitSpec(kind, MsConfig(n, epsilon), backend=backend)
+            if isinstance(want, str):
+                assert spec.resolved_backend() == want, backend
+            else:
+                with pytest.raises(ValueError) as exc:
+                    spec.resolved_backend()
+                assert exc.type is want, backend
 
 
 class TestPrepareInputs:
@@ -283,30 +285,20 @@ class TestParityConditioned:
         want = u @ prepare_inputs(spec).matrix @ u.conj().T
         np.testing.assert_allclose(got.matrix, want, atol=1e-13)
 
-    def test_matrix_unitaries_match_block_oracle(self, rng):
-        n, eps = 2, 0.3
-        v_o, v_e = _haar(rng, 4), _haar(rng, 4)
-        spec = CircuitSpec("parity_conditioned", MsConfig(n, eps), backend="dense",
-                           v_odd=v_o, v_even=v_e)
-        got = evolve(spec, prepare_inputs(spec))
-        u = parity_conditioned_unitary(n, v_o, v_e)
-        want = u @ prepare_inputs(spec).matrix @ u.conj().T
-        np.testing.assert_allclose(got.matrix, want, atol=1e-12)
-        back = disentangle(spec, got)
-        np.testing.assert_allclose(back.matrix, prepare_inputs(spec).matrix, atol=1e-12)
-
-    def test_equal_parity_branches_by_construction(self, rng):
+    def test_equal_parity_branches_by_construction(self):
         # the MS states correlated with |01> and |10> coincide exactly
         n = 2
-        v_o, v_e = _haar(rng, 4), _haar(rng, 4)
-        spec = CircuitSpec("parity_conditioned", MsConfig(n), backend="dense",
-                           v_odd=v_o, v_even=v_e)
-        state = evolve(spec, prepare_inputs(spec))
-        branches = branch_ms_states(state)
-        w01, v01 = branches[(0, 1)]
-        w10, v10 = branches[(1, 0)]
-        assert w01 == pytest.approx(w10, abs=1e-14)
-        np.testing.assert_allclose(v01, v10, atol=1e-13)
+        for v_o in (TAG_IDENTITY, TAG_FLIP):
+            for v_e in (TAG_IDENTITY, TAG_FLIP):
+                for backend in ("dense", "collective"):
+                    spec = CircuitSpec("parity_conditioned", MsConfig(n), backend=backend,
+                                       v_odd=v_o, v_even=v_e)
+                    state = evolve(spec, prepare_inputs(spec))
+                    branches = branch_ms_states(state)
+                    w01, v01 = branches[(0, 1)]
+                    w10, v10 = branches[(1, 0)]
+                    assert w01 == pytest.approx(w10, abs=1e-14)
+                    np.testing.assert_allclose(v01, v10, atol=1e-13)
 
     def test_mixture_route_matches_dense(self):
         n, eps = 4, 0.6
@@ -323,28 +315,58 @@ class TestParityConditioned:
             assert gap < 1e-12
 
 
-class TestGeneralConditional:
-    def test_matches_block_oracle(self, rng):
-        n = 2
-        dim = 1 << n
-        table = {jk: _haar(rng, dim) for jk in ((0, 0), (0, 1), (1, 0), (1, 1))}
-        spec = CircuitSpec("general_conditional", MsConfig(n), conditionals=table)
-        start = prepare_inputs(spec)
-        got = evolve(spec, start)
-        out = np.zeros((4 * dim, 4 * dim), dtype=complex)
-        for (j, k), u in table.items():
-            idx = 2 * j + k
-            out[idx * dim:(idx + 1) * dim, idx * dim:(idx + 1) * dim] = u
-        want = out @ start.amplitudes
-        np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
+def _random_states(kind, spec, start, rng):
+    """Random states of ``start``'s representation that ``kind`` can run on
+    (none for ghz_local on Dicke blocks, whose edge gate needs m in {0, n})."""
+    if isinstance(start, PureState):
+        return [PureState(helpers.random_unit_vector(rng, start.layout.total_dim), start.layout)]
+    if isinstance(start, DensityOperator):
+        d = start.layout.total_dim
+        return [DensityOperator(helpers.random_density_matrix(rng, d), start.layout)]
+    if isinstance(start, SectorMixture):
+        n, a = spec.ms.n, rng.uniform(0.1, 0.9)
+        w_o = 2 * a * rng.dirichlet(np.ones(n + 1))
+        w_e = 2 * (1 - a) * rng.dirichlet(np.ones(n + 1))
+        cross = rng.uniform(-1, 1, n + 1) * np.sqrt(w_o * w_e)
+        return [SectorMixture(n, w_o, w_e, cross)]
+    if kind == "ghz_local":
+        return []
+    shape = (2, 2) + tuple(b + 1 for b in start.block_sizes)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return [CollectiveBlockState(amps / np.linalg.norm(amps), start.block_sizes)]
 
-    def test_disentangle_inverts(self, rng):
-        n = 3
-        table = {jk: _haar(rng, 1 << n) for jk in ((0, 0), (0, 1), (1, 0), (1, 1))}
-        spec = CircuitSpec("general_conditional", MsConfig(n), conditionals=table)
-        start = prepare_inputs(spec)
-        back = disentangle(spec, evolve(spec, start))
-        np.testing.assert_allclose(back.amplitudes, start.amplitudes, atol=1e-11)
+
+def _comparable(state):
+    return mixture_to_dense(state).matrix if isinstance(state, SectorMixture) else state.as_tensor()
+
+
+@pytest.mark.parametrize("kind, tags", [
+    ("parity_collective", {}),
+    ("hamming_half", {}),
+    ("ghz_local", {}),
+    *[("parity_conditioned", {"v_odd": o, "v_even": e})
+      for o in (TAG_IDENTITY, TAG_FLIP) for e in (TAG_IDENTITY, TAG_FLIP)],
+], ids=["parity_collective", "hamming_half", "ghz_local", "conditioned-id-id",
+        "conditioned-id-flip", "conditioned-flip-id", "conditioned-flip-flip"])
+def test_disentangle_undoes_evolve(kind, tags, rng):
+    """On every representation a kind runs on: dense pure, dense density, Dicke
+    blocks (two for hamming_half) and, for the parity family, the sector
+    mixture; from the prepared input, the evolved state and a random state."""
+    runs = {"dense": (0.0, 0.3), "collective": (0.0, 0.3) if kind in (
+        "parity_collective", "parity_conditioned") else (0.0,)}
+    seen = set()
+    for backend, epsilons in runs.items():
+        for eps in epsilons:
+            spec = CircuitSpec(kind, MsConfig(4, eps), backend=backend, **tags)
+            start = prepare_inputs(spec)
+            seen.add(type(start))
+            if isinstance(start, CollectiveBlockState):
+                assert len(start.block_sizes) == len(spec.block_sizes)
+            for s in [start, evolve(spec, start), *_random_states(kind, spec, start, rng)]:
+                back = disentangle(spec, evolve(spec, s))
+                assert type(back) is type(s)
+                np.testing.assert_allclose(_comparable(back), _comparable(s), atol=1e-12, rtol=0)
+    assert len(seen) == len(runs["dense"]) + len(runs["collective"])
 
 
 class TestQubitMarginal:

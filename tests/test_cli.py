@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mesoparity import bounds
+from mesoparity import bounds, circuits
 from mesoparity.cli import (
     CSV_HEADER,
     CSV_SCHEMA_LINE,
@@ -149,6 +149,27 @@ class TestSimulate:
         assert by_id[4]["p"] == pytest.approx(0.25, abs=1e-12)
         assert by_id[2]["f_odd"] == pytest.approx(1.0, abs=1e-12)
         assert report["diagnostics"]["post_selected"]["id"] == 2
+
+    def test_out_of_range_post_select_refused_before_any_state(self, monkeypatch, capsys):
+        def no_state(spec):
+            raise AssertionError("an input state was prepared")
+
+        monkeypatch.setattr(circuits, "prepare_inputs", no_state)
+        probe = ("--measurement", "two_outcome", "--g", "0.3", "--t-m", "1.1")
+        for argv, bad in [
+            (MIX + ("--n", "9", "--epsilon", "0.5"), "99"),
+            (MIX + ("--n", "4", "--epsilon", "0.5"), "5"),  # ids 0..n
+            (MIX + ("--n", "4", "--epsilon", "0.5"), "-1"),
+            (("simulate", "--n", "4", "--measurement", "threshold_pvm"), "2"),
+            (("simulate", "--n", "4", *probe), "2"),
+        ]:
+            assert main([*argv, "--post-select", bad]) == 2
+            assert capsys.readouterr().err == (
+                f"error: post_select={bad} is not an outcome of this measurement\n")
+        # a scenario its backend refuses still exits 3 first
+        argv = ["simulate", "--kind", "hamming_half", "--n", "10", "--epsilon", "0.3"]
+        assert main([*argv, "--post-select", "99"]) == 3
+        assert capsys.readouterr().err.startswith("representation error: no backend can run")
 
     def test_ghz_branch_phase_diagnostics(self):
         proc = run_cli("simulate", "--kind", "ghz_local", "--n", "2",
@@ -316,9 +337,10 @@ def as_config_file(argv, path):
 class TestPinnedReports:
     """Report bytes that must not move: the dense mixed reference, the
     density disentangle route, the sector mixture, a pure threshold run, the
-    density probe-qubit route and the bound sweep in each format (its 1:1000
-    grid is the benchmark's).  Each call gives the same bytes when its inputs
-    come from a config file."""
+    density probe-qubit route, the Hamming-weight readout (dense, and on two
+    Dicke blocks), the locally built entangler and the bound sweep in each
+    format (its 1:1000 grid is the benchmark's).  Each call gives the same
+    bytes when its inputs come from a config file."""
 
     PINNED = pytest.mark.parametrize("argv, digest", [
         (MIX + ("--n", "9", "--epsilon", "0.3"),
@@ -333,6 +355,13 @@ class TestPinnedReports:
         (("simulate", "--kind", "parity_collective", "--n", "4", "--epsilon", "0.3",
           "--measurement", "two_outcome", "--g", "0.3", "--t-m", "1.1"),
          "9c8d778fbfc50f0e030d618ecb38c4e5f3cf44498484974d4135b4d5abf49d19"),
+        (("simulate", "--kind", "hamming_half", "--n", "4", "--measurement", "sector_pvm",
+          "--post-select", "2", "--disentangle"),
+         "fe2f5c58c634fae7024fcd15533ba0b3139149ad8517867a5f9920aff5b2c289"),
+        (("simulate", "--kind", "hamming_half", "--n", "40", "--backend", "collective"),
+         "793c27b84b44efbdc7344a255a66f6d9220c3a05846e42680d713c3027ef69fb"),
+        (("simulate", "--kind", "ghz_local", "--n", "8", "--disentangle"),
+         "d7a91de568d5e71786094401cd554ba079fd85675f5cb5e07fac751c74da126e"),
         (SWEEP,
          "79713aa33abe30e061036eb984fcf8b43d5200e85edc1d9bf2407bb29fe7d598"),
         (SWEEP + ("--format", "json"),
@@ -343,7 +372,8 @@ class TestPinnedReports:
           "--format", "csv"),
          "1fc79a82813d6d4333b634170eabca786f6009f49551c05975daaccb44ab8e76"),
     ], ids=["mixed-n9", "mixed-n8-disentangle", "mixture-n300-disentangle",
-            "pure-threshold-n12", "density-probe-n4", "bound-csv", "bound-json",
+            "pure-threshold-n12", "density-probe-n4", "hamming-dense-n4-disentangle",
+            "hamming-blocks-n40", "ghz-local-n8-disentangle", "bound-csv", "bound-json",
             "bound-svg", "bound-n1000-csv"])
 
     @PINNED
