@@ -59,9 +59,16 @@ class TestCircuitSpecValidation:
             CircuitSpec("parity_collective", MsConfig(2), v_odd=TAG_FLIP)
 
     def test_unknown_tag(self):
-        # a tag names the blocks to flip; an explicit MS matrix is no tag
         for field in ("v_odd", "v_even"):
-            for bad in ("transpose", np.eye(4)):
+            with pytest.raises(ValueError, match=field):
+                CircuitSpec("parity_conditioned", MsConfig(2), **{field: "transpose"})
+
+    def test_matrix_unitaries_checked(self, rng):
+        # a tag names the blocks to flip; an explicit MS matrix, unitary or
+        # not, is no tag and is refused naming the field
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for field in ("v_odd", "v_even"):
+            for bad in (np.ones((4, 4)), np.eye(4), np.linalg.qr(z)[0]):
                 with pytest.raises(ValueError, match=field):
                     CircuitSpec("parity_conditioned", MsConfig(2), **{field: bad})
 
@@ -77,6 +84,18 @@ class TestBranchTable:
                                    v_even=v_even)
                 assert spec.ops == {(0, 0): even, (0, 1): odd, (1, 0): odd, (1, 1): even}
         assert CircuitSpec("ghz_local", MsConfig(2)).ops is None
+
+    def test_matrix_entries_are_the_checked_unitaries(self, rng):
+        # no branch table holds a matrix: every entry is a tuple of block
+        # indices, and the matrix input that once filled one is refused
+        for kind in CIRCUIT_KINDS:
+            ops = CircuitSpec(kind, MsConfig(2)).ops
+            for blocks in (ops or {}).values():
+                assert isinstance(blocks, tuple)
+                assert all(isinstance(b, int) for b in blocks)
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        with pytest.raises(ValueError, match="v_even"):
+            CircuitSpec("parity_conditioned", MsConfig(2), v_even=np.linalg.qr(z)[0])
 
 
 D, C, LE, RE = "dense", "collective", LayoutError, RepresentationError
