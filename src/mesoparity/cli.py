@@ -336,7 +336,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     backend = spec.resolved_backend()
     # the readout fixes the outcome ids before any state is built
     readout = _readout(cfg)
-    ids = range(measurement.outcome_count(readout))
+    ids = range(readout.n_outcomes)
     if cfg.post_select is not None and cfg.post_select not in ids:
         raise UsageError(f"post_select={cfg.post_select} is not an outcome of this measurement")
     state = circuits.evolve(spec, circuits.prepare_inputs(spec))
@@ -445,10 +445,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
             ],
         }
         _write_text(sweep.out, emit_json(payload) + "\n")
-    elif fmt == "svg":
-        _write_text(sweep.out, _rows_to_svg(rows))
     else:
-        raise UsageError(f"unknown format {fmt!r} (choose csv, json, or svg)")
+        _write_text(sweep.out, _rows_to_svg(rows))
     return EXIT_OK
 
 
@@ -495,9 +493,12 @@ def read_bound_csv(path: str) -> list:
         if len(parts) != 4:
             raise UsageError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
         try:
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
+            row = (int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]))
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: {exc}") from exc
+        if not all(math.isfinite(v) for v in row[1:]):
+            raise UsageError(f"{path}:{lineno}: non-finite value in {line.strip()!r}")
+        rows.append(row)
     if not rows:
         raise UsageError(f"{path}: no data rows")
     return rows

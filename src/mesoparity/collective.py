@@ -18,7 +18,6 @@ Convention: m always counts constituents in |1> (per-site number operator
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -97,26 +96,14 @@ def _lgam(k: int) -> float:
     return q + poly / x
 
 
-# lgam(0..K), read-only.  It only ever grows, under the lock, and each caller
-# keeps the table it took, so sweep threads never see it change underneath.
-_lgam_table = np.empty(0)
-_lgam_table.setflags(write=False)
-_lgam_lock = threading.Lock()
-
-
+# lgam(0..size-1), read-only, one table per size.  Threads that miss the
+# cache together may each build the same table, but every build is whole and
+# equal and none is ever written, so no lock is needed.
+@lru_cache(maxsize=None)
 def _log_gamma_table(size: int) -> np.ndarray:
-    """A read-only table of lgam(k) for k = 0..K, K >= size - 1; a short one
-    is replaced by one at least twice its length."""
-    global _lgam_table
-    table = _lgam_table
-    if len(table) < size:
-        with _lgam_lock:
-            table = _lgam_table
-            if len(table) < size:
-                grown = range(len(table), max(size, 2 * len(table)))
-                table = np.concatenate([table, [_lgam(k) for k in grown]])
-                table.setflags(write=False)
-                _lgam_table = table
+    """A read-only table of lgam(k) for k = 0..size-1."""
+    table = np.array([_lgam(k) for k in range(size)])
+    table.setflags(write=False)
     return table
 
 
@@ -145,7 +132,7 @@ def binomial_pmf(n: int, p: float) -> np.ndarray:
     if n <= 50:
         combs = np.array([math.comb(n, k) for k in m], dtype=float)
         return combs * p**m * (1.0 - p) ** (n - m)
-    table = _log_gamma_table(n + 2)
+    table = _log_gamma_table(1 << (n + 1).bit_length())
     lt = table[1:n + 2]
     coef = table[n + 1] - lt - lt[::-1]
     return np.exp(coef + m * np.log(p) + (n - m) * np.log1p(-p))

@@ -72,6 +72,7 @@ class CollectivePOVM:
 class TwoOutcomeTheta:
     """Angle table theta(m) defining the cos^2/sin^2 two-outcome family."""
 
+    n_outcomes = 2
     theta: np.ndarray
 
     def __post_init__(self):
@@ -96,6 +97,7 @@ class TwoOutcomeTheta:
 class ApparatusSpec:
     """Probe-qubit coupling: rotation angle theta(m) = g * m * t_m."""
 
+    n_outcomes = 2
     g: float
     t_m: float
 
@@ -266,10 +268,6 @@ def measure_each(
     holds at most one post state at a time, whatever the outcome count.
     """
     run = measure if isinstance(readout, CollectivePOVM) else apparatus_measure
-    for k in range(outcome_count(readout)):
+    for k in range(readout.n_outcomes):
         yield from run(state, readout, (k,))
 
-
-def outcome_count(readout: Union[CollectivePOVM, ApparatusSpec, TwoOutcomeTheta]) -> int:
-    """Outcome ids run 0..count-1: one per POVM effect, two for a probe readout."""
-    return readout.n_outcomes if isinstance(readout, CollectivePOVM) else 2

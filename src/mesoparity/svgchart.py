@@ -35,33 +35,19 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def polyline_chart(
-    series,
-    x_label: str = "",
-    y_label: str = "",
-    title: str = "",
-    width: int = 640,
-    height: int = 420,
-    y_range=None,
-) -> str:
-    """Render series (iterable of Series) to a self-contained SVG string."""
+def polyline_chart(series, x_label: str, y_label: str, title: str, y_range) -> str:
+    """Render series (iterable of Series) to a self-contained SVG string,
+    with y_range = (y_lo, y_hi) as the y-axis span."""
     series = list(series)
     if not series:
         raise ValueError("nothing to plot")
+    width, height = 640, 420
     ml, mr, mt, mb = 72, 150, 34, 56
     x_all = [x for s in series for x in s.xs]
-    y_all = [y for s in series for y in s.ys]
     x_lo, x_hi = float(min(x_all)), float(max(x_all))
-    if y_range is None:
-        y_lo, y_hi = float(min(y_all)), float(max(y_all))
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-    else:
-        y_lo, y_hi = map(float, y_range)
+    y_lo, y_hi = map(float, y_range)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
     plot_w = width - ml - mr
     plot_h = height - mt - mb
 
@@ -76,11 +62,10 @@ def polyline_chart(
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
-    if title:
-        out.append(
-            f'<text x="{_fmt(ml + plot_w / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
-        )
+    out.append(
+        f'<text x="{_fmt(ml + plot_w / 2)}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+    )
     axis_style = 'stroke="black" stroke-width="1"'
     out.append(f'<line x1="{_fmt(ml)}" y1="{_fmt(mt + plot_h)}" '
                f'x2="{_fmt(ml + plot_w)}" y2="{_fmt(mt + plot_h)}" {axis_style}/>')
@@ -98,15 +83,13 @@ def polyline_chart(
                    f'x2="{_fmt(ml)}" y2="{_fmt(y)}" {axis_style}/>')
         out.append(f'<text x="{_fmt(ml - 9)}" y="{_fmt(y + 4)}" text-anchor="end" '
                    f'font-family="sans-serif" font-size="11">{escape(f"{t:.4g}")}</text>')
-    if x_label:
-        out.append(f'<text x="{_fmt(ml + plot_w / 2)}" y="{_fmt(height - 12)}" '
-                   f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-                   f"{escape(x_label)}</text>")
-    if y_label:
-        cx, cy = 18, mt + plot_h / 2
-        out.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="12" '
-                   f'transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{escape(y_label)}</text>')
+    out.append(f'<text x="{_fmt(ml + plot_w / 2)}" y="{_fmt(height - 12)}" '
+               f'text-anchor="middle" font-family="sans-serif" font-size="12">'
+               f"{escape(x_label)}</text>")
+    cx, cy = 18, mt + plot_h / 2
+    out.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
+               f'font-family="sans-serif" font-size="12" '
+               f'transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{escape(y_label)}</text>')
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.xs, s.ys))

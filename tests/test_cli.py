@@ -338,9 +338,10 @@ class TestPinnedReports:
     """Report bytes that must not move: the dense mixed reference, the
     density disentangle route, the sector mixture, a pure threshold run, the
     density probe-qubit route, the Hamming-weight readout (dense, and on two
-    Dicke blocks), the locally built entangler and the bound sweep in each
-    format (its 1:1000 grid is the benchmark's).  Each call gives the same
-    bytes when its inputs come from a config file."""
+    Dicke blocks), the locally built entangler, the bound sweep in each
+    format (its 1:1000 grid is the benchmark's), the two-outcome POVM built
+    from a theta table, and the verify summary.  Each call but verify gives
+    the same bytes when its inputs come from a config file."""
 
     PINNED = pytest.mark.parametrize("argv, digest", [
         (MIX + ("--n", "9", "--epsilon", "0.3"),
@@ -371,10 +372,13 @@ class TestPinnedReports:
         (("bound", "--n", "1:1000", "--polarization", "0.28125,0.40625,0.59375,0.71875",
           "--format", "csv"),
          "1fc79a82813d6d4333b634170eabca786f6009f49551c05975daaccb44ab8e76"),
+        (("simulate", "--kind", "parity_collective", "--n", "4", "--epsilon", "0.3",
+          "--measurement", "two_outcome", "--theta", "0.1,0.7,1.3,2.2,3.0"),
+         "6ce04f76026b1a9351f04f59f91efaed944b189d8094343a39d9d629b8f88a7e"),
     ], ids=["mixed-n9", "mixed-n8-disentangle", "mixture-n300-disentangle",
             "pure-threshold-n12", "density-probe-n4", "hamming-dense-n4-disentangle",
             "hamming-blocks-n40", "ghz-local-n8-disentangle", "bound-csv", "bound-json",
-            "bound-svg", "bound-n1000-csv"])
+            "bound-svg", "bound-n1000-csv", "povm-two-outcome-n4"])
 
     @PINNED
     def test_report_sha256(self, tmp_path, argv, digest):
@@ -387,6 +391,18 @@ class TestPinnedReports:
         out = tmp_path / "report.json"
         cfg_argv = as_config_file(argv, tmp_path / "run.cfg")
         assert main([*cfg_argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("verify", "all"),
+         "a4b7a9e4a420b1ae876b5aafd11683c6f14666aa9831d29a5c54af9cfba9a118"),
+        (("verify", "all", "--seed", "7"),
+         "f1a3ed166f41aa974860fa0ae4c01b9ff518b1320a1d5fcca13ebfe292a91d0e"),
+    ], ids=["verify-all", "verify-all-seed7"])
+    def test_verify_sha256(self, tmp_path, argv, digest):
+        # verify reads no config file, so it has no config-file twin
+        out = tmp_path / "verify.json"
+        assert main([*argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -455,6 +471,17 @@ class TestPlot:
         empty.write_text(f"{CSV_SCHEMA_LINE}\n{CSV_HEADER}\n")
         proc = run_cli("plot", str(empty), check=False)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        csv_path = tmp_path / "b.csv"
+        svg_path = tmp_path / "b.svg"
+        csv_path.write_text(f"{CSV_SCHEMA_LINE}\n{CSV_HEADER}\n"
+                            f"1,0.5,0.5,0.75\n2,0.5,0.5,{bad}\n")
+        proc = run_cli("plot", str(csv_path), "--out", str(svg_path), check=False)
+        assert proc.returncode == 2
+        assert f"{csv_path}:4:" in proc.stderr
+        assert not svg_path.exists()
 
 
 class TestVerifyCommand:

@@ -124,21 +124,25 @@ def _check_pmf_sizes_interleaved(want):
                 got[:] = -1.0
 
 
-def test_binomial_pmf_cache_is_bit_identical(monkeypatch):
+def _check_tables_read_only():
+    sizes = [1 << (n + 1).bit_length() for n in PMF_SIZES if n > 50]
+    for size in sizes:
+        table = collective._log_gamma_table(size)
+        assert len(table) == size
+        assert not table.flags.writeable
+        # a repeated size is served from the cache, not built again
+        assert collective._log_gamma_table(size) is table
+
+
+def test_binomial_pmf_cache_is_bit_identical():
     want = {(n, p): _gammaln_binomial_pmf(n, p)
             for n in PMF_SIZES for p in PMF_PROBABILITIES}
     _check_pmf_sizes_interleaved(want)
-    table = collective._log_gamma_table(max(PMF_SIZES) + 2)
-    assert not table.flags.writeable
-    # a smaller request takes the larger table as it is
-    assert collective._log_gamma_table(53) is table
-    assert collective._lgam_table is table
+    _check_tables_read_only()
 
     # the same from eight sweep-style threads that all start from an empty
-    # table and switch often, so that they grow it concurrently
-    empty = np.empty(0)
-    empty.setflags(write=False)
-    monkeypatch.setattr(collective, "_lgam_table", empty)
+    # cache and switch often, so that they build tables concurrently
+    collective._log_gamma_table.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -148,9 +152,7 @@ def test_binomial_pmf_cache_is_bit_identical(monkeypatch):
                 fut.result(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    table = collective._lgam_table
-    assert len(table) >= max(PMF_SIZES) + 2
-    assert not table.flags.writeable
+    _check_tables_read_only()
 
 
 def test_log_gamma_table_equals_gammaln():
