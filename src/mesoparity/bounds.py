@@ -284,8 +284,7 @@ def bound_violation_search(n: int, epsilon: float, trials: int, seed: int) -> Vi
             eigen_max_f = f_eigen
         if f_eigen > bound + TOL.violation:
             violations += 1
-    p_odd_opt, p_even_opt = optimal_outcome_distributions(n, epsilon)
-    f_opt = 0.5 * _exact_sum(np.maximum(p_odd_opt.probs, p_even_opt.probs))
+    f_opt = bound_sum_form(n, epsilon)
     return ViolationReport(
         n=n,
         epsilon=epsilon,

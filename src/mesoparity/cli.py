@@ -304,28 +304,19 @@ def _report_outcome(cfg: ScenarioConfig, spec, rec):
     return entry, replace(rec, post_state=None)
 
 
-def _branch_phase_diagnostics(cfg: ScenarioConfig, spec, state):
+def _branch_phase_diagnostics(cfg: ScenarioConfig, state):
     """For the locally-built entangler: phase of each qubit branch relative to
-    the collective-flip circuit (pure states only)."""
+    the collective-flip circuit (pure states only), whose branches are the MS
+    ground state |0...0> on the even branches and |1...1> on the odd ones."""
     if cfg.kind != "ghz_local":
         return None
-    ref_spec = circuits.CircuitSpec("parity_collective", spec.ms, backend=cfg.backend)
-    ref = circuits.evolve(ref_spec, circuits.prepare_inputs(ref_spec))
     try:
         got = circuits.branch_ms_states(state)
-        want = circuits.branch_ms_states(ref)
     except RepresentationError:
         return None
-    phases = {}
-    for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        w_a, v_a = want.get(key, (0.0, None))
-        w_b, v_b = got.get(key, (0.0, None))
-        label = f"{key[0]}{key[1]}"
-        if v_a is None or v_b is None or w_a < TOL.branch_weight or w_b < TOL.branch_weight:
-            phases[label] = None
-        else:
-            phases[label] = float(np.angle(np.vdot(v_a, v_b)))
-    return phases
+    return {f"{j}{k}": None if v is None or w < TOL.branch_weight
+            else float(np.angle(v[-1] if j ^ k else v[0]))
+            for (j, k), (w, v) in got.items()}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -351,7 +342,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     diagnostics = {
         "backend": backend,
         "pre_measurement_sectors": sector_probabilities(state),
-        "branch_phases_vs_collective_flip": _branch_phase_diagnostics(cfg, spec, state),
+        "branch_phases_vs_collective_flip": _branch_phase_diagnostics(cfg, state),
     }
     if cfg.post_select is not None:
         chosen = next(o for o in outcomes if o["id"] == cfg.post_select)
@@ -481,14 +472,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def read_bound_csv(path: str) -> list:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    body = [ln for ln in lines if ln.strip()]
-    if not body or body[0].strip() != CSV_SCHEMA_LINE:
+        # (file line number, text) of every non-blank line
+        body = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln.strip()]
+    if not body or body[0][1].strip() != CSV_SCHEMA_LINE:
         raise UsageError(f"{path}: missing '{CSV_SCHEMA_LINE}' leading comment")
-    if len(body) < 2 or body[1].strip() != CSV_HEADER:
+    if len(body) < 2 or body[1][1].strip() != CSV_HEADER:
         raise UsageError(f"{path}: expected header '{CSV_HEADER}'")
     rows = []
-    for lineno, line in enumerate(body[2:], 3):
+    for lineno, line in body[2:]:
         parts = line.split(",")
         if len(parts) != 4:
             raise UsageError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")

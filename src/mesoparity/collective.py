@@ -1,15 +1,16 @@
 """Permutation-symmetric machinery for the mesoscopic system (MS).
 
-Excitation-sector bookkeeping, Dicke-block pure states, one kernel for every
-qubit-conditioned MS operation (the collective flip is one), the GHZ-manifold
-entangler and the edge phase gate, and a sector-resolved mixed-state form for
-the parity-conditioned protocol family.  The MS is an ensemble of n identical
+Excitation-sector bookkeeping, pure states that keep one bit per MS block
+(all sites |0> or all |1>), one kernel for every qubit-conditioned MS
+operation (the collective flip is one), the GHZ-manifold entangler and the
+edge phase gate, and a sector-resolved mixed-state form for the
+parity-conditioned protocol family.  The MS is an ensemble of n identical
 two-level systems addressed only through collective operations.
 
 Each gate is written once for every representation with a tensor: the MS
 slot of the ket tensor (see `excitation_index`) and `states.apply_kernel`,
 which carries a ket-side kernel to a density's bra side, hide whether the
-state is dense or Dicke-block, pure or mixed.
+state is dense or block-bit, pure or mixed.
 
 Convention: m always counts constituents in |1> (per-site number operator
 |1><1|), so the weakly polarized product state rho_eps concentrates near m=0.
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -59,11 +59,13 @@ def popcounts(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def total_excitation_grid(block_sizes: tuple[int, ...]) -> np.ndarray:
-    """Total excitation m_1+...+m_k over the tuple grid of block indices."""
-    grid = np.indices(tuple(b + 1 for b in block_sizes)).sum(axis=0)
-    grid.setflags(write=False)
-    return grid
+def block_excitations(block_sizes: tuple[int, ...]) -> np.ndarray:
+    """Total excitation m(s) = sum_b s_b N_b of every block bit string s, the
+    2^k strings in C order (block 1 the most significant bit)."""
+    bits = np.indices((2,) * len(block_sizes)).reshape(len(block_sizes), -1)
+    table = np.asarray(block_sizes, dtype=np.intp) @ bits
+    table.setflags(write=False)
+    return table
 
 
 # cephes `lgam` at the positive integers, the algorithm behind
@@ -170,22 +172,6 @@ class MsConfig:
         return binomial_pmf(self.n, self.epsilon / 2.0)
 
 
-def dicke_vector(n: int, m: int) -> np.ndarray:
-    """Dense 2^n amplitude vector of the symmetric m-excitation state."""
-    if not 0 <= m <= n:
-        raise ValueError(f"excitation {m} outside [0, {n}]")
-    mask = popcounts(n) == m
-    return mask / math.sqrt(math.comb(n, m))
-
-
-@lru_cache(maxsize=None)
-def dicke_basis(n: int) -> np.ndarray:
-    """Columns are the dense Dicke vectors m = 0..n (an isometry 2^n x (n+1))."""
-    mat = np.stack([dicke_vector(n, m) for m in range(n + 1)], axis=1)
-    mat.setflags(write=False)
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # multi-block pure states with the two target qubits
 
@@ -194,9 +180,9 @@ def dicke_basis(n: int) -> np.ndarray:
 class CollectiveBlockState:
     """Pure joint state: axes (q1, q2, block_1, ..., block_k).
 
-    Each MS block is held in its symmetric (Dicke) basis m_i = 0..N_i; block
-    1 holds the first (leftmost) sites.  Total excitation of an index tuple
-    is sum(m_i).
+    Each MS block b is one bit s_b, all N_b sites in |0> or all in |1>: no
+    operation here takes a block anywhere else.  Block 1 holds the first
+    (leftmost) sites; bit string s has total excitation sum_b s_b N_b.
     """
 
     amplitudes: np.ndarray
@@ -208,7 +194,7 @@ class CollectiveBlockState:
         if not sizes or any(b < 1 for b in sizes):
             raise LayoutError(f"bad block sizes {sizes}")
         amps = np.asarray(self.amplitudes, dtype=complex)
-        expected = (2, 2) + tuple(b + 1 for b in sizes)
+        expected = (2, 2) + (2,) * len(sizes)
         if amps.shape != expected:
             raise LayoutError(f"amplitude shape {amps.shape}, expected {expected}")
         amps.setflags(write=False)
@@ -223,8 +209,8 @@ class CollectiveBlockState:
 
     @property
     def layout(self) -> SubsystemLayout:
-        """(q1, q2, ms), the MS slot running over the blocks' index tuples."""
-        ms_dim = prod(b + 1 for b in self.block_sizes)
+        """(q1, q2, ms), the MS slot running over the blocks' bit strings."""
+        ms_dim = 1 << len(self.block_sizes)
         return SubsystemLayout((2, 2, ms_dim), (LABEL_Q1, LABEL_Q2, LABEL_MS))
 
     def as_tensor(self) -> np.ndarray:
@@ -235,9 +221,9 @@ class CollectiveBlockState:
 
 
 def block_ground_state(qubit_amplitudes: np.ndarray, block_sizes: Sequence[int]) -> CollectiveBlockState:
-    """Qubits in the given 2x2 amplitude table, every block at m = 0."""
+    """Qubits in the given 2x2 amplitude table, every block all |0>."""
     sizes = tuple(int(b) for b in block_sizes)
-    amps = np.zeros((2, 2) + tuple(b + 1 for b in sizes), dtype=complex)
+    amps = np.zeros((2, 2) + (2,) * len(sizes), dtype=complex)
     idx = (slice(None), slice(None)) + (0,) * len(sizes)
     amps[idx] = np.asarray(qubit_amplitudes, dtype=complex)
     return CollectiveBlockState(amps, sizes)
@@ -249,8 +235,9 @@ def block_ground_state(qubit_amplitudes: np.ndarray, block_sizes: Sequence[int])
 # Dense states keep the MS as one big-endian slot of dimension 2^n, so a flip
 # of all sites is an index reversal (b -> 2^n-1-b) and a flip of a contiguous
 # site range is a reversal of one factor of a reshaped index.  A
-# CollectiveBlockState's MS slot is the C-order merge of its block axes, so
-# the same reshape exposes its blocks and the same reversal maps m -> N_b - m.
+# CollectiveBlockState's MS slot is the C-order merge of its block bit axes,
+# so the same reshape exposes its blocks and the same reversal flips bit s_b,
+# which maps m_b -> N_b - m_b.
 
 
 def _ms_frame(state, block_sizes=None):
@@ -264,7 +251,7 @@ def _ms_frame(state, block_sizes=None):
         sizes = state.block_sizes
         if block_sizes is not None and tuple(block_sizes) != sizes:
             raise LayoutError("block_sizes conflicts with the state's own blocks")
-        return 2, tuple(b + 1 for b in sizes), total_excitation_grid(sizes).reshape(-1)
+        return 2, (2,) * len(sizes), block_excitations(sizes)
     slot = state.layout.slot(LABEL_MS)
     dim = state.layout.dims[slot]
     n = dim.bit_length() - 1
@@ -388,9 +375,8 @@ def edge_phase_gate(state, controlled_on: str):
     """Controlled-Z between a target qubit and its nearby MS site.
 
     Qubit q1 couples to site 1 (most significant bit of the dense index), q2
-    to site n (least significant).  On the collective backend the MS support
-    must be confined to m in {0, n}: only there does a single-site phase act
-    within the symmetric subspace, as the phase of the m = n entry.
+    to site n (least significant).  A single-block collective state holds
+    only m in {0, n}, where either edge site is excited exactly at m = n.
     """
     if controlled_on not in (LABEL_Q1, LABEL_Q2):
         raise LayoutError(f"unknown control label {controlled_on!r}")
@@ -399,16 +385,7 @@ def edge_phase_gate(state, controlled_on: str):
     n = int(index[-1])  # the last MS entry has every site excited
     if isinstance(state, CollectiveBlockState):
         if len(dims) != 1:
-            raise RepresentationError(
-                "edge phase gate needs a single-block collective state"
-            )
-        branch = np.take(populations(state), 1, axis=ctrl).sum(axis=0)
-        bad = [m for m in range(1, n) if branch[m] > TOL.prob_floor]
-        if bad:
-            raise RepresentationError(
-                f"edge phase gate outside the m in {{0, {n}}} manifold: "
-                f"control branch occupies sectors {bad}"
-            )
+            raise RepresentationError("edge phase gate needs a single-block collective state")
         excited = index == n
     else:
         sites = np.arange(1 << n)
@@ -576,9 +553,9 @@ def expand_to_dense(state: CollectiveBlockState) -> PureState:
         raise LayoutError(f"dense expansion dimension {total} exceeds the cap")
     t = state.amplitudes
     for j, nb in enumerate(state.block_sizes):
-        axis = 2 + j
-        t = np.moveaxis(t, axis, 0)
-        t = np.tensordot(dicke_basis(nb), t, axes=(1, 0))
-        t = np.moveaxis(t, 0, axis)
+        # bit 0 lands on the block's all-|0> index, bit 1 on its all-|1> index
+        wide = np.zeros(t.shape[:2 + j] + (1 << nb,) + t.shape[3 + j:], dtype=complex)
+        wide[(slice(None),) * (2 + j) + ([0, -1],)] = t
+        t = wide
     layout = SubsystemLayout((2, 2, 1 << state.n_sites), (LABEL_Q1, LABEL_Q2, LABEL_MS))
     return PureState(t.reshape(-1), layout)

@@ -185,11 +185,12 @@ def _suite_circuit_equivalence(seed: int) -> list:
     for n in (2, 3, 4):
         spec_p = circuits.CircuitSpec("parity_collective", MsConfig(n))
         spec_g = circuits.CircuitSpec("ghz_local", MsConfig(n))
-        psi_p = circuits.evolve(spec_p, circuits.prepare_inputs(spec_p))
-        psi_g = circuits.evolve(spec_g, circuits.prepare_inputs(spec_g))
+        branches_p, branches_g = (
+            circuits.branch_ms_states(circuits.evolve(s, circuits.prepare_inputs(s)))
+            for s in (spec_p, spec_g))
         worst = 0.0
-        for key, (w_p, v_p) in circuits.branch_ms_states(psi_p).items():
-            w_g, v_g = circuits.branch_ms_states(psi_g)[key]
+        for key, (w_p, v_p) in branches_p.items():
+            w_g, v_g = branches_g[key]
             worst = max(worst, abs(w_p - w_g))
             if v_p is not None and v_g is not None:
                 worst = max(worst, 1.0 - abs(np.vdot(v_p, v_g)))

@@ -67,15 +67,6 @@ def thermal_matrix(n: int, eps: float) -> np.ndarray:
     return kron_chain([site] * n)
 
 
-def dicke_columns(n: int) -> np.ndarray:
-    """Columns m = 0..n: normalized uniform superpositions at Hamming weight m."""
-    cols = []
-    for m in range(n + 1):
-        v = np.array([1.0 if popcount(b) == m else 0.0 for b in range(1 << n)])
-        cols.append(v / np.linalg.norm(v))
-    return np.stack(cols, axis=1)
-
-
 def exact_bound(n: int, eps: Fraction) -> Fraction:
     """Brute-force ceiling: sum of the largest 2^(n-1) of the 2^n product
     coefficients q^(n-pop) (1-q)^pop, in exact rational arithmetic."""

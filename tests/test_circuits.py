@@ -172,6 +172,11 @@ class TestPrepareInputs:
         spec = CircuitSpec("parity_collective", MsConfig(25, 0.4), backend="collective")
         assert isinstance(prepare_inputs(spec), SectorMixture)
 
+    def test_pure_collective_size_is_independent_of_n(self):
+        # one bit per MS block: q1, q2 and the two halves of hamming_half
+        spec = CircuitSpec("hamming_half", MsConfig(2000), backend="collective")
+        assert prepare_inputs(spec).amplitudes.size == 16
+
 
 class TestParityCollective:
     def test_matches_controlled_flip_oracle(self):
@@ -334,25 +339,22 @@ class TestParityConditioned:
             assert gap < 1e-12
 
 
-def _random_states(kind, spec, start, rng):
-    """Random states of ``start``'s representation that ``kind`` can run on
-    (none for ghz_local on Dicke blocks, whose edge gate needs m in {0, n})."""
+def _random_state(spec, start, rng):
+    """A random state of ``start``'s representation."""
     if isinstance(start, PureState):
-        return [PureState(helpers.random_unit_vector(rng, start.layout.total_dim), start.layout)]
+        return PureState(helpers.random_unit_vector(rng, start.layout.total_dim), start.layout)
     if isinstance(start, DensityOperator):
         d = start.layout.total_dim
-        return [DensityOperator(helpers.random_density_matrix(rng, d), start.layout)]
+        return DensityOperator(helpers.random_density_matrix(rng, d), start.layout)
     if isinstance(start, SectorMixture):
         n, a = spec.ms.n, rng.uniform(0.1, 0.9)
         w_o = 2 * a * rng.dirichlet(np.ones(n + 1))
         w_e = 2 * (1 - a) * rng.dirichlet(np.ones(n + 1))
         cross = rng.uniform(-1, 1, n + 1) * np.sqrt(w_o * w_e)
-        return [SectorMixture(n, w_o, w_e, cross)]
-    if kind == "ghz_local":
-        return []
-    shape = (2, 2) + tuple(b + 1 for b in start.block_sizes)
+        return SectorMixture(n, w_o, w_e, cross)
+    shape = (2, 2) + (2,) * len(start.block_sizes)
     amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return [CollectiveBlockState(amps / np.linalg.norm(amps), start.block_sizes)]
+    return CollectiveBlockState(amps / np.linalg.norm(amps), start.block_sizes)
 
 
 def _comparable(state):
@@ -368,8 +370,8 @@ def _comparable(state):
 ], ids=["parity_collective", "hamming_half", "ghz_local", "conditioned-id-id",
         "conditioned-id-flip", "conditioned-flip-id", "conditioned-flip-flip"])
 def test_disentangle_undoes_evolve(kind, tags, rng):
-    """On every representation a kind runs on: dense pure, dense density, Dicke
-    blocks (two for hamming_half) and, for the parity family, the sector
+    """On every representation a kind runs on: dense pure, dense density, block
+    bits (two for hamming_half) and, for the parity family, the sector
     mixture; from the prepared input, the evolved state and a random state."""
     runs = {"dense": (0.0, 0.3), "collective": (0.0, 0.3) if kind in (
         "parity_collective", "parity_conditioned") else (0.0,)}
@@ -381,7 +383,7 @@ def test_disentangle_undoes_evolve(kind, tags, rng):
             seen.add(type(start))
             if isinstance(start, CollectiveBlockState):
                 assert len(start.block_sizes) == len(spec.block_sizes)
-            for s in [start, evolve(spec, start), *_random_states(kind, spec, start, rng)]:
+            for s in [start, evolve(spec, start), _random_state(spec, start, rng)]:
                 back = disentangle(spec, evolve(spec, s))
                 assert type(back) is type(s)
                 np.testing.assert_allclose(_comparable(back), _comparable(s), atol=1e-12, rtol=0)

@@ -338,10 +338,11 @@ class TestPinnedReports:
     """Report bytes that must not move: the dense mixed reference, the
     density disentangle route, the sector mixture, a pure threshold run, the
     density probe-qubit route, the Hamming-weight readout (dense, and on two
-    Dicke blocks), the locally built entangler, the bound sweep in each
-    format (its 1:1000 grid is the benchmark's), the two-outcome POVM built
-    from a theta table, and the verify summary.  Each call but verify gives
-    the same bytes when its inputs come from a config file."""
+    block bits at N = 40 and 1000), the locally built entangler (dense, and
+    on one block bit at N = 2000), the bound sweep in each format (its
+    1:1000 grid is the benchmark's), the two-outcome POVM built from a theta
+    table, and the verify summary.  Each call but verify gives the same bytes
+    when its inputs come from a config file."""
 
     PINNED = pytest.mark.parametrize("argv, digest", [
         (MIX + ("--n", "9", "--epsilon", "0.3"),
@@ -375,10 +376,17 @@ class TestPinnedReports:
         (("simulate", "--kind", "parity_collective", "--n", "4", "--epsilon", "0.3",
           "--measurement", "two_outcome", "--theta", "0.1,0.7,1.3,2.2,3.0"),
          "6ce04f76026b1a9351f04f59f91efaed944b189d8094343a39d9d629b8f88a7e"),
+        (("simulate", "--kind", "hamming_half", "--n", "1000", "--backend", "collective",
+          "--disentangle"),
+         "e71c339716160827a253c8a6afe3771be5126194c329db9fe93e91e56ee736c5"),
+        (("simulate", "--kind", "ghz_local", "--n", "2000", "--backend", "collective",
+          "--disentangle"),
+         "ba992771cc7e93733bce48ef10ae902aa06c25ae1616477c9b9d56a32eb271b9"),
     ], ids=["mixed-n9", "mixed-n8-disentangle", "mixture-n300-disentangle",
             "pure-threshold-n12", "density-probe-n4", "hamming-dense-n4-disentangle",
             "hamming-blocks-n40", "ghz-local-n8-disentangle", "bound-csv", "bound-json",
-            "bound-svg", "bound-n1000-csv", "povm-two-outcome-n4"])
+            "bound-svg", "bound-n1000-csv", "povm-two-outcome-n4",
+            "hamming-blocks-n1000-disentangle", "ghz-local-blocks-n2000-disentangle"])
 
     @PINNED
     def test_report_sha256(self, tmp_path, argv, digest):
@@ -482,6 +490,15 @@ class TestPlot:
         assert proc.returncode == 2
         assert f"{csv_path}:4:" in proc.stderr
         assert not svg_path.exists()
+
+    def test_error_names_the_file_line_past_blank_lines(self, tmp_path):
+        csv_path = tmp_path / "b.csv"
+        rows = "".join(f"{n},0.5,0.5,0.75\n" for n in (1, 2, 3))
+        csv_path.write_text(f"{CSV_SCHEMA_LINE}\n{CSV_HEADER}\n{rows}\n\n"
+                            "4,0.5,0.5,0.75\n5,0.5,abc,0.75\n")
+        proc = run_cli("plot", str(csv_path), check=False)
+        assert proc.returncode == 2
+        assert f"{csv_path}:9: could not convert string to float: 'abc'" in proc.stderr
 
 
 class TestVerifyCommand:

@@ -15,11 +15,10 @@ from mesoparity.collective import (
     RepresentationError,
     SectorMixture,
     binomial_pmf,
+    block_excitations,
     block_ground_state,
     branch_conditional,
     collective_flip,
-    dicke_basis,
-    dicke_vector,
     edge_phase_gate,
     expand_to_dense,
     ghz_entangler,
@@ -29,7 +28,6 @@ from mesoparity.collective import (
     popcounts,
     sector_probabilities,
     thermal_ms_dense,
-    total_excitation_grid,
 )
 from mesoparity import collective
 from mesoparity.bounds import random_collective_povm
@@ -51,7 +49,6 @@ from helpers import (
     HAMMING_TABLE,
     PARITY_TABLE,
     dense_flip,
-    dicke_columns,
     joint_controlled,
     kron_chain,
     thermal_matrix,
@@ -70,9 +67,10 @@ def test_popcounts_matches_bin():
 
 
 def test_total_excitation_grid_two_blocks():
-    grid = total_excitation_grid((2, 2))
-    want = np.add.outer(np.arange(3), np.arange(3))
-    np.testing.assert_array_equal(grid, want)
+    # bit strings 00, 01, 10, 11 in C order, block 1 the leading bit
+    table = block_excitations((2, 3))
+    np.testing.assert_array_equal(table, [0, 3, 2, 5])
+    assert not table.flags.writeable
 
 
 def test_binomial_pmf_exact_small():
@@ -216,18 +214,6 @@ def test_sector_probabilities_of_ms_only_density():
 
 
 # ---------------------------------------------------------------------------
-# Dicke vectors
-
-
-def test_dicke_vectors_match_independent_construction():
-    for n in (1, 2, 4):
-        want = dicke_columns(n)
-        for m in range(n + 1):
-            np.testing.assert_allclose(dicke_vector(n, m), want[:, m], atol=1e-15)
-        np.testing.assert_allclose(dicke_basis(n), want, atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
 # collective flip and per-branch tables across representations
 
 
@@ -292,7 +278,7 @@ def test_block_state_flip_agrees_with_dense():
 
 
 def test_branch_table_on_block_state_agrees_with_dense(rng):
-    amps = rng.standard_normal((2, 2, 3, 3)) + 1j * rng.standard_normal((2, 2, 3, 3))
+    amps = rng.standard_normal((2, 2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2, 2))
     block = CollectiveBlockState(amps / np.linalg.norm(amps), (2, 2))
     got = expand_to_dense(branch_conditional(block, HAMMING_TABLE))
     want = _hamming_oracle() @ expand_to_dense(block).amplitudes
@@ -312,10 +298,18 @@ def test_branch_table_refusals(rng):
 
 
 def test_block_state_nan_amplitude_refused():
+    amps = np.zeros((2, 2, 2), dtype=complex)
+    amps[0, 0, 0] = 1.0
+    amps[1, 1, 1] = np.nan
+    with pytest.raises(ValidationError):
+        CollectiveBlockState(amps, (3,))
+
+
+def test_block_state_holds_one_bit_per_block():
+    # a 3-site block holds one bit, not the four Dicke sectors m = 0..3
     amps = np.zeros((2, 2, 4), dtype=complex)
     amps[0, 0, 0] = 1.0
-    amps[1, 1, 3] = np.nan
-    with pytest.raises(ValidationError):
+    with pytest.raises(LayoutError):
         CollectiveBlockState(amps, (3,))
 
 
@@ -355,20 +349,24 @@ def test_edge_phase_gate_matches_cz_oracle(rng):
     np.testing.assert_allclose(got2.amplitudes, want2, atol=1e-13)
 
 
-def test_edge_phase_gate_needs_extremal_sectors():
-    # when the control branch occupies an interior sector there is no
-    # single-site phase inside the symmetric subspace
-    amps = np.zeros((2, 2, 4), dtype=complex)
-    amps[1, 0] = [0.0, 1.0, 0.0, 0.0]
-    state = CollectiveBlockState(amps, (3,))
-    with pytest.raises(RepresentationError):
-        edge_phase_gate(state, LABEL_Q1)
+@pytest.mark.parametrize("n", [1, 3])
+def test_edge_phase_gate_on_block_bits_matches_cz_oracle(rng, n):
+    amps = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    block = CollectiveBlockState(amps / np.linalg.norm(amps), (n,))
+    start = expand_to_dense(block).amplitudes
+    z_first = np.diag([(-1.0) ** ((b >> (n - 1)) & 1) for b in range(1 << n)])
+    z_last = np.diag([(-1.0) ** (b & 1) for b in range(1 << n)])
+    got1 = expand_to_dense(edge_phase_gate(block, LABEL_Q1))
+    np.testing.assert_allclose(got1.amplitudes, joint_controlled(n, "q1", z_first) @ start,
+                               atol=1e-13)
+    got2 = expand_to_dense(edge_phase_gate(block, LABEL_Q2))
+    np.testing.assert_allclose(got2.amplitudes, joint_controlled(n, "q2", z_last) @ start,
+                               atol=1e-13)
 
-    # an empty control branch imposes no constraint
-    quiet = np.zeros((2, 2, 4), dtype=complex)
-    quiet[0, 0] = [0.0, 1.0, 0.0, 0.0]
-    out = edge_phase_gate(CollectiveBlockState(quiet, (3,)), LABEL_Q1)
-    np.testing.assert_allclose(out.amplitudes, quiet, atol=1e-15)
+
+def test_edge_phase_gate_needs_a_single_block():
+    with pytest.raises(RepresentationError):
+        edge_phase_gate(block_ground_state(np.full((2, 2), 0.5), (2, 2)), LABEL_Q1)
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +536,17 @@ class TestSectorMixture:
 
 
 def test_expand_to_dense_of_ladder_ground():
-    amps = np.zeros((2, 2, 4), dtype=complex)
+    amps = np.zeros((2, 2, 2), dtype=complex)
     amps[0, 0, 0] = 1.0
     dense = expand_to_dense(CollectiveBlockState(amps, (3,)))
     want = np.zeros(32)
     want[0] = 1.0
-    np.testing.assert_allclose(dense.amplitudes, want, atol=1e-15)
+    np.testing.assert_array_equal(dense.amplitudes, want)
     assert dense.layout.dims == (2, 2, 8)
+    # s = 1 lands on the block's all-ones index, here q1 q2 = 10
+    amps = np.zeros((2, 2, 2), dtype=complex)
+    amps[1, 0, 1] = 1.0
+    want = np.zeros(32)
+    want[2 * 8 + 7] = 1.0
+    np.testing.assert_array_equal(expand_to_dense(CollectiveBlockState(amps, (3,))).amplitudes,
+                                  want)
