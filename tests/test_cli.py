@@ -335,14 +335,16 @@ def as_config_file(argv, path):
 
 
 class TestPinnedReports:
-    """Report bytes that must not move: the dense mixed reference, the
-    density disentangle route, the sector mixture, a pure threshold run, the
-    density probe-qubit route, the Hamming-weight readout (dense, and on two
-    block bits at N = 40 and 1000), the locally built entangler (dense, and
-    on one block bit at N = 2000), the bound sweep in each format (its
-    1:1000 grid is the benchmark's), the two-outcome POVM built from a theta
-    table, and the verify summary.  Each call but verify gives the same bytes
-    when its inputs come from a config file."""
+    """Report bytes that must not move: the dense mixed reference (at N = 9
+    also under the threshold readout and a theta table one of whose outcomes
+    is supported on only some sectors), the density disentangle route, the
+    sector mixture, a pure threshold run, the density probe-qubit route, the
+    Hamming-weight readout (dense, and on two block bits at N = 40 and 1000),
+    the locally built entangler (dense, and on one block bit at N = 2000),
+    the bound sweep in each format (its 1:1000 grid is the benchmark's), the
+    two-outcome POVM built from a theta table, and the verify summary.  Each
+    call but verify gives the same bytes when its inputs come from a config
+    file."""
 
     PINNED = pytest.mark.parametrize("argv, digest", [
         (MIX + ("--n", "9", "--epsilon", "0.3"),
@@ -382,11 +384,23 @@ class TestPinnedReports:
         (("simulate", "--kind", "ghz_local", "--n", "2000", "--backend", "collective",
           "--disentangle"),
          "ba992771cc7e93733bce48ef10ae902aa06c25ae1616477c9b9d56a32eb271b9"),
+        (MIX + ("--n", "9", "--epsilon", "0.5"),
+         "0936b678741a37aedbb4d313baa03b47c1d412f31be67e308736c9e164ac9e6c"),
+        (MIX + ("--n", "9", "--epsilon", "0.5", "--disentangle"),
+         "fc966b3e2c42a18b472f34d838672d28162c14fc5065fd012f9eae8d89424fb8"),
+        (("simulate", "--kind", "parity_collective", "--n", "9", "--epsilon", "0.3",
+          "--measurement", "threshold_pvm"),
+         "83661848e1384b09cd64cdc1f86f34b86b90880ed29d1b0cfd8fc6598fa043dd"),
+        (("simulate", "--kind", "parity_collective", "--n", "9", "--epsilon", "0.3",
+          "--measurement", "two_outcome", "--theta", "0,0,0,0,0,1,1,1,1,1"),
+         "5f713baf8e01df4179effcce1c9ad90ac517ae6b5ec7c71fe51da7daa8c4571d"),
     ], ids=["mixed-n9", "mixed-n8-disentangle", "mixture-n300-disentangle",
             "pure-threshold-n12", "density-probe-n4", "hamming-dense-n4-disentangle",
             "hamming-blocks-n40", "ghz-local-n8-disentangle", "bound-csv", "bound-json",
             "bound-svg", "bound-n1000-csv", "povm-two-outcome-n4",
-            "hamming-blocks-n1000-disentangle", "ghz-local-blocks-n2000-disentangle"])
+            "hamming-blocks-n1000-disentangle", "ghz-local-blocks-n2000-disentangle",
+            "mixed-n9-eps05", "mixed-n9-eps05-disentangle", "mixed-threshold-n9",
+            "mixed-theta-partial-support-n9"])
 
     @PINNED
     def test_report_sha256(self, tmp_path, argv, digest):
