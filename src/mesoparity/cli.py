@@ -283,25 +283,28 @@ def _readout(cfg: ScenarioConfig):
     return measurement.ApparatusSpec(cfg.g, cfg.t_m)
 
 
-def _report_outcome(cfg: ScenarioConfig, spec, rec):
-    """The report entry of one outcome, and its record without the post state."""
+def _report_outcome(spec, rec):
+    """The report entry of one outcome, and its record without the post state.
+
+    A record carries a post state only under ``--disentangle``; the entry
+    then reports the disentangled state's fidelities and sectors."""
     post = rec.post_state
-    if post is not None and cfg.disentangle:
+    if post is not None:
         post = circuits.disentangle(spec, post)
         marg = circuits.qubit_marginal(post)
         f_odd = fidelity(marg, BELL_ODD_PLUS)
         f_even = fidelity(marg, BELL_EVEN_PLUS)
-        rec = replace(rec, fidelity_odd=f_odd, fidelity_even=f_even,
-                      fidelity_best=max(f_odd, f_even))
+        rec = replace(rec, post_state=None, fidelity_odd=f_odd, fidelity_even=f_even,
+                      fidelity_best=max(f_odd, f_even), sectors=sector_probabilities(post))
     entry = {
         "id": int(rec.outcome),
         "p": float(rec.probability),
         "f_odd": rec.fidelity_odd,
         "f_even": rec.fidelity_even,
         "f_best": rec.fidelity_best,
-        "sectors": None if post is None else sector_probabilities(post),
+        "sectors": rec.sectors,
     }
-    return entry, replace(rec, post_state=None)
+    return entry, rec
 
 
 def _branch_phase_diagnostics(cfg: ScenarioConfig, state):
@@ -332,9 +335,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(f"post_select={cfg.post_select} is not an outcome of this measurement")
     state = circuits.evolve(spec, circuits.prepare_inputs(spec))
     records, outcomes = [], []
-    for rec in measurement.measure_each(state, readout):
+    for rec in measurement.measure_each(state, readout, post_states=cfg.disentangle):
         # rebinding rec drops the post state before the next one is built
-        entry, rec = _report_outcome(cfg, spec, rec)
+        entry, rec = _report_outcome(spec, rec)
         outcomes.append(entry)
         records.append(rec)
     # sector_pvm's table is (n+1)^2 floats: free it before the report is built
@@ -604,4 +607,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -413,10 +413,15 @@ def sector_probabilities(state) -> np.ndarray:
     """p(m) = <Pi(m)> over total excitation m = 0..n."""
     if isinstance(state, SectorMixture):
         return 0.5 * (state.weight_odd + state.weight_even)
-    index = excitation_index(state)
+    return sector_sums(populations(state), excitation_index(state))
+
+
+def sector_sums(pops: np.ndarray, index: np.ndarray, n: int = 0) -> np.ndarray:
+    """Sum of the ket-shaped ``pops`` over the entries of each excitation m,
+    with ``index`` shaped like `excitation_index`; at least n + 1 sectors."""
     axes = tuple(i for i, size in enumerate(index.shape) if size == 1)
-    basis_probs = populations(state).sum(axis=axes)
-    return np.bincount(index.reshape(-1), weights=basis_probs.reshape(-1))
+    basis_probs = pops.sum(axis=axes)
+    return np.bincount(index.reshape(-1), weights=basis_probs.reshape(-1), minlength=n + 1)
 
 
 def thermal_ms_dense(config: MsConfig) -> DensityOperator:

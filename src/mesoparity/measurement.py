@@ -5,6 +5,16 @@ sum_m a[alpha][m] Pi(m).  The post-measurement state follows the square-root
 update rule, sqrt(E_alpha) rho sqrt(E_alpha) / p_alpha, with
 sqrt(E_alpha) = sum_m sqrt(a[alpha][m]) Pi(m) acting on the MS slots only.
 
+Which post form is built: a density's update vanishes off the rows and
+columns of the effect's support S (the MS entries where sqrt(E_alpha) is
+nonzero), so `measure` gathers rho[S, S], updates it and reads the qubit
+marginal and the sector distribution from that checked block.  The full
+post-state, the block written into zeros, is built only when the caller asks
+for post states (the CLI does for ``--disentangle``).  Amplitude states and
+`SectorMixture` build their full post-state for every live outcome, and the
+apparatus route runs on the full joint tensor of every representation; there
+too a record keeps its post state only when post states are asked for.
+
 The apparatus route realizes a two-outcome member of this family physically:
 attach a probe qubit in |0>, rotate it by theta(m) conditioned on the sector,
 read it out projectively, then undo the leftover sector-diagonal signs so the
@@ -29,13 +39,18 @@ from .collective import (
     excitation_index,
     sector_diagonal,
     sector_probabilities,
+    sector_sums,
 )
 from .metrics import BELL_EVEN_PLUS, BELL_ODD_PLUS, fidelity
 from .states import (
+    LABEL_MS,
+    DensityOperator,
     LayoutError,
+    SubsystemLayout,
     ValidationError,
     apply_kernel,
     branch_probability,
+    populations,
     renormalized,
 )
 from .tolerances import TOL
@@ -112,9 +127,10 @@ class ApparatusSpec:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeRecord:
-    """One measurement outcome: its probability, post-selected state, and
-    Bell fidelities of the post-selected qubit pair (None below the
-    probability floor)."""
+    """One measurement outcome: its probability, post-selected state, the
+    Bell fidelities of the post-selected qubit pair and the post-state's
+    sector distribution (None below the probability floor; the post state
+    also when it was not asked for)."""
 
     outcome: int
     probability: float
@@ -122,6 +138,7 @@ class OutcomeRecord:
     fidelity_odd: Optional[float]
     fidelity_even: Optional[float]
     fidelity_best: Optional[float]
+    sectors: Optional[np.ndarray]
 
 
 def povm_from_theta(t: TwoOutcomeTheta) -> CollectivePOVM:
@@ -145,17 +162,58 @@ def sector_pvm(n: int) -> CollectivePOVM:
 # square-root-rule measurement
 
 
-def _record(outcome, p, post) -> OutcomeRecord:
+def _record(outcome, p, post=None, sectors=None, keep=None) -> OutcomeRecord:
+    """The record of an outcome of probability ``p``: with ``post`` (the
+    post-state or a part of it holding the whole qubit marginal) and its
+    ``sectors`` for a live outcome, keeping ``keep`` as the post state."""
     if post is None:
-        return OutcomeRecord(outcome, max(float(p), 0.0), None, None, None, None)
+        return OutcomeRecord(outcome, max(float(p), 0.0), None, None, None, None, None)
     marg = qubit_marginal(post)
     f_o = fidelity(marg, BELL_ODD_PLUS)
     f_e = fidelity(marg, BELL_EVEN_PLUS)
-    return OutcomeRecord(outcome, float(p), post, f_o, f_e, max(f_o, f_e))
+    return OutcomeRecord(outcome, float(p), keep, f_o, f_e, max(f_o, f_e), sectors)
+
+
+def _live_record(outcome, p, post, post_states: bool) -> OutcomeRecord:
+    return _record(outcome, p, post, sector_probabilities(post), post if post_states else None)
+
+
+def _support_update(rho: DensityOperator, sqrt_coeffs: np.ndarray, p: float, post_states: bool):
+    """sqrt(E) rho sqrt(E) / p for one sector-diagonal effect, computed on
+    its support S only: the MS entries where sqrt(E) is nonzero.
+
+    Returns the checked block on S (the MS slot shrunk to |S|), its sector
+    distribution and, if ``post_states``, the full post-state: the block
+    written into zeros.  The update vanishes off S x S, so the block holds
+    the whole qubit marginal and every sector's weight.
+    """
+    index = excitation_index(rho)
+    slot = rho.layout.slot(LABEL_MS)
+    on_support = sqrt_coeffs[index] != 0
+    sub_index = np.compress(on_support.reshape(-1), index, axis=slot)
+    dims = list(rho.layout.dims)
+    dims[slot] = sub_index.size
+    sub = SubsystemLayout(tuple(dims), rho.layout.labels)
+    # joint basis entries whose MS entry lies in S, in the block's C order
+    rows = np.flatnonzero(np.broadcast_to(on_support, rho.layout.dims))
+    t = rho.matrix[np.ix_(rows, rows)].reshape(sub.dims + sub.dims)
+    # the weights of both sides are combined first, so the block is multiplied
+    # once, in place: the gather made it a fresh array
+    kernel = sector_diagonal(sqrt_coeffs, sub_index)
+    t *= apply_kernel(rho, kernel, np.ones((1,) * t.ndim))
+    t /= p
+    block = DensityOperator(t.reshape(rows.size, rows.size), sub)
+    sectors = sector_sums(populations(block), sub_index, sqrt_coeffs.size - 1)
+    if not post_states:
+        return block, sectors, None
+    full = np.zeros(rho.matrix.shape, dtype=complex)
+    full[np.ix_(rows, rows)] = block.matrix
+    return block, sectors, DensityOperator(full, rho.layout)
 
 
 def _sqrt_update(state, sqrt_coeffs: np.ndarray, p: float):
-    """sqrt(E) state / sqrt(p) for one sector-diagonal effect."""
+    """sqrt(E) state / sqrt(p) for one sector-diagonal effect on a state
+    with amplitudes or sector weights."""
     if isinstance(state, SectorMixture):
         a = sqrt_coeffs**2
         cross_factor = a if not state.cross_flipped else sqrt_coeffs * sqrt_coeffs[::-1]
@@ -167,7 +225,6 @@ def _sqrt_update(state, sqrt_coeffs: np.ndarray, p: float):
             state.cross_flipped,
         )
     t = state.as_tensor()
-    # the weights of all sides are combined first, so a density is multiplied once
     kernel = sector_diagonal(sqrt_coeffs, excitation_index(state))
     weight = apply_kernel(state, kernel, np.ones((1,) * t.ndim))
     return renormalized(state, t * weight, p)
@@ -177,12 +234,17 @@ def measure(
     state: JointState,
     povm: CollectivePOVM,
     outcomes: Optional[Sequence[int]] = None,
+    post_states: bool = True,
 ) -> list:
     """Apply a sector POVM: one OutcomeRecord per effect, probabilities from
     the sector distribution, post states from the square-root rule.
 
     ``outcomes`` names the effects to build records for, in that order (all
     of them by default); the post states of the others are never built.
+    A density is updated on each outcome's support only (see
+    `_support_update`); its full post state is built, and kept in the
+    record, only with ``post_states``.  The other representations build
+    the post state in every case and keep it only with ``post_states``.
     """
     sectors = sector_probabilities(state)
     n = sectors.size - 1
@@ -195,10 +257,11 @@ def measure(
         a = povm.coefficients[alpha]
         p = float(a @ sectors)
         if p < TOL.prob_floor:
-            records.append(_record(alpha, p, None))
-            continue
-        post = _sqrt_update(state, np.sqrt(a), p)
-        records.append(_record(alpha, p, post))
+            records.append(_record(alpha, p))
+        elif isinstance(state, DensityOperator):
+            records.append(_record(alpha, p, *_support_update(state, np.sqrt(a), p, post_states)))
+        else:
+            records.append(_live_record(alpha, p, _sqrt_update(state, np.sqrt(a), p), post_states))
     return records
 
 
@@ -230,9 +293,13 @@ def apparatus_measure(
     state: JointState,
     spec: Union[ApparatusSpec, TwoOutcomeTheta],
     outcomes: Optional[Sequence[int]] = None,
+    post_states: bool = True,
 ) -> list:
     """Measure via the probe qubit and return records identical to
-    `measure` with `povm_from_theta`, for the same ``outcomes``.
+    `measure` with `povm_from_theta`, for the same ``outcomes`` and
+    ``post_states``.  The circuit runs on the full joint tensor of every
+    representation, so each live outcome's post state is built; it is kept
+    in the record only with ``post_states``.
 
     Steps: attach |0>, rotate the probe by theta(m) on each sector, read the
     probe in its computational basis, discard it, then apply the
@@ -240,7 +307,8 @@ def apparatus_measure(
     or sum_m sign(sin theta(m)) Pi(m) (outcome 1).
     """
     if isinstance(state, SectorMixture):
-        return measure(state, povm_from_theta(_theta_table(spec, state.n)), outcomes)
+        table = _theta_table(spec, state.n)
+        return measure(state, povm_from_theta(table), outcomes, post_states)
     index = excitation_index(state)
     table = _theta_table(spec, int(index.max()))
     amps = _probe_rotation(table.theta)[:, 0]
@@ -250,24 +318,27 @@ def apparatus_measure(
         raw = apply_kernel(state, sector_diagonal(amps[k], index))
         p = branch_probability(state, raw)
         if p < TOL.prob_floor:
-            records.append(_record(k, p, None))
+            records.append(_record(k, p))
             continue
         corrected = apply_kernel(state, sector_diagonal(_sector_signs(amps[k]), index), raw)
-        records.append(_record(k, p, renormalized(state, corrected, p)))
+        records.append(_live_record(k, p, renormalized(state, corrected, p), post_states))
     return records
 
 
 def measure_each(
     state: JointState,
     readout: Union[CollectivePOVM, ApparatusSpec, TwoOutcomeTheta],
+    post_states: bool = True,
 ) -> Iterator[OutcomeRecord]:
     """The records of `measure` (for a POVM) or `apparatus_measure` (for a
     probe readout), built one outcome per call as they are asked for.
 
     A consumer that drops each post state before asking for the next record
     holds at most one post state at a time, whatever the outcome count.
+    Without ``post_states`` the records carry none, and a density measured
+    through a POVM never has its full post state built.
     """
     run = measure if isinstance(readout, CollectivePOVM) else apparatus_measure
     for k in range(readout.n_outcomes):
-        yield from run(state, readout, (k,))
+        yield from run(state, readout, (k,), post_states)
 

@@ -556,6 +556,15 @@ class TestExitCodes:
                        "--out", "/nonexistent-dir/x.csv", check=False)
         assert proc.returncode == 4
 
+    def test_cli_module_exits_with_the_code_of_main(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mesoparity.cli", "simulate", "--n", "1",
+             "--epsilon", "0.5", "--polarization", "0.1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "disagree" in proc.stderr
+
     def test_main_callable_directly(self, capsys):
         code = main(["simulate", "--n", "1", "--epsilon", "0.5",
                      "--polarization", "0.1"])

@@ -12,12 +12,15 @@ from mesoparity.circuits import (
     CircuitSpec,
     evolve,
     prepare_inputs,
+    qubit_marginal,
 )
 from mesoparity.collective import (
     MsConfig,
+    excitation_index,
     expand_to_dense,
     mixture_to_dense,
     popcounts,
+    sector_diagonal,
     sector_probabilities,
 )
 from mesoparity.measurement import (
@@ -31,15 +34,19 @@ from mesoparity.measurement import (
     sector_pvm,
     threshold_pvm,
 )
+from mesoparity.metrics import BELL_EVEN_PLUS, BELL_ODD_PLUS, fidelity
 from mesoparity.states import (
     LABEL_MS,
     LABEL_Q1,
     LABEL_Q2,
+    DensityOperator,
     LayoutError,
     PureState,
     SubsystemLayout,
     ValidationError,
+    apply_kernel,
 )
+from mesoparity.tolerances import TOL
 
 import helpers
 
@@ -47,6 +54,30 @@ import helpers
 def _joint_pure(rng, n):
     lay = SubsystemLayout((2, 2, 1 << n), (LABEL_Q1, LABEL_Q2, LABEL_MS))
     return PureState(helpers.random_unit_vector(rng, lay.total_dim), lay)
+
+
+def _joint_density(rng, n):
+    lay = SubsystemLayout((2, 2, 1 << n), (LABEL_Q1, LABEL_Q2, LABEL_MS))
+    return DensityOperator(helpers.random_density_matrix(rng, lay.total_dim), lay)
+
+
+def _readout(name, n):
+    if name == "sector":
+        return sector_pvm(n)
+    if name == "threshold":
+        return threshold_pvm(n)
+    # theta = 0 makes the sin^2 outcome vanish exactly on every other sector
+    return povm_from_theta(TwoOutcomeTheta(np.where(np.arange(n + 1) % 2, 0.9, 0.0)))
+
+
+def _full_update(rho, a, p):
+    """Reference: the square-root update on the whole joint density."""
+    t = rho.as_tensor()
+    weight = apply_kernel(rho, sector_diagonal(np.sqrt(a), excitation_index(rho)),
+                          np.ones((1,) * t.ndim))
+    t = t * weight
+    t /= p
+    return rho.with_tensor(t)
 
 
 class TestPovmConstruction:
@@ -187,6 +218,68 @@ class TestSqrtRule:
             assert a.fidelity_odd == pytest.approx(b.fidelity_odd, abs=1e-11)
 
 
+class TestSupportUpdate:
+    """A density is measured on each outcome's support: the records equal
+    the full update's bit for bit, with or without post states."""
+
+    @pytest.mark.parametrize("readout", ["sector", "threshold", "theta"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_records_match_the_full_update(self, rng, n, readout):
+        rho = _joint_density(rng, n)
+        povm = _readout(readout, n)
+        full = measure(rho, povm)
+        lean = measure(rho, povm, post_states=False)
+        for a, b in zip(full, lean):
+            assert b.post_state is None
+            assert (a.outcome, a.probability, a.fidelity_odd, a.fidelity_even,
+                    a.fidelity_best) == (b.outcome, b.probability, b.fidelity_odd,
+                                         b.fidelity_even, b.fidelity_best)
+            assert a.sectors.tobytes() == b.sectors.tobytes()
+            ref = _full_update(rho, povm.coefficients[a.outcome], a.probability)
+            np.testing.assert_array_equal(a.post_state.matrix, ref.matrix)
+            marg = qubit_marginal(ref)
+            assert a.fidelity_odd == fidelity(marg, BELL_ODD_PLUS)
+            assert a.fidelity_even == fidelity(marg, BELL_EVEN_PLUS)
+            assert a.sectors.tobytes() == sector_probabilities(ref).tobytes()
+
+    def test_partial_support_outcome_is_measured(self, rng):
+        n = 4
+        povm = _readout("theta", n)
+        rec = measure(_joint_density(rng, n), povm, [1])[0]
+        assert np.count_nonzero(povm.coefficients[1]) == n // 2
+        assert np.all(rec.sectors[povm.coefficients[1] == 0] == 0)
+        assert rec.sectors.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("rep", ["dense_pure", "blocks", "mixture", "density"])
+    @pytest.mark.parametrize("route", ["povm", "apparatus"])
+    def test_sectors_are_those_of_the_post_state(self, rng, rep, route):
+        n = 4
+        if rep == "density":
+            state = _joint_density(rng, n)
+        elif rep == "dense_pure":
+            state = _joint_pure(rng, n)
+        else:
+            kind, eps = ("hamming_half", 0.0) if rep == "blocks" else ("parity_collective", 0.4)
+            spec = CircuitSpec(kind, MsConfig(n, eps), backend="collective")
+            state = evolve(spec, prepare_inputs(spec))
+        app = ApparatusSpec(g=1.4, t_m=0.9)
+        for rec in (measure(state, povm_from_theta(app.theta(n))) if route == "povm"
+                    else apparatus_measure(state, app)):
+            assert rec.sectors.tobytes() == sector_probabilities(rec.post_state).tobytes()
+
+    @pytest.mark.parametrize("post_states", [True, False])
+    @pytest.mark.parametrize("rep", ["dense_pure", "density"])
+    def test_outcome_below_the_floor_has_no_fields(self, rep, post_states):
+        spec = CircuitSpec("parity_collective", MsConfig(2), backend="dense")
+        state = evolve(spec, prepare_inputs(spec))
+        if rep == "density":
+            state = state.to_density()
+        rec = measure(state, sector_pvm(2), post_states=post_states)[1]
+        assert rec.probability < TOL.prob_floor
+        assert (rec.post_state, rec.fidelity_odd, rec.fidelity_even, rec.fidelity_best,
+                rec.sectors) == (None, None, None, None, None)
+
+
 class TestOutcomeStream:
     def test_memory_does_not_grow_with_the_outcome_count(self):
         """Each record is dropped before the next post state is built, so
@@ -212,6 +305,22 @@ class TestOutcomeStream:
         assert live == {"sector": n + 1, "threshold": 2}
         assert peaks["sector"] >= joint_bytes
         assert abs(peaks["sector"] - peaks["threshold"]) < joint_bytes
+
+    def test_density_without_post_states_builds_no_joint_array(self):
+        """Measured on its supports only, a density under the resolving
+        readout never allocates an array of its own size."""
+        n = 8
+        spec = CircuitSpec("parity_conditioned", MsConfig(n, 0.3), backend="dense",
+                           v_odd=TAG_FLIP)
+        state = evolve(spec, prepare_inputs(spec))
+        tracemalloc.start()
+        try:
+            records = list(measure_each(state, sector_pvm(n), post_states=False))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [rec.post_state for rec in records] == [None] * (n + 1)
+        assert peak < state.matrix.nbytes / 4
 
     @pytest.mark.parametrize("route", ["povm", "apparatus"])
     def test_stream_and_chosen_outcomes_match_the_full_list(self, rng, route):
