@@ -194,13 +194,17 @@ def _support_update(rho: DensityOperator, sqrt_coeffs: np.ndarray, p: float, pos
     dims = list(rho.layout.dims)
     dims[slot] = sub_index.size
     sub = SubsystemLayout(tuple(dims), rho.layout.labels)
+    # the weights of both sides are combined first, so the block is multiplied once
+    kernel = sector_diagonal(sqrt_coeffs, sub_index)
+    weight = apply_kernel(rho, kernel, np.ones((1,) * (2 * len(dims))))
     # joint basis entries whose MS entry lies in S, in the block's C order
     rows = np.flatnonzero(np.broadcast_to(on_support, rho.layout.dims))
-    t = rho.matrix[np.ix_(rows, rows)].reshape(sub.dims + sub.dims)
-    # the weights of both sides are combined first, so the block is multiplied
-    # once, in place: the gather made it a fresh array
-    kernel = sector_diagonal(sqrt_coeffs, sub_index)
-    t *= apply_kernel(rho, kernel, np.ones((1,) * t.ndim))
+    if rows.size == len(rho.matrix):
+        # a gather would only copy the whole matrix: weight it out of place
+        t = rho.as_tensor() * weight
+    else:
+        t = rho.matrix[np.ix_(rows, rows)].reshape(sub.dims + sub.dims)
+        t *= weight
     t /= p
     block = DensityOperator(t.reshape(rows.size, rows.size), sub)
     sectors = sector_sums(populations(block), sub_index, sqrt_coeffs.size - 1)
