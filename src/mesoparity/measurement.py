@@ -311,8 +311,7 @@ def apparatus_measure(
     or sum_m sign(sin theta(m)) Pi(m) (outcome 1).
     """
     if isinstance(state, SectorMixture):
-        table = _theta_table(spec, state.n)
-        return measure(state, povm_from_theta(table), outcomes, post_states)
+        return measure(state, povm_from_theta(_theta_table(spec, state.n)), outcomes, post_states)
     index = excitation_index(state)
     table = _theta_table(spec, int(index.max()))
     amps = _probe_rotation(table.theta)[:, 0]
