@@ -283,18 +283,19 @@ def _readout(cfg: ScenarioConfig):
     return measurement.ApparatusSpec(cfg.g, cfg.t_m)
 
 
-def _report_outcome(spec, rec):
+def _report_outcome(cfg: ScenarioConfig, spec, rec):
     """The report entry of one outcome, and its record without the post state.
 
-    A record carries a post state only under ``--disentangle``; the entry
-    then reports the disentangled state's fidelities and sectors."""
+    Post states are asked for only under ``--disentangle``, and the entry
+    then reports the disentangled state's fidelities and sectors; otherwise
+    the record's own."""
     post = rec.post_state
-    if post is not None:
+    if post is not None and cfg.disentangle:
         post = circuits.disentangle(spec, post)
         marg = circuits.qubit_marginal(post)
         f_odd = fidelity(marg, BELL_ODD_PLUS)
         f_even = fidelity(marg, BELL_EVEN_PLUS)
-        rec = replace(rec, post_state=None, fidelity_odd=f_odd, fidelity_even=f_even,
+        rec = replace(rec, fidelity_odd=f_odd, fidelity_even=f_even,
                       fidelity_best=max(f_odd, f_even), sectors=sector_probabilities(post))
     entry = {
         "id": int(rec.outcome),
@@ -304,7 +305,7 @@ def _report_outcome(spec, rec):
         "f_best": rec.fidelity_best,
         "sectors": rec.sectors,
     }
-    return entry, rec
+    return entry, replace(rec, post_state=None)
 
 
 def _branch_phase_diagnostics(cfg: ScenarioConfig, state):
@@ -337,7 +338,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     records, outcomes = [], []
     for rec in measurement.measure_each(state, readout, post_states=cfg.disentangle):
         # rebinding rec drops the post state before the next one is built
-        entry, rec = _report_outcome(spec, rec)
+        entry, rec = _report_outcome(cfg, spec, rec)
         outcomes.append(entry)
         records.append(rec)
     # sector_pvm's table is (n+1)^2 floats: free it before the report is built

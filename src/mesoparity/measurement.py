@@ -8,12 +8,14 @@ sqrt(E_alpha) = sum_m sqrt(a[alpha][m]) Pi(m) acting on the MS slots only.
 Which post form is built: a density's update vanishes off the rows and
 columns of the effect's support S (the MS entries where sqrt(E_alpha) is
 nonzero), so `measure` gathers rho[S, S], updates it and reads the qubit
-marginal and the sector distribution from that checked block.  The full
-post-state, the block written into zeros, is built only when the caller asks
-for post states (the CLI does for ``--disentangle``).  Amplitude states and
-`SectorMixture` build their full post-state for every live outcome, and the
-apparatus route runs on the full joint tensor of every representation; there
-too a record keeps its post state only when post states are asked for.
+marginal from that checked block.  The full post-state, the block written
+into zeros, is built only when the caller asks for post states (the CLI does
+for ``--disentangle``); otherwise the record carries the block's sector
+distribution in its place.  Amplitude states and `SectorMixture` build and
+keep their full post-state for every live outcome, as does the apparatus
+route, which runs on the full joint tensor of every representation.  A
+record carries its post-state's sector distribution exactly when post states
+were not asked for.
 
 The apparatus route realizes a two-outcome member of this family physically:
 attach a probe qubit in |0>, rotate it by theta(m) conditioned on the sector,
@@ -128,9 +130,10 @@ class ApparatusSpec:
 @dataclass(frozen=True, eq=False)
 class OutcomeRecord:
     """One measurement outcome: its probability, post-selected state, the
-    Bell fidelities of the post-selected qubit pair and the post-state's
-    sector distribution (None below the probability floor; the post state
-    also when it was not asked for)."""
+    Bell fidelities of the post-selected qubit pair and, when post states
+    were not asked for, the post-state's sector distribution.  Every field
+    but the probability is None below the probability floor; the post state
+    also for a density measured without post states."""
 
     outcome: int
     probability: float
@@ -164,8 +167,8 @@ def sector_pvm(n: int) -> CollectivePOVM:
 
 def _record(outcome, p, post=None, sectors=None, keep=None) -> OutcomeRecord:
     """The record of an outcome of probability ``p``: with ``post`` (the
-    post-state or a part of it holding the whole qubit marginal) and its
-    ``sectors`` for a live outcome, keeping ``keep`` as the post state."""
+    post-state or a part of it holding the whole qubit marginal), its
+    ``sectors`` and ``keep`` as the post state for a live outcome."""
     if post is None:
         return OutcomeRecord(outcome, max(float(p), 0.0), None, None, None, None, None)
     marg = qubit_marginal(post)
@@ -175,17 +178,19 @@ def _record(outcome, p, post=None, sectors=None, keep=None) -> OutcomeRecord:
 
 
 def _live_record(outcome, p, post, post_states: bool) -> OutcomeRecord:
-    return _record(outcome, p, post, sector_probabilities(post), post if post_states else None)
+    """A live outcome of a full post-state, which the record keeps."""
+    return _record(outcome, p, post, None if post_states else sector_probabilities(post), post)
 
 
 def _support_update(rho: DensityOperator, sqrt_coeffs: np.ndarray, p: float, post_states: bool):
     """sqrt(E) rho sqrt(E) / p for one sector-diagonal effect, computed on
     its support S only: the MS entries where sqrt(E) is nonzero.
 
-    Returns the checked block on S (the MS slot shrunk to |S|), its sector
-    distribution and, if ``post_states``, the full post-state: the block
-    written into zeros.  The update vanishes off S x S, so the block holds
-    the whole qubit marginal and every sector's weight.
+    Returns the checked block on S (the MS slot shrunk to |S|) and either,
+    with ``post_states``, None and the full post-state (the block written
+    into zeros) or the post-state's sector distribution and None.  The
+    update vanishes off S x S, so the block holds the whole qubit marginal
+    and every sector's weight.
     """
     index = excitation_index(rho)
     slot = rho.layout.slot(LABEL_MS)
@@ -199,20 +204,15 @@ def _support_update(rho: DensityOperator, sqrt_coeffs: np.ndarray, p: float, pos
     weight = apply_kernel(rho, kernel, np.ones((1,) * (2 * len(dims))))
     # joint basis entries whose MS entry lies in S, in the block's C order
     rows = np.flatnonzero(np.broadcast_to(on_support, rho.layout.dims))
-    if rows.size == len(rho.matrix):
-        # a gather would only copy the whole matrix: weight it out of place
-        t = rho.as_tensor() * weight
-    else:
-        t = rho.matrix[np.ix_(rows, rows)].reshape(sub.dims + sub.dims)
-        t *= weight
+    t = rho.matrix[np.ix_(rows, rows)].reshape(sub.dims + sub.dims)
+    t *= weight
     t /= p
     block = DensityOperator(t.reshape(rows.size, rows.size), sub)
-    sectors = sector_sums(populations(block), sub_index, sqrt_coeffs.size - 1)
     if not post_states:
-        return block, sectors, None
+        return block, sector_sums(populations(block), sub_index, sqrt_coeffs.size - 1), None
     full = np.zeros(rho.matrix.shape, dtype=complex)
     full[np.ix_(rows, rows)] = block.matrix
-    return block, sectors, DensityOperator(full, rho.layout)
+    return block, None, DensityOperator(full, rho.layout)
 
 
 def _sqrt_update(state, sqrt_coeffs: np.ndarray, p: float):
@@ -247,8 +247,9 @@ def measure(
     of them by default); the post states of the others are never built.
     A density is updated on each outcome's support only (see
     `_support_update`); its full post state is built, and kept in the
-    record, only with ``post_states``.  The other representations build
-    the post state in every case and keep it only with ``post_states``.
+    record, only with ``post_states``.  The other representations build and
+    keep the post state in every case.  Without ``post_states`` each live
+    record carries its post state's sector distribution.
     """
     sectors = sector_probabilities(state)
     n = sectors.size - 1
@@ -301,9 +302,10 @@ def apparatus_measure(
 ) -> list:
     """Measure via the probe qubit and return records identical to
     `measure` with `povm_from_theta`, for the same ``outcomes`` and
-    ``post_states``.  The circuit runs on the full joint tensor of every
-    representation, so each live outcome's post state is built; it is kept
-    in the record only with ``post_states``.
+    ``post_states``, except that a density's post states are kept too: the
+    circuit runs on the full joint tensor of every representation, so each
+    live outcome's post state is built and kept.  Without ``post_states``
+    each live record carries its post state's sector distribution.
 
     Steps: attach |0>, rotate the probe by theta(m) on each sector, read the
     probe in its computational basis, discard it, then apply the
@@ -338,8 +340,9 @@ def measure_each(
 
     A consumer that drops each post state before asking for the next record
     holds at most one post state at a time, whatever the outcome count.
-    Without ``post_states`` the records carry none, and a density measured
-    through a POVM never has its full post state built.
+    Without ``post_states`` the records carry their post states' sector
+    distributions, and a density measured through a POVM never has its full
+    post state built (nor kept).
     """
     run = measure if isinstance(readout, CollectivePOVM) else apparatus_measure
     for k in range(readout.n_outcomes):
