@@ -338,7 +338,7 @@ class TestPinnedReports:
     """Report bytes that must not move: the dense mixed reference (at N = 9
     also under the threshold readout and a theta table one of whose outcomes
     is supported on only some sectors), the density disentangle route, the
-    sector mixture, a pure threshold run, the density probe-qubit route, the
+    sector mixture (at N = 2000 the benchmark's run), a pure threshold run, the density probe-qubit route, the
     Hamming-weight readout (dense, and on two block bits at N = 40 and 1000),
     the locally built entangler (dense, and on one block bit at N = 2000),
     the bound sweep in each format (its 1:1000 grid is the benchmark's), the
@@ -394,13 +394,15 @@ class TestPinnedReports:
         (("simulate", "--kind", "parity_collective", "--n", "9", "--epsilon", "0.3",
           "--measurement", "two_outcome", "--theta", "0,0,0,0,0,1,1,1,1,1"),
          "5f713baf8e01df4179effcce1c9ad90ac517ae6b5ec7c71fe51da7daa8c4571d"),
+        (MIX + ("--n", "2000", "--epsilon", "0.5"),
+         "8d357a1ed95144e843c9334f8e2f237071c19b802c4c35310baa6d67200654ea"),
     ], ids=["mixed-n9", "mixed-n8-disentangle", "mixture-n300-disentangle",
             "pure-threshold-n12", "density-probe-n4", "hamming-dense-n4-disentangle",
             "hamming-blocks-n40", "ghz-local-n8-disentangle", "bound-csv", "bound-json",
             "bound-svg", "bound-n1000-csv", "povm-two-outcome-n4",
             "hamming-blocks-n1000-disentangle", "ghz-local-blocks-n2000-disentangle",
             "mixed-n9-eps05", "mixed-n9-eps05-disentangle", "mixed-threshold-n9",
-            "mixed-theta-partial-support-n9"])
+            "mixed-theta-partial-support-n9", "mixture-n2000-eps05"])
 
     @PINNED
     def test_report_sha256(self, tmp_path, argv, digest):
