@@ -18,7 +18,7 @@ import numpy as np
 
 from .circuits import TAG_FLIP, TAG_IDENTITY
 from .collective import MsConfig, binomial_pmf, popcounts, thermal_ms_dense
-from .measurement import CollectivePOVM, sector_pvm
+from .measurement import CollectivePOVM, SectorPVM, sector_pvm
 from .metrics import OutcomeDistribution
 from .states import DENSE_DENSITY_DIM_CAP, ValidationError
 from .tolerances import TOL
@@ -176,7 +176,7 @@ class OptimalStrategy:
 
     v_even: str
     v_odd: str
-    povm: CollectivePOVM
+    povm: SectorPVM
 
 
 def optimal_strategy(n: int) -> OptimalStrategy:

@@ -11,7 +11,9 @@ the command line beat the file.
 
 Outputs are deterministic: floats are printed with 17 significant digits, grid
 sweeps are computed in parallel but written sorted, and charts use fixed
-2-decimal coordinates.  Exit codes: 0 ok, 1 verification failure, 2
+2-decimal coordinates.  JSON reports are written to ``--out`` as they are
+emitted, never held whole in memory; a report that fails partway leaves no
+file behind.  Exit codes: 0 ok, 1 verification failure, 2
 usage/config error, 3 representation error, 4 I/O error.
 """
 
@@ -20,8 +22,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
@@ -72,18 +77,9 @@ def _emit_float_array(arr: np.ndarray, pad: str, inner: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
-def emit_json(obj, indent: int = 0) -> str:
-    """Hand-rolled JSON so float formatting is pinned (17 significant digits),
-    None maps to null, and key order follows insertion order.
-
-    A 1-D float64 ndarray is written in bulk by ``_emit_float_array``, with
-    the same bytes as its ``tolist()`` but O(1) Python calls instead of one
-    per entry.  Every other array (float32, integer, 2-D) takes the generic
-    path, one recursive call per element."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
-        return _emit_float_array(obj, pad, inner)
+def _scalar_json(obj) -> Optional[str]:
+    """The JSON text of None, a bool, a str, an int or a float (numpy's
+    included), or None for any other value."""
     if obj is None:
         return "null"
     if obj is True:
@@ -96,29 +92,84 @@ def emit_json(obj, indent: int = 0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
+    return None
+
+
+def emit_json(obj, indent: int = 0, write=None) -> Optional[str]:
+    """Hand-rolled JSON so float formatting is pinned (17 significant digits),
+    None maps to null, and key order follows insertion order.
+
+    With ``write`` the text is passed to it piece by piece as it is made,
+    and nothing is returned; without, the whole text is returned.  A
+    container writes each scalar member inline and recurses, through this
+    module-level name, only into members that are containers or arrays.
+    A 1-D float64 ndarray is written in bulk by ``_emit_float_array``, with
+    the same bytes as its ``tolist()`` but O(1) Python calls instead of one
+    per entry.  Every other array (float32, integer, 2-D) takes the generic
+    path, one member at a time."""
+    if write is None:
+        parts = []
+        emit_json(obj, indent, parts.append)
+        return "".join(parts)
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
+        write(_emit_float_array(obj, pad, inner))
+        return None
+    text = _scalar_json(obj)
+    if text is not None:
+        write(text)
+        return None
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {emit_json(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{inner}{emit_json(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        members = ((f"{json.dumps(str(k))}: ", v) for k, v in obj.items())
+        opening, closing = "{", "}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        members = (("", v) for v in obj)
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    first = True
+    for key, v in members:
+        head = f"{opening if first else ','}\n{inner}{key}"
+        first = False
+        text = _scalar_json(v)
+        if text is None:
+            write(head)
+            emit_json(v, indent + 1, write)
+        else:
+            write(head + text)
+    write(opening + closing if first else "\n" + pad + closing)
+    return None
+
+
+@contextmanager
+def _output(path: str):
+    """The write function of an output: stdout for '-', else the file at
+    ``path``.  If writing fails partway, a regular file is removed again, so
+    no cut-short file is left; stdout keeps what was written."""
+    if path == "-":
+        yield sys.stdout.write
+        return
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh.write
+    except BaseException:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+        raise
 
 
 def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with _output(path) as write:
+        write(text)
+
+
+def _write_json(path: str, obj) -> None:
+    """Stream ``obj`` to ``path`` as it is emitted, with a final newline."""
+    with _output(path) as write:
+        emit_json(obj, 0, write)
+        write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +392,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         entry, rec = _report_outcome(cfg, spec, rec)
         outcomes.append(entry)
         records.append(rec)
-    # sector_pvm's table is (n+1)^2 floats: free it before the report is built
-    del readout
     diagnostics = {
         "backend": backend,
         "pre_measurement_sectors": sector_probabilities(state),
@@ -357,7 +406,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "f_avg": average_fidelity(records),
         "diagnostics": diagnostics,
     }
-    _write_text(args.out, emit_json(report) + "\n")
+    _write_json(args.out, report)
     return EXIT_OK
 
 
@@ -439,7 +488,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 for n, eps, pol, value in rows
             ],
         }
-        _write_text(sweep.out, emit_json(payload) + "\n")
+        _write_json(sweep.out, payload)
     else:
         _write_text(sweep.out, _rows_to_svg(rows))
     return EXIT_OK
@@ -466,7 +515,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for r in results
         ],
     }
-    _write_text(args.out, emit_json(payload) + "\n")
+    _write_json(args.out, payload)
     return EXIT_OK if payload["passed"] else EXIT_VERIFY_FAIL
 
 

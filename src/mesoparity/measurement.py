@@ -4,6 +4,9 @@ Effects act only through the total-excitation projectors: E_alpha =
 sum_m a[alpha][m] Pi(m).  The post-measurement state follows the square-root
 update rule, sqrt(E_alpha) rho sqrt(E_alpha) / p_alpha, with
 sqrt(E_alpha) = sum_m sqrt(a[alpha][m]) Pi(m) acting on the MS slots only.
+`measure` reads one row a[alpha] of the readout per outcome; the fully
+resolving readout (`sector_pvm`) is held by its size and builds each row, a
+unit vector, when asked, so no (n+1) x (n+1) table exists while it measures.
 
 Which post form is built: a density's update vanishes off the rows and
 columns of the effect's support S (the MS entries where sqrt(E_alpha) is
@@ -84,6 +87,43 @@ class CollectivePOVM:
     def n_outcomes(self) -> int:
         return self.coefficients.shape[0]
 
+    def row(self, alpha: int) -> np.ndarray:
+        """The coefficients a[alpha][m] of effect ``alpha`` over the sectors."""
+        return self.coefficients[alpha]
+
+
+@dataclass(frozen=True)
+class SectorPVM:
+    """The fully resolving measurement, E_alpha = Pi(alpha) for alpha = 0..n,
+    held by its size alone: `row` builds the unit vector of one outcome, and
+    the (n+1) x (n+1) identity exists only while a reader of
+    ``coefficients`` holds it."""
+
+    n_sites: int
+
+    def __post_init__(self):
+        if int(self.n_sites) != self.n_sites or self.n_sites < 1:
+            raise LayoutError(f"sector readout needs n >= 1 sites, got {self.n_sites}")
+        object.__setattr__(self, "n_sites", int(self.n_sites))
+
+    @property
+    def n_outcomes(self) -> int:
+        return self.n_sites + 1
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        a = np.eye(self.n_outcomes)
+        a.setflags(write=False)
+        return a
+
+    def row(self, alpha: int) -> np.ndarray:
+        a = np.zeros(self.n_outcomes)
+        a[alpha] = 1.0
+        return a
+
+
+Readout = Union[CollectivePOVM, SectorPVM]
+
 
 @dataclass(frozen=True, eq=False)
 class TwoOutcomeTheta:
@@ -156,9 +196,9 @@ def threshold_pvm(n: int) -> CollectivePOVM:
     return CollectivePOVM(np.stack([low, 1.0 - low]))
 
 
-def sector_pvm(n: int) -> CollectivePOVM:
+def sector_pvm(n: int) -> SectorPVM:
     """The fully resolving measurement: one outcome per excitation sector."""
-    return CollectivePOVM(np.eye(n + 1))
+    return SectorPVM(n)
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +276,26 @@ def _sqrt_update(state, sqrt_coeffs: np.ndarray, p: float):
 
 def measure(
     state: JointState,
-    povm: CollectivePOVM,
+    povm: Readout,
     outcomes: Optional[Sequence[int]] = None,
     post_states: bool = True,
+    sectors: Optional[np.ndarray] = None,
 ) -> list:
     """Apply a sector POVM: one OutcomeRecord per effect, probabilities from
     the sector distribution, post states from the square-root rule.
 
     ``outcomes`` names the effects to build records for, in that order (all
     of them by default); the post states of the others are never built.
+    Each effect's coefficients are read as one row of ``povm``.
+    ``sectors`` is the state's sector distribution, when the caller has it.
     A density is updated on each outcome's support only (see
     `_support_update`); its full post state is built, and kept in the
     record, only with ``post_states``.  The other representations build and
     keep the post state in every case.  Without ``post_states`` each live
     record carries its post state's sector distribution.
     """
-    sectors = sector_probabilities(state)
+    if sectors is None:
+        sectors = sector_probabilities(state)
     n = sectors.size - 1
     if povm.n_sites != n:
         raise LayoutError(
@@ -259,7 +303,7 @@ def measure(
         )
     records = []
     for alpha in range(povm.n_outcomes) if outcomes is None else outcomes:
-        a = povm.coefficients[alpha]
+        a = povm.row(alpha)
         p = float(a @ sectors)
         if p < TOL.prob_floor:
             records.append(_record(alpha, p))
@@ -332,11 +376,12 @@ def apparatus_measure(
 
 def measure_each(
     state: JointState,
-    readout: Union[CollectivePOVM, ApparatusSpec, TwoOutcomeTheta],
+    readout: Union[Readout, ApparatusSpec, TwoOutcomeTheta],
     post_states: bool = True,
 ) -> Iterator[OutcomeRecord]:
     """The records of `measure` (for a POVM) or `apparatus_measure` (for a
-    probe readout), built one outcome per call as they are asked for.
+    probe readout), built one outcome per call as they are asked for.  The
+    state's sector distribution is computed once, for all of a POVM's calls.
 
     A consumer that drops each post state before asking for the next record
     holds at most one post state at a time, whatever the outcome count.
@@ -344,7 +389,11 @@ def measure_each(
     distributions, and a density measured through a POVM never has its full
     post state built (nor kept).
     """
-    run = measure if isinstance(readout, CollectivePOVM) else apparatus_measure
+    if isinstance(readout, (ApparatusSpec, TwoOutcomeTheta)):
+        for k in range(readout.n_outcomes):
+            yield from apparatus_measure(state, readout, (k,), post_states)
+        return
+    sectors = sector_probabilities(state)
     for k in range(readout.n_outcomes):
-        yield from run(state, readout, (k,), post_states)
+        yield from measure(state, readout, (k,), post_states, sectors)
 

@@ -9,11 +9,16 @@ identical data always yields identical bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def escape(text: str) -> str:
+    """Escape '&', '>' and '<' in that order, as ``xml.sax.saxutils.escape``
+    does, without importing it (it pulls in ``urllib`` and ``email``)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass(frozen=True)

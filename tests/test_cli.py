@@ -4,6 +4,7 @@ import math
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mesoparity import bounds, circuits
+from mesoparity import bounds, circuits, cli, svgchart
 from mesoparity.cli import (
     CSV_HEADER,
     CSV_SCHEMA_LINE,
+    EXIT_USAGE,
     UsageError,
     emit_json,
     main,
@@ -104,6 +106,76 @@ class TestFloatArrayEmitter:
         assert (emit_json(np.array([[0.5, 0.0], [1.0 / 3.0, -0.0]]))
                 == "[\n  [\n    0.5,\n    0\n  ],\n"
                    "  [\n    0.33333333333333331,\n    -0\n  ]\n]")
+
+
+STREAMED = [
+    {"x": [1, 2.5, None, {"y": [True, False, "s"]}], "z": {"w": [[], {}]}},
+    {"zero": 0.0, "minus_zero": -0.0, "arr": np.array([0.0, -0.0, 5e-324])},
+    {}, [], {"a": {}, "b": [], "c": np.zeros(0)},
+    np.array([[0.5, 0.0], [1.0 / 3.0, -0.0]]),
+    {"ints": np.array([1, 0, -2]), "mixed": [np.int64(3), np.float64(-0.0), "t"]},
+    -0.0, "text", None,
+]
+
+
+class TestStreamedEmission:
+    """A report streamed to ``--out`` has the bytes of the whole string."""
+
+    @pytest.mark.parametrize("obj", STREAMED, ids=range(len(STREAMED)))
+    def test_streamed_bytes_equal_the_string(self, tmp_path, capsys, obj):
+        want = emit_json(obj) + "\n"
+        out = tmp_path / "r.json"
+        cli._write_json(str(out), obj)
+        assert out.read_text(encoding="utf-8") == want
+        cli._write_json("-", obj)
+        assert capsys.readouterr().out == want
+
+    def test_pieces_stay_small(self):
+        report = {"outcomes": [{"id": i, "p": i / 7, "f_best": None, "sectors": None}
+                               for i in range(2000)], "f_avg": 0.5}
+        pieces = []
+        emit_json(report, 0, pieces.append)
+        assert "".join(pieces) == emit_json(report)
+        assert len(pieces) > 2000
+        assert max(map(len, pieces)) < 100
+
+    def test_scalar_members_are_written_inline(self, monkeypatch):
+        calls = []
+        inner = cli.emit_json
+
+        def counted(obj, *args):
+            calls.append(type(obj).__name__)
+            return inner(obj, *args)
+
+        monkeypatch.setattr(cli, "emit_json", counted)
+        entry = {"id": 3, "p": 0.25, "f_odd": None, "f_even": None, "f_best": None,
+                 "sectors": None}
+        counted({"outcomes": [entry, dict(entry, sectors=np.ones(3))], "f_avg": 0.5}, 0,
+                [].append)
+        # the report, its outcome list, both entries and the one array
+        assert calls == ["dict", "list", "dict", "dict", "ndarray"]
+
+    def test_failure_partway_leaves_no_file(self, tmp_path, monkeypatch):
+        # f_avg follows the outcomes, so emission fails after writing them
+        monkeypatch.setattr(cli, "average_fidelity", lambda records: math.nan)
+        out = tmp_path / "r.json"
+        assert main([*MIX, "--n", "9", "--epsilon", "0.3", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert not list(tmp_path.iterdir())
+
+    def test_mixture_report_memory_is_linear_in_the_report(self, tmp_path):
+        """At N = 2000 the 12.5 MB report is streamed, not held, and no
+        (N+1)^2 readout table is built."""
+        out = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            rc = main([*MIX, "--n", "2000", "--epsilon", "0.5", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert out.stat().st_size > 12 * 10**6
+        assert peak <= 20 * 2**20
 
 
 class TestFlatConfig:
@@ -515,6 +587,20 @@ class TestPlot:
         proc = run_cli("plot", str(csv_path), check=False)
         assert proc.returncode == 2
         assert f"{csv_path}:9: could not convert string to float: 'abc'" in proc.stderr
+
+    @pytest.mark.parametrize("text", ["a & b", "<x>", "&lt;", "&&><<", "N > 0 & f < 1", ""])
+    def test_chart_escape_matches_saxutils(self, text):
+        from xml.sax.saxutils import escape as sax_escape
+
+        assert svgchart.escape(text) == sax_escape(text)
+
+    def test_cli_import_skips_the_url_and_mail_stack(self):
+        code = ("import sys, mesoparity.cli; "
+                "print(sorted({'urllib.request', 'http.client', 'ssl', 'email'} "
+                "& set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestVerifyCommand:

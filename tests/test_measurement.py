@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,6 +24,7 @@ from mesoparity.collective import (
     sector_diagonal,
     sector_probabilities,
 )
+from mesoparity import measurement
 from mesoparity.measurement import (
     ApparatusSpec,
     CollectivePOVM,
@@ -351,6 +353,86 @@ class TestOutcomeStream:
                 c.outcome, c.probability, c.fidelity_best)
             np.testing.assert_array_equal(a.post_state.matrix, b.post_state.matrix)
             np.testing.assert_array_equal(a.post_state.matrix, c.post_state.matrix)
+
+
+def _field_bytes(obj):
+    """Every dataclass field of ``obj``, arrays as their raw bytes."""
+    return [(f.name, *((v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else (v,)))
+            for f in dataclasses.fields(obj) for v in (getattr(obj, f.name),)]
+
+
+class TestSectorReadout:
+    """`sector_pvm` holds no table: each outcome's row is built when asked."""
+
+    def test_holds_no_table(self):
+        tracemalloc.start()
+        try:
+            povm = sector_pvm(4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert (povm.n_sites, povm.n_outcomes) == (4000, 4001)
+
+    def test_table_readers_still_get_the_identity(self):
+        np.testing.assert_array_equal(sector_pvm(5).coefficients, np.eye(6))
+        np.testing.assert_array_equal(optimal_strategy(5).povm.coefficients, np.eye(6))
+        for alpha in range(6):
+            np.testing.assert_array_equal(sector_pvm(5).row(alpha), np.eye(6)[alpha])
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    def test_refuses_a_size_without_sites(self, n):
+        with pytest.raises(LayoutError):
+            sector_pvm(n)
+
+    @pytest.mark.parametrize("post_states", [True, False])
+    @pytest.mark.parametrize("rep, kind, eps, backend", [
+        ("dense_pure", "parity_conditioned", 0.0, "dense"),
+        ("density", "parity_conditioned", 0.3, "dense"),
+        ("blocks", "hamming_half", 0.0, "collective"),
+        ("mixture", "parity_conditioned", 0.3, "collective"),
+    ])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_records_equal_those_of_the_identity_table(self, n, rep, kind, eps, backend,
+                                                       post_states):
+        spec = CircuitSpec(kind, MsConfig(n, eps), backend=backend,
+                           v_odd=TAG_FLIP if kind == "parity_conditioned" else TAG_IDENTITY)
+        state = evolve(spec, prepare_inputs(spec))
+        got = measure(state, sector_pvm(n), post_states=post_states)
+        want = measure(state, CollectivePOVM(np.eye(n + 1)), post_states=post_states)
+        assert len(got) == len(want) == n + 1
+        assert sum(rec.post_state is not None for rec in got) > 0 or not post_states
+        for a, b in zip(got, want):
+            assert (a.outcome, a.probability, a.fidelity_odd, a.fidelity_even,
+                    a.fidelity_best) == (b.outcome, b.probability, b.fidelity_odd,
+                                         b.fidelity_even, b.fidelity_best)
+            assert (a.sectors is None) == (b.sectors is None)
+            if a.sectors is not None:
+                assert a.sectors.tobytes() == b.sectors.tobytes()
+            assert (a.post_state is None) == (b.post_state is None)
+            if a.post_state is not None:
+                assert type(a.post_state) is type(b.post_state)
+                assert _field_bytes(a.post_state) == _field_bytes(b.post_state)
+
+    def test_stream_sums_the_sectors_once(self, monkeypatch):
+        spec = CircuitSpec("parity_conditioned", MsConfig(50, 0.4), backend="collective",
+                           v_odd=TAG_FLIP)
+        state = evolve(spec, prepare_inputs(spec))
+        calls = []
+
+        def counted(st):
+            calls.append(st)
+            return sector_probabilities(st)
+
+        monkeypatch.setattr(measurement, "sector_probabilities", counted)
+        records = list(measure_each(state, sector_pvm(50), post_states=False))
+        assert len(records) == 51
+        # once for the state; the others are the live post states' sectors
+        assert sum(st is state for st in calls) == 1
+        monkeypatch.undo()
+        for rec in records:
+            (ref,) = measure(state, sector_pvm(50), [rec.outcome], post_states=False)
+            assert (rec.probability, rec.fidelity_best) == (ref.probability, ref.fidelity_best)
 
 
 class TestConditionedFidelities:
