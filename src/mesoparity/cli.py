@@ -28,6 +28,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -65,16 +66,24 @@ def _format_float(x: float) -> str:
 def _emit_float_array(arr: np.ndarray, pad: str, inner: str) -> str:
     """Bulk form of the generic list path for a 1-D float64 array: one
     vectorised finiteness check, and only the nonzero entries (``-0.0``
-    included) go through ``%.17g``; exact zeros print as the constant "0"."""
+    included) go through ``%.17g``; exact zeros print as "0", a run of them
+    as one repeated string."""
     if not arr.size:
         return "[]"
     if not np.isfinite(arr).all():
         raise ValidationError("refusing to serialize a non-finite number")
-    items = ["0"] * arr.size
+    sep = ",\n" + inner
+    zero = "0" + sep
+    # each item is a run of zeros, written as one repeated string, and the
+    # nonzero entry that ends it; the trailing run of zeros comes last
+    items, start = [], 0
     nonzero = np.flatnonzero((arr != 0) | np.signbit(arr))
     for i, x in zip(nonzero.tolist(), arr[nonzero].tolist()):
-        items[i] = "%.17g" % x
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        items.append(zero * (i - start) + "%.17g" % x)
+        start = i + 1
+    if start < arr.size:
+        items.append(zero * (arr.size - start - 1) + "0")
+    return "[\n" + inner + sep.join(items) + "\n" + pad + "]"
 
 
 def _scalar_json(obj) -> Optional[str]:
@@ -93,6 +102,13 @@ def _scalar_json(obj) -> Optional[str]:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     return None
+
+
+@lru_cache(maxsize=1024)
+def _key_json(key: str) -> str:
+    """The JSON text of a dict key and its colon; a report has few distinct
+    keys but writes some of them once per outcome."""
+    return f"{json.dumps(key)}: "
 
 
 def emit_json(obj, indent: int = 0, write=None) -> Optional[str]:
@@ -121,7 +137,7 @@ def emit_json(obj, indent: int = 0, write=None) -> Optional[str]:
         write(text)
         return None
     if isinstance(obj, dict):
-        members = ((f"{json.dumps(str(k))}: ", v) for k, v in obj.items())
+        members = ((_key_json(str(k)), v) for k, v in obj.items())
         opening, closing = "{", "}"
     elif isinstance(obj, (list, tuple, np.ndarray)):
         members = (("", v) for v in obj)

@@ -8,9 +8,11 @@ parity-conditioned protocol family.  The MS is an ensemble of n identical
 two-level systems addressed only through collective operations.
 
 Each gate is written once for every representation with a tensor: the MS
-slot of the ket tensor (see `excitation_index`) and `states.apply_kernel`,
-which carries a ket-side kernel to a density's bra side, hide whether the
-state is dense or block-bit, pure or mixed.
+slot of the ket tensor (see `excitation_index`) hides whether the state is
+dense or block-bit, and `states.tensor_sides` whether it is pure or mixed.
+The block flips and the edge phase gate write a density's two sides in one
+pass; `states.apply_kernel` carries the entangler's ket-side kernel to the
+bra side.
 
 Convention: m always counts constituents in |1> (per-site number operator
 |1><1|), so the weakly polarized product state rho_eps concentrates near m=0.
@@ -18,6 +20,7 @@ Convention: m always counts constituents in |1> (per-site number operator
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,6 +41,7 @@ from .states import (
     ValidationError,
     apply_kernel,
     populations,
+    tensor_sides,
 )
 from .tolerances import TOL
 
@@ -307,9 +311,11 @@ def branch_conditional(state, ops, block_sizes=None):
 
     `block_sizes` partitions a dense MS slot into contiguous site ranges
     (default: one block of all sites); collective-backend states flip their
-    own declared blocks.  Each side of the tensor is written once, branch by
-    branch: a flip splits the branch's MS axis into its blocks, a view, and
-    copies it reversed.
+    own declared blocks.  The result is written in one pass into one new
+    array: each qubit branch of an amplitude tensor, and each (ket branch,
+    bra branch) block of a density, is copied once with its MS axes split
+    into their blocks (views) and the blocks of its ops reversed.  A flip
+    only moves entries, so no side is conjugated and no entry is rounded.
     """
     slot, dims, _ = _ms_frame(state, block_sizes)
     if set(ops) != set(QUBIT_BRANCHES):
@@ -317,20 +323,23 @@ def branch_conditional(state, ops, block_sizes=None):
     for op in ops.values():
         if not (isinstance(op, tuple) and all(0 <= b < len(dims) for b in op)):
             raise LayoutError(f"block selection {op!r} outside {len(dims)} blocks")
+    n_slots, sides = state.layout.n_slots, tensor_sides(state)
     q1, q2 = state.layout.slot(LABEL_Q1), state.layout.slot(LABEL_Q2)
     ms = slot - (q1 < slot) - (q2 < slot)  # once both qubit axes are indexed away
-
-    def kernel(t, offset, conj):
-        out, axis = np.empty_like(t), offset + ms
-        for (j, k), op in ops.items():
-            sl = [slice(None)] * t.ndim
-            sl[offset + q1], sl[offset + q2] = j, k
-            src, dst = t[tuple(sl)], out[tuple(sl)]
-            split = src.shape[:axis] + dims + src.shape[axis + 1:]
-            dst.reshape(split)[...] = np.flip(src.reshape(split), tuple(axis + b for b in op))
-        return out
-
-    return state.with_tensor(apply_kernel(state, kernel))
+    # one side of a branch block, its MS axis split into the blocks
+    side_dims = [d for i, d in enumerate(state.layout.dims) if i not in (q1, q2)]
+    side_dims[ms:ms + 1] = dims
+    split = tuple(side_dims) * sides
+    t = state.as_tensor()
+    out = np.empty_like(t)
+    for branches in itertools.product(QUBIT_BRANCHES, repeat=sides):
+        sl, axes = [slice(None)] * t.ndim, []
+        for side, (j, k) in enumerate(branches):
+            sl[side * n_slots + q1], sl[side * n_slots + q2] = j, k
+            axes += [side * len(side_dims) + ms + b for b in ops[(j, k)]]
+        src, dst = t[tuple(sl)], out[tuple(sl)]
+        dst.reshape(split)[...] = np.flip(src.reshape(split), tuple(axes))
+    return state.with_tensor(out)
 
 
 def collective_flip(state, controlled_on=None, blocks=None, block_sizes=None):
@@ -397,12 +406,14 @@ def edge_phase_gate(state, controlled_on: str):
     sel[ctrl], sel[slot] = 1, slice(None)
     mask[tuple(sel)] = excited
 
-    def kernel(t, offset, conj):
-        out = t.copy()
-        np.negative(out, out=out, where=_on_side(mask, t, offset))
-        return out
-
-    return state.with_tensor(apply_kernel(state, kernel))
+    out = state.as_tensor().copy()
+    # U rho U^dag negates an entry when exactly one of its sides is excited;
+    # `mask` itself broadcasts against a density's bra axes
+    where = _on_side(mask, out, 0)
+    if tensor_sides(state) == 2:
+        where = where ^ mask
+    np.negative(out, out=out, where=where)
+    return state.with_tensor(out)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,12 @@ def validate_density(rho: DensityOperator) -> None:
 # the only places that tell an amplitude tensor from a density tensor.
 
 
+def tensor_sides(state) -> int:
+    """Number of sides of ``state``'s tensor: 1 for amplitudes, 2 for a
+    density, whose bra side starts at axis ``n_slots``."""
+    return 2 if isinstance(state, DensityOperator) else 1
+
+
 def apply_kernel(state, kernel, t=None) -> np.ndarray:
     """Run a ket-side tensor kernel over every side of ``state``'s tensor.
 
@@ -196,11 +202,16 @@ def apply_kernel(state, kernel, t=None) -> np.ndarray:
     tensors get one call at offset 0; a density gets the ket call and then a
     bra call at offset ``n_slots`` with ``conj`` set, which must conjugate the
     kernel's coefficients.  ``t`` replaces ``state.as_tensor()`` as input.
+
+    On a density this holds the input and two joint-sized results at once.
+    The gates whose sides combine exactly, the block flips and the edge phase
+    gate, write a density in one pass instead; `collective.ghz_entangler` and
+    the measurement's sector-diagonal updates take this route, since their
+    coefficients would round differently if both sides were fused.
     """
     t = state.as_tensor() if t is None else t
-    t = kernel(t, 0, False)
-    if isinstance(state, DensityOperator):
-        t = kernel(t, state.layout.n_slots, True)
+    for side in range(tensor_sides(state)):
+        t = kernel(t, side * state.layout.n_slots, side == 1)
     return t
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from mesoparity.collective import (
 )
 from mesoparity import collective
 from mesoparity.bounds import random_collective_povm
+from mesoparity.circuits import TAG_FLIP, CircuitSpec, evolve, prepare_inputs
 from mesoparity.measurement import measure
 from mesoparity.states import (
     LABEL_MS,
@@ -426,6 +428,32 @@ def test_density_gates_match_kron_conjugation(rng, n):
         want = u @ rho.matrix @ u.conj().T
         np.testing.assert_allclose(got.matrix, want, atol=1e-12, rtol=0, err_msg=name)
         validate_density(got)
+
+
+@pytest.fixture(scope="module")
+def thermal_density_n9():
+    """The parity-conditioned circuit at N = 9 and its thermal input, the
+    largest density the dense backend holds (2^11 x 2^11, 64 MB)."""
+    spec = CircuitSpec("parity_conditioned", MsConfig(9, 0.5), backend="dense",
+                       v_odd=TAG_FLIP)
+    return spec, prepare_inputs(spec)
+
+
+@pytest.mark.parametrize("gate", ["evolve", "edge_q1"])
+def test_density_gate_allocates_one_joint_array(thermal_density_n9, gate):
+    """A block flip or an edge phase writes a density's two sides in one
+    pass: its peak is the one output array, not an output per side."""
+    spec, rho = thermal_density_n9
+    run = {"evolve": lambda: evolve(spec, rho),
+           "edge_q1": lambda: edge_phase_gate(rho, LABEL_Q1)}[gate]
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(out, DensityOperator)
+    assert peak <= 1.1 * rho.matrix.nbytes
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
