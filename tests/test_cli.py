@@ -85,6 +85,14 @@ class TestFloatArrayEmitter:
         assert emit_json(arr) == emit_json(arr.tolist())
         assert emit_json(np.array([0.0, -0.0])) == "[\n  0,\n  -0\n]"
 
+    @pytest.mark.parametrize("values", [
+        [0.0], [0.0] * 5, [0.0, 0.0, 1.5], [2.5, 0.0, 0.0], [0.0, -0.0, 0.0, 0.0, 3.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0, 2.0, 3.0, 0.0],
+    ])
+    def test_runs_of_zeros(self, values):
+        arr = np.array(values)
+        assert emit_json(arr, indent=1) == emit_json(arr.tolist(), indent=1)
+
     def test_empty(self):
         assert emit_json(np.array([], dtype=np.float64)) == "[]"
         assert emit_json({"s": np.zeros(0)}, indent=2) == '{\n      "s": []\n    }'
