@@ -25,7 +25,7 @@ def simulate_strategy(n, epsilon, backend="auto"):
     spec = CircuitSpec("parity_conditioned", MsConfig(n, epsilon),
                        backend=backend, v_odd=strat.v_odd, v_even=strat.v_even)
     state = evolve(spec, prepare_inputs(spec))
-    return average_fidelity(measure(state, strat.povm))
+    return average_fidelity(measure(state, strat.povm, post_states=False))
 
 
 def main(argv=None):

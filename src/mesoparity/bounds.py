@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import TAG_FLIP, TAG_IDENTITY
-from .collective import MsConfig, binomial_pmf, popcounts, thermal_ms_dense
+from .collective import MsConfig, binomial_pmf, popcounts, sector_sums, thermal_ms_dense
 from .measurement import CollectivePOVM, SectorPVM, sector_pvm
 from .metrics import OutcomeDistribution
 from .states import DENSE_DENSITY_DIM_CAP, ValidationError
@@ -231,11 +231,6 @@ class ViolationReport:
     eigen_pvm_max_gap: float
 
 
-def _ms_sector_probs(n: int, rho: np.ndarray) -> np.ndarray:
-    pops = popcounts(n).astype(np.intp)
-    return np.bincount(pops, weights=np.diagonal(rho).real, minlength=n + 1)
-
-
 def bound_violation_search(n: int, epsilon: float, trials: int, seed: int) -> ViolationReport:
     """Sample random (V_odd, V_even) pairs and random collective POVMs and
     count the sampled strategies that exceed the ceiling by more than
@@ -252,6 +247,7 @@ def bound_violation_search(n: int, epsilon: float, trials: int, seed: int) -> Vi
     if dim > DENSE_DENSITY_DIM_CAP:
         raise DomainError(f"violation search is dense-only; 2^{n} exceeds the cap")
     rho_eps = thermal_ms_dense(MsConfig(n, epsilon)).matrix
+    pops = popcounts(n).astype(np.intp)
     bound = bound_closed_form(n, epsilon)
     max_f = -1.0
     argmax = -1
@@ -265,8 +261,8 @@ def bound_violation_search(n: int, epsilon: float, trials: int, seed: int) -> Vi
         rho_o = v_o @ rho_eps @ v_o.conj().T
         rho_e = v_e @ rho_eps @ v_e.conj().T
         povm = random_collective_povm(n, rng)
-        p_o = povm.coefficients @ _ms_sector_probs(n, rho_o)
-        p_e = povm.coefficients @ _ms_sector_probs(n, rho_e)
+        p_o = povm.coefficients @ sector_sums(np.diagonal(rho_o).real, pops)
+        p_e = povm.coefficients @ sector_sums(np.diagonal(rho_e).real, pops)
         f = 0.5 * _exact_sum(np.maximum(p_o, p_e))
         if f > max_f:
             max_f, argmax = f, t

@@ -497,14 +497,6 @@ class SectorMixture:
             raise ValidationError("cross block exceeds its Cauchy-Schwarz bound")
 
     @property
-    def fidelity_odd(self) -> float:
-        return 0.5 * float(self.weight_odd.sum())
-
-    @property
-    def fidelity_even(self) -> float:
-        return 0.5 * float(self.weight_even.sum())
-
-    @property
     def cross_trace(self) -> float:
         return 0.0 if self.cross_flipped else float(self.cross.sum())
 

@@ -8,17 +8,17 @@ sqrt(E_alpha) = sum_m sqrt(a[alpha][m]) Pi(m) acting on the MS slots only.
 resolving readout (`sector_pvm`) is held by its size and builds each row, a
 unit vector, when asked, so no (n+1) x (n+1) table exists while it measures.
 
-Which post form is built: a density's update vanishes off the rows and
-columns of the effect's support S (the MS entries where sqrt(E_alpha) is
-nonzero), so `measure` gathers rho[S, S], updates it and reads the qubit
-marginal from that checked block.  The full post-state, the block written
-into zeros, is built only when the caller asks for post states (the CLI does
-for ``--disentangle``); otherwise the record carries the block's sector
-distribution in its place.  Amplitude states and `SectorMixture` build and
-keep their full post-state for every live outcome, as does the apparatus
-route, which runs on the full joint tensor of every representation.  A
-record carries its post-state's sector distribution exactly when post states
-were not asked for.
+Which post form is built: the update of a state with a tensor (dense pure,
+block-bit or density) vanishes off the effect's support S, the MS entries
+where sqrt(E_alpha) is nonzero, so `measure` gathers the ket entries on S
+(rho[S, S] for a density), updates them and reads the qubit marginal and the
+sector weights from that checked block.  The full post-state, the block
+written into zeros, is built only when the caller asks for post states (the
+CLI does for ``--disentangle``).  `SectorMixture` builds and keeps its
+closed-form post-state for every live outcome, as does the apparatus route,
+which runs on the full joint tensor of every representation.  A record
+carries its post-state's sector distribution exactly when post states were
+not asked for.
 
 The apparatus route realizes a two-outcome member of this family physically:
 attach a probe qubit in |0>, rotate it by theta(m) conditioned on the sector,
@@ -51,12 +51,14 @@ from .states import (
     LABEL_MS,
     DensityOperator,
     LayoutError,
+    PureState,
     SubsystemLayout,
     ValidationError,
     apply_kernel,
     branch_probability,
     populations,
     renormalized,
+    tensor_sides,
 )
 from .tolerances import TOL
 
@@ -173,7 +175,7 @@ class OutcomeRecord:
     Bell fidelities of the post-selected qubit pair and, when post states
     were not asked for, the post-state's sector distribution.  Every field
     but the probability is None below the probability floor; the post state
-    also for a density measured without post states."""
+    also for a state with a tensor measured without post states."""
 
     outcome: int
     probability: float
@@ -222,56 +224,59 @@ def _live_record(outcome, p, post, post_states: bool) -> OutcomeRecord:
     return _record(outcome, p, post, None if post_states else sector_probabilities(post), post)
 
 
-def _support_update(rho: DensityOperator, sqrt_coeffs: np.ndarray, p: float, post_states: bool):
-    """sqrt(E) rho sqrt(E) / p for one sector-diagonal effect, computed on
-    its support S only: the MS entries where sqrt(E) is nonzero.
+def _support_update(state, sqrt_coeffs: np.ndarray, p: float, post_states: bool):
+    """sqrt(E) state sqrt(E) / p for one sector-diagonal effect on a state with
+    a tensor, computed on its support S only: the MS entries where sqrt(E) is
+    nonzero.
 
-    Returns the checked block on S (the MS slot shrunk to |S|) and either,
-    with ``post_states``, None and the full post-state (the block written
-    into zeros) or the post-state's sector distribution and None.  The
-    update vanishes off S x S, so the block holds the whole qubit marginal
+    Returns the checked block on S (the MS slot shrunk to |S|: a
+    `DensityOperator` for a density, a `PureState` for amplitudes) and either,
+    with ``post_states``, None and the full post-state (the block written into
+    zeros) or the post-state's sector distribution and None.  The update
+    vanishes off S on every side, so the block holds the whole qubit marginal
     and every sector's weight.
     """
-    index = excitation_index(rho)
-    slot = rho.layout.slot(LABEL_MS)
-    on_support = sqrt_coeffs[index] != 0
+    index = excitation_index(state)
+    slot = state.layout.slot(LABEL_MS)
+    on_support = (sqrt_coeffs != 0)[index]
     sub_index = np.compress(on_support.reshape(-1), index, axis=slot)
-    dims = list(rho.layout.dims)
+    dims = list(state.layout.dims)
     dims[slot] = sub_index.size
-    sub = SubsystemLayout(tuple(dims), rho.layout.labels)
-    # the weights of both sides are combined first, so the block is multiplied once
+    sub = SubsystemLayout(tuple(dims), state.layout.labels)
+    sides = tensor_sides(state)
+    # the weights of all sides are combined first, so the block is multiplied once
     kernel = sector_diagonal(sqrt_coeffs, sub_index)
-    weight = apply_kernel(rho, kernel, np.ones((1,) * (2 * len(dims))))
-    # joint basis entries whose MS entry lies in S, in the block's C order
-    rows = np.flatnonzero(np.broadcast_to(on_support, rho.layout.dims))
-    t = rho.matrix[np.ix_(rows, rows)].reshape(sub.dims + sub.dims)
+    weight = apply_kernel(state, kernel, np.ones((1,) * (sides * len(dims))))
+    # ket entries whose MS entry lies in S, in the block's C order, on every side
+    rows = np.flatnonzero(np.broadcast_to(on_support, state.layout.dims))
+    on_s = np.ix_(*(rows,) * sides)
+    d = state.layout.total_dim
+    t = state.as_tensor().reshape((d,) * sides)[on_s].reshape(sub.dims * sides)
     t *= weight
-    t /= p
-    block = DensityOperator(t.reshape(rows.size, rows.size), sub)
-    if not post_states:
-        return block, sector_sums(populations(block), sub_index, sqrt_coeffs.size - 1), None
-    full = np.zeros(rho.matrix.shape, dtype=complex)
-    full[np.ix_(rows, rows)] = block.matrix
-    return block, None, DensityOperator(full, rho.layout)
+    t /= p if sides == 2 else np.sqrt(p)
+    flat = t.reshape((rows.size,) * sides)
+    block = (DensityOperator if sides == 2 else PureState)(flat, sub)
+    if post_states:
+        full = np.zeros((d,) * sides, dtype=complex)
+        full[on_s] = flat
+        return block, None, state.with_tensor(full)
+    # an amplitude state's row index is half its block's size: free it before the sums
+    del rows, on_s
+    return block, sector_sums(populations(block), sub_index, sqrt_coeffs.size - 1), None
 
 
-def _sqrt_update(state, sqrt_coeffs: np.ndarray, p: float):
-    """sqrt(E) state / sqrt(p) for one sector-diagonal effect on a state
-    with amplitudes or sector weights."""
-    if isinstance(state, SectorMixture):
-        a = sqrt_coeffs**2
-        cross_factor = a if not state.cross_flipped else sqrt_coeffs * sqrt_coeffs[::-1]
-        return SectorMixture(
-            state.n,
-            a * state.weight_odd / p,
-            a * state.weight_even / p,
-            cross_factor * state.cross / p,
-            state.cross_flipped,
-        )
-    t = state.as_tensor()
-    kernel = sector_diagonal(sqrt_coeffs, excitation_index(state))
-    weight = apply_kernel(state, kernel, np.ones((1,) * t.ndim))
-    return renormalized(state, t * weight, p)
+def _mixture_update(mix: SectorMixture, sqrt_coeffs: np.ndarray, p: float) -> SectorMixture:
+    """sqrt(E) mix sqrt(E) / p for one sector-diagonal effect, in closed form
+    on the sector weights."""
+    a = sqrt_coeffs**2
+    cross_factor = a if not mix.cross_flipped else sqrt_coeffs * sqrt_coeffs[::-1]
+    return SectorMixture(
+        mix.n,
+        a * mix.weight_odd / p,
+        a * mix.weight_even / p,
+        cross_factor * mix.cross / p,
+        mix.cross_flipped,
+    )
 
 
 def measure(
@@ -288,11 +293,11 @@ def measure(
     of them by default); the post states of the others are never built.
     Each effect's coefficients are read as one row of ``povm``.
     ``sectors`` is the state's sector distribution, when the caller has it.
-    A density is updated on each outcome's support only (see
+    A state with a tensor is updated on each outcome's support only (see
     `_support_update`); its full post state is built, and kept in the
-    record, only with ``post_states``.  The other representations build and
-    keep the post state in every case.  Without ``post_states`` each live
-    record carries its post state's sector distribution.
+    record, only with ``post_states``.  A `SectorMixture` builds and keeps
+    its post state in every case.  Without ``post_states`` each live record
+    carries its post state's sector distribution.
     """
     if sectors is None:
         sectors = sector_probabilities(state)
@@ -307,10 +312,11 @@ def measure(
         p = float(a @ sectors)
         if p < TOL.prob_floor:
             records.append(_record(alpha, p))
-        elif isinstance(state, DensityOperator):
-            records.append(_record(alpha, p, *_support_update(state, np.sqrt(a), p, post_states)))
+        elif isinstance(state, SectorMixture):
+            post = _mixture_update(state, np.sqrt(a), p)
+            records.append(_live_record(alpha, p, post, post_states))
         else:
-            records.append(_live_record(alpha, p, _sqrt_update(state, np.sqrt(a), p), post_states))
+            records.append(_record(alpha, p, *_support_update(state, np.sqrt(a), p, post_states)))
     return records
 
 
@@ -346,9 +352,9 @@ def apparatus_measure(
 ) -> list:
     """Measure via the probe qubit and return records identical to
     `measure` with `povm_from_theta`, for the same ``outcomes`` and
-    ``post_states``, except that a density's post states are kept too: the
-    circuit runs on the full joint tensor of every representation, so each
-    live outcome's post state is built and kept.  Without ``post_states``
+    ``post_states``, except that the post states of states with a tensor
+    are kept too: the circuit runs on the full joint tensor of every
+    representation, so each live outcome's post state is built and kept.  Without ``post_states``
     each live record carries its post state's sector distribution.
 
     Steps: attach |0>, rotate the probe by theta(m) on each sector, read the
@@ -386,8 +392,8 @@ def measure_each(
     A consumer that drops each post state before asking for the next record
     holds at most one post state at a time, whatever the outcome count.
     Without ``post_states`` the records carry their post states' sector
-    distributions, and a density measured through a POVM never has its full
-    post state built (nor kept).
+    distributions, and a state with a tensor measured through a POVM never
+    has its full post state built (nor kept).
     """
     if isinstance(readout, (ApparatusSpec, TwoOutcomeTheta)):
         for k in range(readout.n_outcomes):

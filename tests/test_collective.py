@@ -32,8 +32,9 @@ from mesoparity.collective import (
 )
 from mesoparity import collective
 from mesoparity.bounds import random_collective_povm
-from mesoparity.circuits import TAG_FLIP, CircuitSpec, evolve, prepare_inputs
+from mesoparity.circuits import TAG_FLIP, CircuitSpec, evolve, prepare_inputs, qubit_marginal
 from mesoparity.measurement import measure
+from mesoparity.metrics import BELL_EVEN_PLUS, BELL_ODD_PLUS, fidelity
 from mesoparity.states import (
     LABEL_MS,
     LABEL_Q1,
@@ -536,7 +537,9 @@ class TestSectorMixture:
 
     def test_branch_fidelities_sum_to_one(self):
         mix = mixture_conditional(mixture_prepare(MsConfig(5, 0.6)), True, False)
-        assert mix.fidelity_odd + mix.fidelity_even == pytest.approx(1.0, abs=1e-12)
+        marg = qubit_marginal(mix)
+        f_odd, f_even = fidelity(marg, BELL_ODD_PLUS), fidelity(marg, BELL_EVEN_PLUS)
+        assert f_odd + f_even == pytest.approx(1.0, abs=1e-12)
 
     def test_weight_normalization_enforced(self):
         w = binomial_pmf(2, 0.25)

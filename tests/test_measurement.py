@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from mesoparity.bounds import optimal_strategy, random_collective_povm
 from mesoparity.circuits import (
+    CIRCUIT_KINDS,
     TAG_FLIP,
     TAG_IDENTITY,
     CircuitSpec,
@@ -47,6 +48,7 @@ from mesoparity.states import (
     SubsystemLayout,
     ValidationError,
     apply_kernel,
+    renormalized,
 )
 from mesoparity.tolerances import TOL
 
@@ -72,14 +74,27 @@ def _readout(name, n):
     return povm_from_theta(TwoOutcomeTheta(np.where(np.arange(n + 1) % 2, 0.9, 0.0)))
 
 
-def _full_update(rho, a, p):
-    """Reference: the square-root update on the whole joint density."""
-    t = rho.as_tensor()
-    weight = apply_kernel(rho, sector_diagonal(np.sqrt(a), excitation_index(rho)),
+def _full_update(state, a, p):
+    """Reference: the square-root update on the whole joint tensor."""
+    t = state.as_tensor()
+    weight = apply_kernel(state, sector_diagonal(np.sqrt(a), excitation_index(state)),
                           np.ones((1,) * t.ndim))
-    t = t * weight
-    t /= p
-    return rho.with_tensor(t)
+    return renormalized(state, t * weight, p)
+
+
+def _evolved_pure_states(n):
+    """Every circuit kind's evolved pure state at n sites, dense and in blocks."""
+    for kind in CIRCUIT_KINDS:
+        if kind == "hamming_half" and n % 2:
+            continue
+        v_odd = TAG_FLIP if kind == "parity_conditioned" else TAG_IDENTITY
+        for backend in ("dense", "collective"):
+            spec = CircuitSpec(kind, MsConfig(n), backend=backend, v_odd=v_odd)
+            yield evolve(spec, prepare_inputs(spec))
+
+
+def _ulps(got, want):
+    return abs(got - want) / np.spacing(abs(want))
 
 
 class TestPovmConstruction:
@@ -221,27 +236,41 @@ class TestSqrtRule:
 
 
 class TestSupportUpdate:
-    """A density is measured on each outcome's support: the records equal
-    the full update's bit for bit, with or without post states."""
+    """Every state with a tensor is measured on each outcome's support: the
+    records equal the full update's, with or without post states."""
 
-    @pytest.mark.parametrize("readout", ["sector", "threshold", "theta"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_records_match_the_full_update(self, rng, n, readout):
-        rho = _joint_density(rng, n)
-        povm = _readout(readout, n)
-        full = measure(rho, povm)
-        lean = measure(rho, povm, post_states=False)
+    @staticmethod
+    def _compare(state, povm, max_ulps):
+        full = measure(state, povm)
+        lean = measure(state, povm, post_states=False)
+        ulps = []
         for a, b in zip(full, lean):
             assert a.sectors is None and b.post_state is None
             assert (a.outcome, a.probability, a.fidelity_odd, a.fidelity_even,
                     a.fidelity_best) == (b.outcome, b.probability, b.fidelity_odd,
                                          b.fidelity_even, b.fidelity_best)
-            ref = _full_update(rho, povm.coefficients[a.outcome], a.probability)
-            np.testing.assert_array_equal(a.post_state.matrix, ref.matrix)
+            if a.post_state is None:
+                continue
+            ref = _full_update(state, povm.coefficients[a.outcome], a.probability)
+            assert type(a.post_state) is type(ref)
+            np.testing.assert_array_equal(a.post_state.as_tensor(), ref.as_tensor())
             marg = qubit_marginal(ref)
-            assert a.fidelity_odd == fidelity(marg, BELL_ODD_PLUS)
-            assert a.fidelity_even == fidelity(marg, BELL_EVEN_PLUS)
+            ulps += [_ulps(a.fidelity_odd, fidelity(marg, BELL_ODD_PLUS)),
+                     _ulps(a.fidelity_even, fidelity(marg, BELL_EVEN_PLUS))]
             assert b.sectors.tobytes() == sector_probabilities(ref).tobytes()
+        # np.max keeps a NaN, which then fails the bound
+        assert np.max(ulps, initial=0.0) <= max_ulps
+
+    @pytest.mark.parametrize("readout", ["sector", "threshold", "theta"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_records_match_the_full_update(self, rng, n, readout):
+        povm = _readout(readout, n)
+        # bit for bit on densities and on every circuit-built pure state
+        for state in (_joint_density(rng, n), *_evolved_pure_states(n)):
+            self._compare(state, povm, 0)
+        # a random pure state's Gram sums run over |S| terms instead of 2^n,
+        # which moves its fidelities by a few ulps from n = 8 on
+        self._compare(_joint_pure(rng, n + 6), _readout(readout, n + 6), 8)
 
     def test_partial_support_outcome_is_measured(self, rng):
         n = 4
@@ -274,8 +303,8 @@ class TestSupportUpdate:
         for full, lean in zip(run(True), run(False)):
             assert full.sectors is None
             assert lean.sectors.tobytes() == sector_probabilities(full.post_state).tobytes()
-            # only a density measured through the POVM skips its post state
-            if rep == "density" and route == "povm":
+            # every state with a tensor skips its post state on the POVM route
+            if rep != "mixture" and route == "povm":
                 assert lean.post_state is None
             else:
                 got = sector_probabilities(lean.post_state)
@@ -322,7 +351,8 @@ class TestOutcomeStream:
 
     def test_density_without_post_states_builds_no_joint_array(self):
         """Measured on its supports only, a density under the resolving
-        readout never allocates an array of its own size."""
+        readout never allocates an array of its own size, and neither does
+        a dense pure state's update once its sector distribution is known."""
         n = 8
         spec = CircuitSpec("parity_conditioned", MsConfig(n, 0.3), backend="dense",
                            v_odd=TAG_FLIP)
@@ -335,6 +365,21 @@ class TestOutcomeStream:
             tracemalloc.stop()
         assert [rec.post_state for rec in records] == [None] * (n + 1)
         assert peak < state.matrix.nbytes / 4
+
+        n = 16
+        spec = CircuitSpec("parity_conditioned", MsConfig(n), backend="dense", v_odd=TAG_FLIP)
+        state = evolve(spec, prepare_inputs(spec))
+        assert state.amplitudes.nbytes == 4 * 2**20
+        sectors = sector_probabilities(state)
+        tracemalloc.start()
+        try:
+            records = measure(state, sector_pvm(n), post_states=False, sectors=sectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [rec.post_state for rec in records] == [None] * (n + 1)
+        assert sum(rec.fidelity_best is not None for rec in records) == 2
+        assert peak < state.amplitudes.nbytes / 4
 
     @pytest.mark.parametrize("route", ["povm", "apparatus"])
     def test_stream_and_chosen_outcomes_match_the_full_list(self, rng, route):
