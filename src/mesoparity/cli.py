@@ -12,8 +12,10 @@ the command line beat the file.
 Outputs are deterministic: floats are printed with 17 significant digits, grid
 sweeps are computed in parallel but written sorted, and charts use fixed
 2-decimal coordinates.  JSON reports are written to ``--out`` as they are
-emitted, never held whole in memory; a report that fails partway leaves no
-file behind.  Exit codes: 0 ok, 1 verification failure, 2
+emitted, never held whole in memory; ``simulate`` writes each outcome's entry
+as soon as that outcome is measured.  A report that fails partway, measuring
+included, leaves no file behind; under ``--out -`` stdout keeps the entries
+already written.  Exit codes: 0 ok, 1 verification failure, 2
 usage/config error, 3 representation error, 4 I/O error.
 """
 
@@ -25,6 +27,7 @@ import math
 import os
 import stat
 import sys
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
@@ -119,6 +122,9 @@ def emit_json(obj, indent: int = 0, write=None) -> Optional[str]:
     and nothing is returned; without, the whole text is returned.  A
     container writes each scalar member inline and recurses, through this
     module-level name, only into members that are containers or arrays.
+    An iterator is written as a list, each member drawn as its turn comes,
+    and a zero-argument callable as the value it returns when called at its
+    turn, so a report can be written while its parts are still computed.
     A 1-D float64 ndarray is written in bulk by ``_emit_float_array``, with
     the same bytes as its ``tolist()`` but O(1) Python calls instead of one
     per entry.  Every other array (float32, integer, 2-D) takes the generic
@@ -127,6 +133,8 @@ def emit_json(obj, indent: int = 0, write=None) -> Optional[str]:
         parts = []
         emit_json(obj, indent, parts.append)
         return "".join(parts)
+    if callable(obj):
+        obj = obj()
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
@@ -139,7 +147,7 @@ def emit_json(obj, indent: int = 0, write=None) -> Optional[str]:
     if isinstance(obj, dict):
         members = ((_key_json(str(k)), v) for k, v in obj.items())
         opening, closing = "{", "}"
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, (list, tuple, np.ndarray, Iterator)):
         members = (("", v) for v in obj)
         opening, closing = "[", "]"
     else:
@@ -351,28 +359,31 @@ def _readout(cfg: ScenarioConfig):
 
 
 def _report_outcome(cfg: ScenarioConfig, spec, rec):
-    """The report entry of one outcome, and its record without the post state.
+    """The report entry of one outcome, and its record with neither the post
+    state nor the sectors, all that `average_fidelity` needs of it.
 
     Post states are asked for only under ``--disentangle``, and the entry
     then reports the disentangled state's fidelities and sectors; otherwise
     the record's own."""
-    post = rec.post_state
+    post, sectors = rec.post_state, rec.sectors
+    kept = {"post_state": None, "sectors": None}
     if post is not None and cfg.disentangle:
         post = circuits.disentangle(spec, post)
         marg = circuits.qubit_marginal(post)
         f_odd = fidelity(marg, BELL_ODD_PLUS)
         f_even = fidelity(marg, BELL_EVEN_PLUS)
-        rec = replace(rec, fidelity_odd=f_odd, fidelity_even=f_even,
-                      fidelity_best=max(f_odd, f_even), sectors=sector_probabilities(post))
+        kept.update(fidelity_odd=f_odd, fidelity_even=f_even, fidelity_best=max(f_odd, f_even))
+        sectors = sector_probabilities(post)
+    rec = replace(rec, **kept)
     entry = {
         "id": int(rec.outcome),
         "p": float(rec.probability),
         "f_odd": rec.fidelity_odd,
         "f_even": rec.fidelity_even,
         "f_best": rec.fidelity_best,
-        "sectors": rec.sectors,
+        "sectors": sectors,
     }
-    return entry, replace(rec, post_state=None)
+    return entry, rec
 
 
 def _branch_phase_diagnostics(cfg: ScenarioConfig, state):
@@ -391,6 +402,12 @@ def _branch_phase_diagnostics(cfg: ScenarioConfig, state):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    """Run one scenario and write its report as one pipeline: each outcome is
+    measured, turned into its entry and written before the next is measured.
+    Only a small record per outcome stays, for ``f_avg``, and the one entry
+    that ``--post-select`` names; ``f_avg`` and the diagnostics are computed
+    once the outcome list is closed, so the key order and bytes are those of
+    the whole report built first."""
     cfg = _scenario_from_args(args)
     if (args.format or "json") != "json":
         raise UsageError("simulate reports are JSON only")
@@ -402,24 +419,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if cfg.post_select is not None and cfg.post_select not in ids:
         raise UsageError(f"post_select={cfg.post_select} is not an outcome of this measurement")
     state = circuits.evolve(spec, circuits.prepare_inputs(spec))
-    records, outcomes = [], []
-    for rec in measurement.measure_each(state, readout, post_states=cfg.disentangle):
-        # rebinding rec drops the post state before the next one is built
-        entry, rec = _report_outcome(cfg, spec, rec)
-        outcomes.append(entry)
-        records.append(rec)
-    diagnostics = {
-        "backend": backend,
-        "pre_measurement_sectors": sector_probabilities(state),
-        "branch_phases_vs_collective_flip": _branch_phase_diagnostics(cfg, state),
-    }
-    if cfg.post_select is not None:
-        chosen = next(o for o in outcomes if o["id"] == cfg.post_select)
-        diagnostics["post_selected"] = dict(chosen)
+    records, chosen = [], []
+
+    def outcomes():
+        for rec in measurement.measure_each(state, readout, post_states=cfg.disentangle):
+            # rebinding rec drops the post state before the next one is built
+            entry, rec = _report_outcome(cfg, spec, rec)
+            records.append(rec)
+            if entry["id"] == cfg.post_select:
+                chosen.append(entry)
+            yield entry
+
+    def diagnostics():
+        out = {
+            "backend": backend,
+            "pre_measurement_sectors": sector_probabilities(state),
+            "branch_phases_vs_collective_flip": _branch_phase_diagnostics(cfg, state),
+        }
+        if cfg.post_select is not None:
+            out["post_selected"] = dict(chosen[0])
+        return out
+
     report = {
         "scenario": asdict(cfg),
-        "outcomes": outcomes,
-        "f_avg": average_fidelity(records),
+        "outcomes": outcomes(),
+        "f_avg": lambda: average_fidelity(records),
         "diagnostics": diagnostics,
     }
     _write_json(args.out, report)

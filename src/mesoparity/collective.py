@@ -251,13 +251,23 @@ def _ms_frame(state, block_sizes=None):
     A dense MS slot splits into any contiguous site ranges `block_sizes`
     (default: one block of all sites); a CollectiveBlockState has its own.
     """
-    if isinstance(state, CollectiveBlockState):
-        sizes = state.block_sizes
-        if block_sizes is not None and tuple(block_sizes) != sizes:
+    return _layout_frame(state.layout, _own_blocks(state), block_sizes)
+
+
+def _own_blocks(state):
+    """A CollectiveBlockState's own block sizes; None for a dense MS slot."""
+    return state.block_sizes if isinstance(state, CollectiveBlockState) else None
+
+
+def _layout_frame(layout: SubsystemLayout, own_blocks, block_sizes=None):
+    """`_ms_frame` of a state with this layout and, for a CollectiveBlockState,
+    its own block sizes ``own_blocks`` (None for a dense MS slot)."""
+    if own_blocks is not None:
+        if block_sizes is not None and tuple(block_sizes) != own_blocks:
             raise LayoutError("block_sizes conflicts with the state's own blocks")
-        return 2, (2,) * len(sizes), block_excitations(sizes)
-    slot = state.layout.slot(LABEL_MS)
-    dim = state.layout.dims[slot]
+        return 2, (2,) * len(own_blocks), block_excitations(own_blocks)
+    slot = layout.slot(LABEL_MS)
+    dim = layout.dims[slot]
     n = dim.bit_length() - 1
     if 1 << n != dim:
         raise LayoutError(f"MS dimension {dim} is not a power of two")
@@ -272,12 +282,21 @@ def excitation_index(state) -> np.ndarray:
     broadcast against the ket tensor (length 1 off the MS slot).
 
     A sector-diagonal operator sum_m f[m] Pi(m) multiplies the ket tensor by
-    ``f[excitation_index(state)]``.
+    ``f[excitation_index(state)]``.  The array is read-only and made once per
+    layout and block sizes, so a caller that asks once per outcome copies
+    no table.
     """
-    slot, _, index = _ms_frame(state)
-    shape = [1] * state.layout.n_slots
-    shape[slot] = index.size
-    return index.astype(np.intp).reshape(shape)
+    return _excitation_index(state.layout, _own_blocks(state))
+
+
+@lru_cache(maxsize=None)
+def _excitation_index(layout: SubsystemLayout, own_blocks) -> np.ndarray:
+    slot, _, table = _layout_frame(layout, own_blocks)
+    shape = [1] * layout.n_slots
+    shape[slot] = table.size
+    index = table.astype(np.intp).reshape(shape)
+    index.setflags(write=False)
+    return index
 
 
 def _on_side(a: np.ndarray, t: np.ndarray, offset: int) -> np.ndarray:

@@ -93,13 +93,17 @@ class CollectivePOVM:
         """The coefficients a[alpha][m] of effect ``alpha`` over the sectors."""
         return self.coefficients[alpha]
 
+    def probability(self, alpha: int, sectors: np.ndarray) -> float:
+        """p(alpha) = sum_m a[alpha][m] P(m) of the sector distribution P."""
+        return float(self.row(alpha) @ sectors)
+
 
 @dataclass(frozen=True)
 class SectorPVM:
     """The fully resolving measurement, E_alpha = Pi(alpha) for alpha = 0..n,
-    held by its size alone: `row` builds the unit vector of one outcome, and
-    the (n+1) x (n+1) identity exists only while a reader of
-    ``coefficients`` holds it."""
+    held by its size alone: `probability` reads one sector's weight, `row`
+    builds the unit vector of one outcome, and the (n+1) x (n+1) identity
+    exists only while a reader of ``coefficients`` holds it."""
 
     n_sites: int
 
@@ -122,6 +126,12 @@ class SectorPVM:
         a = np.zeros(self.n_outcomes)
         a[alpha] = 1.0
         return a
+
+    def probability(self, alpha: int, sectors: np.ndarray) -> float:
+        """P(alpha), the same float as the dot product of `row` with
+        ``sectors``, in O(1): adding 0.0 turns a -0.0 weight into the +0.0
+        that the dot's sum of zeros gives."""
+        return float(sectors[alpha]) + 0.0
 
 
 Readout = Union[CollectivePOVM, SectorPVM]
@@ -291,7 +301,9 @@ def measure(
 
     ``outcomes`` names the effects to build records for, in that order (all
     of them by default); the post states of the others are never built.
-    Each effect's coefficients are read as one row of ``povm``.
+    Each outcome's probability is read by ``povm.probability``, and only a
+    live outcome's coefficients, as one row of ``povm``, so a dead outcome
+    of `sector_pvm` costs O(1).
     ``sectors`` is the state's sector distribution, when the caller has it.
     A state with a tensor is updated on each outcome's support only (see
     `_support_update`); its full post state is built, and kept in the
@@ -308,11 +320,12 @@ def measure(
         )
     records = []
     for alpha in range(povm.n_outcomes) if outcomes is None else outcomes:
-        a = povm.row(alpha)
-        p = float(a @ sectors)
+        p = povm.probability(alpha, sectors)
         if p < TOL.prob_floor:
             records.append(_record(alpha, p))
-        elif isinstance(state, SectorMixture):
+            continue
+        a = povm.row(alpha)
+        if isinstance(state, SectorMixture):
             post = _mixture_update(state, np.sqrt(a), p)
             records.append(_live_record(alpha, p, post, post_states))
         else:
@@ -390,10 +403,13 @@ def measure_each(
     state's sector distribution is computed once, for all of a POVM's calls.
 
     A consumer that drops each post state before asking for the next record
-    holds at most one post state at a time, whatever the outcome count.
-    Without ``post_states`` the records carry their post states' sector
-    distributions, and a state with a tensor measured through a POVM never
-    has its full post state built (nor kept).
+    holds at most one post state at a time, whatever the outcome count; one
+    that also drops each record's sectors once it has used them, as
+    ``simulate`` does by writing each outcome's report entry before asking
+    for the next, holds O(1) sector lists.  Without ``post_states`` the
+    records carry their post states' sector distributions, and a state with
+    a tensor measured through a POVM never has its full post state built
+    (nor kept).
     """
     if isinstance(readout, (ApparatusSpec, TwoOutcomeTheta)):
         for k in range(readout.n_outcomes):

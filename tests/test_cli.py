@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mesoparity import bounds, circuits, cli, svgchart
+from mesoparity import bounds, circuits, cli, measurement, svgchart
 from mesoparity.cli import (
     CSV_HEADER,
     CSV_SCHEMA_LINE,
@@ -184,6 +184,84 @@ class TestStreamedEmission:
         assert rc == 0
         assert out.stat().st_size > 12 * 10**6
         assert peak <= 20 * 2**20
+
+    def test_mixture_simulate_holds_no_outcome_list(self, tmp_path):
+        """Each outcome's entry is written as it is measured, so at N = 4000
+        the peak stays far below the N^1.5 report held whole."""
+        out = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            rc = main([*MIX, "--n", "4000", "--epsilon", "0.5", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak <= 4 * 2**20
+
+    def test_failure_while_measuring_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        measured = []
+        inner = measurement.measure
+
+        def failing(*args, **kwargs):
+            measured.append(1)
+            if len(measured) == 3:
+                raise ValidationError("injected failure on the third outcome")
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(measurement, "measure", failing)
+        out = tmp_path / "r.json"
+        assert main([*MIX, "--n", "9", "--epsilon", "0.3", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert not list(tmp_path.iterdir())
+        assert "third outcome" in capsys.readouterr().err
+        # stdout keeps the two entries written before the failure
+        measured.clear()
+        assert main([*MIX, "--n", "9", "--epsilon", "0.3", "--out", "-"]) == EXIT_USAGE
+        text = capsys.readouterr().out
+        assert text.startswith('{\n  "scenario": {')
+        assert text.count('"id": ') == 2
+
+
+LAZY = [
+    ("empty generator", [], lambda: iter(())),
+    ("float arrays",
+     [{"id": i, "sectors": np.array([0.0, i / 3.0, -0.0, 0.0])} for i in range(3)],
+     lambda: ({"id": i, "sectors": np.array([0.0, i / 3.0, -0.0, 0.0])} for i in range(3))),
+    ("callable dict", {"f": 0.25, "d": {"x": [1, None]}},
+     lambda: lambda: {"f": 0.25, "d": {"x": [1, None]}}),
+]
+
+
+class TestLazyMembers:
+    """A generator is written as the list it yields, a zero-argument callable
+    as the value it returns."""
+
+    @pytest.mark.parametrize("name, value, make", LAZY, ids=[c[0] for c in LAZY])
+    def test_same_bytes_as_the_materialized_value(self, tmp_path, name, value, make):
+        for wrap in (lambda v: v(), lambda v: {"a": 1, "lazy": v(), "z": [v()]}):
+            want = emit_json(wrap(lambda: value))
+            assert emit_json(wrap(make)) == want
+            out = tmp_path / "r.json"
+            cli._write_json(str(out), wrap(make))
+            assert out.read_text(encoding="utf-8") == want + "\n"
+
+    def test_members_are_drawn_in_turn(self):
+        order = []
+
+        def entries():
+            for i in range(2):
+                order.append(f"yield {i}")
+                yield {"id": i}
+
+        def emitted(piece):
+            order.append(piece)
+
+        report = {"outcomes": entries(), "after": lambda: order.append("call") or 7}
+        emit_json(report, 0, emitted)
+        first = next(i for i, piece in enumerate(order) if '"id": 0' in piece)
+        last = next(i for i, piece in enumerate(order) if '"id": 1' in piece)
+        assert order.index("yield 1") > first
+        assert order.index("call") > last
 
 
 class TestFlatConfig:

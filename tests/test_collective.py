@@ -76,6 +76,18 @@ def test_total_excitation_grid_two_blocks():
     assert not table.flags.writeable
 
 
+@pytest.mark.parametrize("state", [
+    prepare_inputs(CircuitSpec("parity_collective", MsConfig(5, 0.2), backend="dense")),
+    block_ground_state(np.eye(2) / math.sqrt(2), (3, 4)),
+], ids=["dense", "blocks"])
+def test_excitation_index_is_one_read_only_table(state):
+    first, again = collective.excitation_index(state), collective.excitation_index(state)
+    assert first is again
+    assert first.dtype == np.intp and not first.flags.writeable
+    twin = state.with_tensor(state.as_tensor().copy())
+    assert collective.excitation_index(twin) is first
+
+
 def test_binomial_pmf_exact_small():
     pmf = binomial_pmf(3, 0.25)
     want = [Fraction(27, 64), Fraction(27, 64), Fraction(9, 64), Fraction(1, 64)]

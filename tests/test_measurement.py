@@ -480,6 +480,41 @@ class TestSectorReadout:
             (ref,) = measure(state, sector_pvm(50), [rec.outcome], post_states=False)
             assert (rec.probability, rec.fidelity_best) == (ref.probability, ref.fidelity_best)
 
+    @pytest.mark.parametrize("rep, kind, eps, backend", [
+        ("blocks", "hamming_half", 0.0, "collective"),
+        ("mixture", "parity_conditioned", 0.3, "collective"),
+        ("dense_pure", "parity_conditioned", 0.0, "dense"),
+    ])
+    def test_rows_are_built_for_live_outcomes_only(self, monkeypatch, rep, kind, eps, backend):
+        n = 8 if backend == "dense" else 400
+        spec = CircuitSpec(kind, MsConfig(n, eps), backend=backend,
+                           v_odd=TAG_FLIP if kind == "parity_conditioned" else TAG_IDENTITY)
+        state = evolve(spec, prepare_inputs(spec))
+        rows = []
+        row = measurement.SectorPVM.row
+
+        def counted(self, alpha):
+            rows.append(alpha)
+            return row(self, alpha)
+
+        monkeypatch.setattr(measurement.SectorPVM, "row", counted)
+        records = measure(state, sector_pvm(n), post_states=False)
+        live = [r.outcome for r in records if r.fidelity_best is not None]
+        assert 0 < len(live) < n + 1
+        assert rows == live
+
+    @given(st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, 5e-324, 1e-300]),
+                    min_size=2, max_size=40), st.data())
+    def test_probability_is_the_row_dot(self, values, data):
+        sectors = np.array(values)
+        n = sectors.size - 1
+        table = random_collective_povm(n, np.random.default_rng(n))
+        for povm in (sector_pvm(n), table):
+            alpha = data.draw(st.integers(0, povm.n_outcomes - 1))
+            p, dot = povm.probability(alpha, sectors), float(povm.row(alpha) @ sectors)
+            assert type(p) is float
+            assert (p, math.copysign(1.0, p)) == (dot, math.copysign(1.0, dot))
+
 
 class TestConditionedFidelities:
     def test_branch_fidelities_sum_to_one(self, rng):
