@@ -14,7 +14,7 @@ Usage::
 import argparse
 
 from mesoparity.bounds import bound_closed_form, optimal_strategy
-from mesoparity.circuits import CircuitSpec, evolve, prepare_inputs
+from mesoparity.circuits import CircuitSpec, evolve
 from mesoparity.collective import MsConfig
 from mesoparity.measurement import measure
 from mesoparity.metrics import average_fidelity
@@ -24,7 +24,7 @@ def simulate_strategy(n, epsilon, backend="auto"):
     strat = optimal_strategy(n)
     spec = CircuitSpec("parity_conditioned", MsConfig(n, epsilon),
                        backend=backend, v_odd=strat.v_odd, v_even=strat.v_even)
-    state = evolve(spec, prepare_inputs(spec))
+    state = evolve(spec)
     return average_fidelity(measure(state, strat.povm, post_states=False))
 
 

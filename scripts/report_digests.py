@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Print the exit code, report sha256 and argv of a fixed grid of CLI commands.
+
+Two trees write the same reports when this script prints the same lines on
+both.  Run it on each tree's ``src`` and compare::
+
+    PYTHONPATH=src python scripts/report_digests.py > after.txt
+    PYTHONPATH=/path/to/other/tree/src python scripts/report_digests.py > before.txt
+    diff before.txt after.txt
+
+Each command runs in this process through ``cli.main`` with ``--out`` a
+temporary file.  A line holds the exit code (``raised <Error>`` for an
+exception that escapes ``main``), the sha256 of the report (``-`` when no
+file was left), the sha256 of the start of stderr, and the argv.  The grid
+covers every circuit kind and ``parity_conditioned`` tag pair, every
+backend and readout, pure and mixed inputs, with and without
+``--disentangle``, at N = 3, 4 and 9; ``--post-select`` at N <= 4; the pure
+dense runs at N = 20; and a few ``bound`` and ``verify`` commands.  It takes a
+few minutes.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import os
+import shlex
+import sys
+import tempfile
+
+from mesoparity import cli
+
+KINDS = (
+    ("--kind", "parity_collective"),
+    ("--kind", "hamming_half"),
+    ("--kind", "ghz_local"),
+) + tuple(
+    ("--kind", "parity_conditioned", "--v-odd", odd, "--v-even", even)
+    for odd, even in itertools.product(("identity", "collective_flip"), repeat=2)
+)
+BACKENDS = ("auto", "dense", "collective")
+STDERR_HEAD = 200
+
+
+def _readouts(n: int) -> tuple:
+    theta = ",".join(repr(0.37 * m) for m in range(n + 1))
+    return (
+        ("--measurement", "sector_pvm"),
+        ("--measurement", "threshold_pvm"),
+        ("--measurement", "two_outcome", "--theta", theta),
+        ("--measurement", "two_outcome", "--g", "0.3", "--t-m", "1.1"),
+    )
+
+
+def grid() -> list:
+    """Every command of the grid, each an argv without ``--out``."""
+    commands = []
+    for n in (3, 4, 9):
+        for kind, backend, readout, eps, disentangle in itertools.product(
+                KINDS, BACKENDS, _readouts(n), ("0", "0.3"), (False, True)):
+            argv = ("simulate", *kind, "--backend", backend, *readout,
+                    "--n", str(n), "--epsilon", eps)
+            if disentangle:
+                argv += ("--disentangle",)
+            commands.append(argv)
+            if n <= 4 and readout[1] == "sector_pvm":
+                commands.append(argv + ("--post-select", "1"))
+    for kind in ("parity_collective", "hamming_half"):
+        for extra in ((), ("--disentangle",)):
+            commands.append(("simulate", "--kind", kind, "--backend", "dense", "--n", "20",
+                             *extra))
+    for fmt in ("csv", "json", "svg"):
+        commands.append(("bound", "--n", "1:40", "--polarization", "0.2,0.5,0.9",
+                         "--format", fmt))
+    commands.append(("bound", "--n", "2,8,300", "--epsilon", "0.1,0.6"))
+    for seed in ("0", "1"):
+        commands.append(("verify", "all", "--seed", seed))
+    return commands
+
+
+def digest(argv, out: str) -> tuple:
+    """(exit code, report sha256, stderr sha256) of ``main([*argv, "--out", out])``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = str(cli.main([*argv, "--out", out]))
+        except Exception as exc:  # an escaping error is part of the record
+            code = f"raised {type(exc).__name__}"
+    report = "-"
+    if os.path.exists(out):
+        with open(out, "rb") as fh:
+            report = hashlib.sha256(fh.read()).hexdigest()
+        os.remove(out)
+    head = err.getvalue()[:STDERR_HEAD].encode()
+    return code, report, hashlib.sha256(head).hexdigest()[:16]
+
+
+def lines(commands):
+    """One line per command, as `main` prints them."""
+    with tempfile.TemporaryDirectory() as work:
+        out = os.path.join(work, "report")
+        for argv in commands:
+            code, report, err = digest(argv, out)
+            yield f"{code}\t{report}\t{err}\t{shlex.join(argv)}"
+
+
+def main() -> int:
+    for line in lines(grid()):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,7 +3,8 @@
 Every evolution kind but one has the form U = sum_jk |jk><jk| (x) V_jk: qubit
 basis branch (j, k) gets its own MS operation.  `CircuitSpec` checks its tags
 and builds that table once, as ``spec.ops``, which `evolve` and `disentangle`
-hand to `collective.branch_conditional`.  An entry is the tuple of MS blocks
+hand to `collective.branch_conditional`.  ``evolve(spec)`` runs the table
+on the spec's prepared input in that input's own fresh array.  An entry is the tuple of MS blocks
 to flip (the empty tuple is the identity):
 
 - ``parity_collective``: V = flip on the odd branches (01, 10), so the
@@ -38,8 +39,8 @@ from .collective import (
     MsConfig,
     RepresentationError,
     SectorMixture,
-    block_ground_state,
     branch_conditional,
+    branch_conditional_into,
     collective_flip,
     edge_phase_gate,
     ghz_entangler,
@@ -170,30 +171,69 @@ class CircuitSpec:
 
 def prepare_inputs(spec: CircuitSpec) -> JointState:
     """|+>|+> on the qubits, MS in |0...0> (pure path) or rho_eps (mixed)."""
-    backend = spec.resolved_backend()
-    n, eps = spec.ms.n, spec.ms.epsilon
-    if backend == "collective":
-        if eps == 0.0:
-            qubits = np.full((2, 2), 0.5)
-            return block_ground_state(qubits, spec.block_sizes)
+    if _is_mixture(spec):
         return mixture_prepare(spec.ms)
-    dim = 1 << n
-    layout = SubsystemLayout((2, 2, dim), (LABEL_Q1, LABEL_Q2, LABEL_MS))
-    if eps == 0.0:
-        amps = np.zeros((2, 2, dim), dtype=complex)
-        amps[:, :, 0] = 0.5
-        return PureState(amps.reshape(-1), layout)
-    plus = np.full(4, 0.5)
-    rho = np.kron(np.outer(plus, plus), thermal_ms_dense(spec.ms).matrix)
-    return DensityOperator(rho, layout)
+    t, _, wrap = _input_tensor(spec)
+    return wrap(t)
+
+
+def _is_mixture(spec: CircuitSpec) -> bool:
+    return spec.resolved_backend() == "collective" and spec.ms.epsilon > 0.0
+
+
+def _input_tensor(spec: CircuitSpec):
+    """The prepared input of a spec whose state has a tensor, unwrapped.
+
+    Returns a fresh, writable tensor shaped like that state's ``as_tensor()``;
+    the (layout, own block sizes) `branch_conditional_into` reads its MS slot
+    from, the sizes None for a dense MS slot; and the checked constructor
+    that wraps such a tensor as the state.
+    """
+    sizes = spec.block_sizes if spec.resolved_backend() == "collective" else None
+    density = sizes is None and spec.ms.epsilon > 0.0
+    ms_dim = 1 << (spec.ms.n if sizes is None else len(sizes))
+    layout = SubsystemLayout((2, 2, ms_dim), (LABEL_Q1, LABEL_Q2, LABEL_MS))
+    if density:
+        plus = np.full(4, 0.5)
+        rho = np.kron(np.outer(plus, plus), thermal_ms_dense(spec.ms).matrix)
+        t = rho.reshape(layout.dims * 2)
+    else:
+        # every MS block all |0>
+        t = np.zeros(layout.dims, dtype=complex)
+        t[:, :, 0] = 0.5
+
+    def wrap(t: np.ndarray) -> JointState:
+        if sizes is not None:
+            return CollectiveBlockState(t.reshape((2, 2) + (2,) * len(sizes)), sizes)
+        if density:
+            d = layout.total_dim
+            return DensityOperator(t.reshape(d, d), layout)
+        return PureState(t, layout)
+
+    return t, (layout, sizes), wrap
 
 
 # ---------------------------------------------------------------------------
 # evolution
 
 
-def evolve(spec: CircuitSpec, state: JointState) -> JointState:
-    """Run the circuit's entangling evolution on a prepared input."""
+def evolve(spec: CircuitSpec, state: Optional[JointState] = None) -> JointState:
+    """Run the circuit's entangling evolution on a prepared input.
+
+    With ``state`` left out, the spec's own prepared input is built and, for
+    every state with a tensor under a block-flip kind, evolved in that same
+    array and wrapped (and checked) once: a density at the cap is one
+    joint-sized array, not two.  The result equals
+    ``evolve(spec, prepare_inputs(spec))`` bit for bit.  A given ``state``
+    is never written.
+    """
+    if state is None:
+        if spec.kind == "ghz_local" or _is_mixture(spec):
+            state = prepare_inputs(spec)
+        else:
+            t, frame, wrap = _input_tensor(spec)
+            branch_conditional_into(t, t, *frame, spec.ops, spec.block_sizes)
+            return wrap(t)
     return _evolve_impl(spec, state)
 
 

@@ -27,10 +27,12 @@ import math
 import os
 import stat
 import sys
+from array import array
+from collections import namedtuple
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Optional
 
@@ -358,32 +360,49 @@ def _readout(cfg: ScenarioConfig):
     return measurement.ApparatusSpec(cfg.g, cfg.t_m)
 
 
-def _report_outcome(cfg: ScenarioConfig, spec, rec):
-    """The report entry of one outcome, and its record with neither the post
-    state nor the sectors, all that `average_fidelity` needs of it.
+def _report_outcome(cfg: ScenarioConfig, spec, rec) -> dict:
+    """The report entry of one outcome's record.
 
     Post states are asked for only under ``--disentangle``, and the entry
     then reports the disentangled state's fidelities and sectors; otherwise
     the record's own."""
     post, sectors = rec.post_state, rec.sectors
-    kept = {"post_state": None, "sectors": None}
+    f_odd, f_even, f_best = rec.fidelity_odd, rec.fidelity_even, rec.fidelity_best
     if post is not None and cfg.disentangle:
         post = circuits.disentangle(spec, post)
         marg = circuits.qubit_marginal(post)
         f_odd = fidelity(marg, BELL_ODD_PLUS)
         f_even = fidelity(marg, BELL_EVEN_PLUS)
-        kept.update(fidelity_odd=f_odd, fidelity_even=f_even, fidelity_best=max(f_odd, f_even))
+        f_best = max(f_odd, f_even)
         sectors = sector_probabilities(post)
-    rec = replace(rec, **kept)
-    entry = {
+    return {
         "id": int(rec.outcome),
         "p": float(rec.probability),
-        "f_odd": rec.fidelity_odd,
-        "f_even": rec.fidelity_even,
-        "f_best": rec.fidelity_best,
+        "f_odd": f_odd,
+        "f_even": f_even,
+        "f_best": f_best,
         "sectors": sectors,
     }
-    return entry, rec
+
+
+_KeptRecord = namedtuple("_KeptRecord", "probability fidelity_best")
+
+
+class _KeptOutcomes:
+    """All that `average_fidelity` reads of each reported outcome, p and
+    F_best, in two float arrays (8 B each per outcome).  F_best is NaN for an
+    outcome below the probability floor, which `average_fidelity` skips.
+    Each iteration yields the records afresh, in report order."""
+
+    def __init__(self):
+        self.p, self.f_best = array("d"), array("d")
+
+    def append(self, entry: dict) -> None:
+        self.p.append(entry["p"])
+        self.f_best.append(math.nan if entry["f_best"] is None else entry["f_best"])
+
+    def __iter__(self):
+        return map(_KeptRecord, self.p, self.f_best)
 
 
 def _branch_phase_diagnostics(cfg: ScenarioConfig, state):
@@ -404,7 +423,7 @@ def _branch_phase_diagnostics(cfg: ScenarioConfig, state):
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run one scenario and write its report as one pipeline: each outcome is
     measured, turned into its entry and written before the next is measured.
-    Only a small record per outcome stays, for ``f_avg``, and the one entry
+    Only p and F_best per outcome stay, for ``f_avg``, and the one entry
     that ``--post-select`` names; ``f_avg`` and the diagnostics are computed
     once the outcome list is closed, so the key order and bytes are those of
     the whole report built first."""
@@ -418,14 +437,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ids = range(readout.n_outcomes)
     if cfg.post_select is not None and cfg.post_select not in ids:
         raise UsageError(f"post_select={cfg.post_select} is not an outcome of this measurement")
-    state = circuits.evolve(spec, circuits.prepare_inputs(spec))
-    records, chosen = [], []
+    state = circuits.evolve(spec)
+    kept, chosen = _KeptOutcomes(), []
 
     def outcomes():
         for rec in measurement.measure_each(state, readout, post_states=cfg.disentangle):
-            # rebinding rec drops the post state before the next one is built
-            entry, rec = _report_outcome(cfg, spec, rec)
-            records.append(rec)
+            entry = _report_outcome(cfg, spec, rec)
+            # drop the post state before the next one is built
+            del rec
+            kept.append(entry)
             if entry["id"] == cfg.post_select:
                 chosen.append(entry)
             yield entry
@@ -443,7 +463,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report = {
         "scenario": asdict(cfg),
         "outcomes": outcomes(),
-        "f_avg": lambda: average_fidelity(records),
+        "f_avg": lambda: average_fidelity(kept),
         "diagnostics": diagnostics,
     }
     _write_json(args.out, report)

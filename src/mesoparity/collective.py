@@ -331,34 +331,52 @@ def branch_conditional(state, ops, block_sizes=None):
     `block_sizes` partitions a dense MS slot into contiguous site ranges
     (default: one block of all sites); collective-backend states flip their
     own declared blocks.  The result is written in one pass into one new
-    array: each qubit branch of an amplitude tensor, and each (ket branch,
-    bra branch) block of a density, is copied once with its MS axes split
-    into their blocks (views) and the blocks of its ops reversed.  A flip
-    only moves entries, so no side is conjugated and no entry is rounded.
+    array by `branch_conditional_into`; ``state`` is left as it is.
     """
-    slot, dims, _ = _ms_frame(state, block_sizes)
+    t = state.as_tensor()
+    out = np.empty_like(t)
+    branch_conditional_into(t, out, state.layout, _own_blocks(state), ops, block_sizes)
+    return state.with_tensor(out)
+
+
+def branch_conditional_into(t, out, layout, own_blocks, ops, block_sizes=None):
+    """Write `branch_conditional` of the tensor ``t`` into ``out``, which may
+    be ``t`` itself.
+
+    ``t`` is shaped like the ``as_tensor()`` of a state with this ``layout``
+    and, for a CollectiveBlockState, these ``own_blocks`` (None for a dense MS
+    slot): the ket dims, once for amplitudes and twice for a density.  Each
+    qubit branch of an amplitude tensor, and each (ket branch, bra branch)
+    block of a density, is copied once with its MS axes split into their
+    blocks (views) and the blocks of its ops reversed.  A flip only moves
+    entries, so no side is conjugated and no entry is rounded.  In place,
+    numpy copies each flipped block aside before writing it back (one branch
+    block at a time, a sixteenth of a density), so every bit is the same, and
+    an identity block is left where it is.
+    """
+    slot, dims, _ = _layout_frame(layout, own_blocks, block_sizes)
     if set(ops) != set(QUBIT_BRANCHES):
         raise LayoutError(f"need one MS operation per qubit branch, got {sorted(ops)}")
     for op in ops.values():
         if not (isinstance(op, tuple) and all(0 <= b < len(dims) for b in op)):
             raise LayoutError(f"block selection {op!r} outside {len(dims)} blocks")
-    n_slots, sides = state.layout.n_slots, tensor_sides(state)
-    q1, q2 = state.layout.slot(LABEL_Q1), state.layout.slot(LABEL_Q2)
+    n_slots = layout.n_slots
+    sides = t.ndim // n_slots
+    q1, q2 = layout.slot(LABEL_Q1), layout.slot(LABEL_Q2)
     ms = slot - (q1 < slot) - (q2 < slot)  # once both qubit axes are indexed away
     # one side of a branch block, its MS axis split into the blocks
-    side_dims = [d for i, d in enumerate(state.layout.dims) if i not in (q1, q2)]
+    side_dims = [d for i, d in enumerate(layout.dims) if i not in (q1, q2)]
     side_dims[ms:ms + 1] = dims
     split = tuple(side_dims) * sides
-    t = state.as_tensor()
-    out = np.empty_like(t)
     for branches in itertools.product(QUBIT_BRANCHES, repeat=sides):
         sl, axes = [slice(None)] * t.ndim, []
         for side, (j, k) in enumerate(branches):
             sl[side * n_slots + q1], sl[side * n_slots + q2] = j, k
             axes += [side * len(side_dims) + ms + b for b in ops[(j, k)]]
+        if out is t and not axes:
+            continue
         src, dst = t[tuple(sl)], out[tuple(sl)]
         dst.reshape(split)[...] = np.flip(src.reshape(split), tuple(axes))
-    return state.with_tensor(out)
 
 
 def collective_flip(state, controlled_on=None, blocks=None, block_sizes=None):

@@ -142,8 +142,8 @@ def _suite_backend_agreement(seed: int) -> list:
     for n in (2, 3, 5):
         spec_d = circuits.CircuitSpec("parity_collective", MsConfig(n), backend="dense")
         spec_c = circuits.CircuitSpec("parity_collective", MsConfig(n), backend="collective")
-        dense = circuits.evolve(spec_d, circuits.prepare_inputs(spec_d))
-        block = circuits.evolve(spec_c, circuits.prepare_inputs(spec_c))
+        dense = circuits.evolve(spec_d)
+        block = circuits.evolve(spec_c)
         overlap = abs(np.vdot(dense.amplitudes, expand_to_dense(block).amplitudes))
         checks.append(_check(f"pure_parity_state_overlap_n{n}", abs(overlap - 1.0), TOL.roundoff))
         d_sec = sector_probabilities(dense)
@@ -160,8 +160,8 @@ def _suite_backend_agreement(seed: int) -> list:
             "parity_conditioned", MsConfig(n, eps), backend="collective",
             v_odd=strat.v_odd, v_even=strat.v_even,
         )
-        dense = circuits.evolve(spec_d, circuits.prepare_inputs(spec_d))
-        mix = circuits.evolve(spec_c, circuits.prepare_inputs(spec_c))
+        dense = circuits.evolve(spec_d)
+        mix = circuits.evolve(spec_c)
         td = quantum_trace_distance(
             circuits.qubit_marginal(dense), circuits.qubit_marginal(mix)
         )
@@ -186,7 +186,7 @@ def _suite_circuit_equivalence(seed: int) -> list:
         spec_p = circuits.CircuitSpec("parity_collective", MsConfig(n))
         spec_g = circuits.CircuitSpec("ghz_local", MsConfig(n))
         branches_p, branches_g = (
-            circuits.branch_ms_states(circuits.evolve(s, circuits.prepare_inputs(s)))
+            circuits.branch_ms_states(circuits.evolve(s))
             for s in (spec_p, spec_g))
         worst = 0.0
         for key, (w_p, v_p) in branches_p.items():
@@ -197,7 +197,7 @@ def _suite_circuit_equivalence(seed: int) -> list:
         checks.append(_check(f"ghz_matches_parity_per_branch_n{n}", worst, TOL.accumulated))
 
     spec_h = circuits.CircuitSpec("hamming_half", MsConfig(4))
-    psi_h = circuits.evolve(spec_h, circuits.prepare_inputs(spec_h))
+    psi_h = circuits.evolve(spec_h)
     sec = sector_probabilities(psi_h)
     target = np.array([0.25, 0.0, 0.5, 0.0, 0.25])
     checks.append(
@@ -239,7 +239,7 @@ def _suite_bound_saturation(seed: int) -> list:
             "parity_conditioned", MsConfig(n, eps), backend="dense",
             v_odd=strat.v_odd, v_even=strat.v_even,
         )
-        state = circuits.evolve(spec, circuits.prepare_inputs(spec))
+        state = circuits.evolve(spec)
         f_avg = average_fidelity(measurement.measure(state, strat.povm))
         residual = abs(f_avg - bounds.bound_closed_form(n, eps))
         name = f"simulated_optimum_meets_bound_n{n}_eps{eps}"
@@ -283,7 +283,7 @@ def _suite_trace_identities(seed: int) -> list:
             "parity_conditioned", MsConfig(n, eps),
             v_odd=strat.v_odd, v_even=strat.v_even,
         )
-        state = circuits.evolve(spec, circuits.prepare_inputs(spec))
+        state = circuits.evolve(spec)
         povm = bounds.random_collective_povm(n, rng)
         f_avg = average_fidelity(measurement.measure(state, povm))
         p_odd, p_even = bounds.optimal_outcome_distributions(n, eps)

@@ -361,7 +361,8 @@ def _comparable(state):
     return mixture_to_dense(state).matrix if isinstance(state, SectorMixture) else state.as_tensor()
 
 
-@pytest.mark.parametrize("kind, tags", [
+# every kind, and parity_conditioned with every tag pair
+KIND_TAGS = pytest.mark.parametrize("kind, tags", [
     ("parity_collective", {}),
     ("hamming_half", {}),
     ("ghz_local", {}),
@@ -369,12 +370,21 @@ def _comparable(state):
       for o in (TAG_IDENTITY, TAG_FLIP) for e in (TAG_IDENTITY, TAG_FLIP)],
 ], ids=["parity_collective", "hamming_half", "ghz_local", "conditioned-id-id",
         "conditioned-id-flip", "conditioned-flip-id", "conditioned-flip-flip"])
+
+
+def _runs(kind) -> dict:
+    """backend -> the epsilons a kind runs at on it: dense pure and density,
+    block bits and, for the parity family, the sector mixture."""
+    return {"dense": (0.0, 0.3), "collective": (0.0, 0.3) if kind in (
+        "parity_collective", "parity_conditioned") else (0.0,)}
+
+
+@KIND_TAGS
 def test_disentangle_undoes_evolve(kind, tags, rng):
     """On every representation a kind runs on: dense pure, dense density, block
     bits (two for hamming_half) and, for the parity family, the sector
     mixture; from the prepared input, the evolved state and a random state."""
-    runs = {"dense": (0.0, 0.3), "collective": (0.0, 0.3) if kind in (
-        "parity_collective", "parity_conditioned") else (0.0,)}
+    runs = _runs(kind)
     seen = set()
     for backend, epsilons in runs.items():
         for eps in epsilons:
@@ -388,6 +398,68 @@ def test_disentangle_undoes_evolve(kind, tags, rng):
                 assert type(back) is type(s)
                 np.testing.assert_allclose(_comparable(back), _comparable(s), atol=1e-12, rtol=0)
     assert len(seen) == len(runs["dense"]) + len(runs["collective"])
+
+
+def _bits(state) -> tuple:
+    """Every bit a state holds, and whether each of its arrays is writable."""
+    if isinstance(state, SectorMixture):
+        arrays = (state.weight_odd, state.weight_even, state.cross)
+        meta = (state.n, state.cross_flipped)
+    else:
+        arrays = (state.matrix if isinstance(state, DensityOperator) else state.amplitudes,)
+        meta = (type(state), state.layout, getattr(state, "block_sizes", None))
+    return meta, tuple((a.shape, a.tobytes()) for a in arrays), [a.flags.writeable for a in arrays]
+
+
+class TestFusedEvolve:
+    """`evolve(spec)` evolves the prepared input in its own array."""
+
+    @KIND_TAGS
+    def test_equals_evolve_of_the_prepared_input(self, kind, tags):
+        for n in (3, 4) if kind != "hamming_half" else (4,):
+            seen = set()
+            for backend, epsilons in _runs(kind).items():
+                for eps in epsilons:
+                    spec = CircuitSpec(kind, MsConfig(n, eps), backend=backend, **tags)
+                    want = evolve(spec, prepare_inputs(spec))
+                    got = evolve(spec)
+                    seen.add(type(got))
+                    assert _bits(got) == _bits(want)
+            assert len(seen) == sum(map(len, _runs(kind).values()))
+
+    def test_density_at_the_cap(self):
+        spec = CircuitSpec("parity_collective", MsConfig(9, 0.5), backend="dense")
+        got = evolve(spec)
+        assert got.matrix.shape == (2048, 2048)
+        assert _bits(got) == _bits(evolve(spec, prepare_inputs(spec)))
+
+    def test_refusals_are_those_of_prepare_inputs(self):
+        for spec, error in [
+            (CircuitSpec("hamming_half", MsConfig(4, 0.3), backend="collective"),
+             RepresentationError),
+            (CircuitSpec("ghz_local", MsConfig(10, 0.3)), RepresentationError),
+            (CircuitSpec("parity_collective", MsConfig(10, 0.3), backend="dense"),
+             LayoutError),
+        ]:
+            with pytest.raises(error):
+                prepare_inputs(spec)
+            with pytest.raises(error):
+                evolve(spec)
+
+
+@KIND_TAGS
+def test_evolve_and_disentangle_leave_their_argument(kind, tags):
+    """The public gates never write a state they are given, on every
+    representation, and leave its arrays read-only."""
+    for backend, epsilons in _runs(kind).items():
+        for eps in epsilons:
+            spec = CircuitSpec(kind, MsConfig(4, eps), backend=backend, **tags)
+            for state in (prepare_inputs(spec), evolve(spec)):
+                before = _bits(state)
+                assert not any(before[2])
+                for gate in (evolve, disentangle):
+                    gate(spec, state)
+                    assert _bits(state) == before
 
 
 class TestQubitMarginal:

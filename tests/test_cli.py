@@ -198,6 +198,19 @@ class TestStreamedEmission:
         assert rc == 0
         assert peak <= 4 * 2**20
 
+    def test_dense_density_is_evolved_in_its_own_array(self, tmp_path):
+        """At the N = 9 density cap the 64 MiB input is evolved in place, so
+        the peak holds one joint-sized density, not the input and a copy."""
+        out = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            rc = main([*MIX, "--n", "9", "--epsilon", "0.5", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak <= 1.25 * 64 * 2**20
+
     def test_failure_while_measuring_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         measured = []
         inner = measurement.measure
@@ -313,6 +326,7 @@ class TestSimulate:
             raise AssertionError("an input state was prepared")
 
         monkeypatch.setattr(circuits, "prepare_inputs", no_state)
+        monkeypatch.setattr(circuits, "evolve", no_state)
         probe = ("--measurement", "two_outcome", "--g", "0.3", "--t-m", "1.1")
         for argv, bad in [
             (MIX + ("--n", "9", "--epsilon", "0.5"), "99"),

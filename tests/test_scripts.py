@@ -1,6 +1,9 @@
-"""The two scripts under scripts/, run as a user would run them."""
+"""The scripts under scripts/, run as a user would run them."""
 
+import hashlib
+import importlib.util
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +37,29 @@ def test_optimal_strategy_demo_meets_the_closed_form():
     assert proc.returncode == 0, proc.stderr
     worst = re.search(r"worst \|simulated - closed form\| = (\S+)", proc.stdout)
     assert float(worst.group(1)) <= 1e-12
+
+
+def test_report_digests_prints_one_line_per_command(tmp_path):
+    spec = importlib.util.spec_from_file_location("report_digests",
+                                                  SCRIPTS / "report_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    grid = digests.grid()
+    assert len(grid) == len(set(grid)) > 1000
+    commands = [
+        ("simulate", "--kind", "parity_collective", "--n", "3", "--epsilon", "0.3"),
+        ("simulate", "--kind", "hamming_half", "--backend", "collective", "--n", "4",
+         "--disentangle"),
+        ("simulate", "--kind", "hamming_half", "--n", "3"),
+        ("bound", "--n", "1:5", "--polarization", "0.5"),
+    ]
+    lines = [line.split("\t") for line in digests.lines(commands)]
+    assert [(code, argv) for code, _, _, argv in lines] == [
+        ("0", shlex.join(commands[0])), ("0", shlex.join(commands[1])),
+        ("2", shlex.join(commands[2])), ("0", shlex.join(commands[3]))]
+    for (_, report, _, _), argv in zip(lines, commands):
+        if report != "-":
+            out = tmp_path / "r"
+            assert main([*argv, "--out", str(out)]) == 0
+            assert report == hashlib.sha256(out.read_bytes()).hexdigest()
+    assert lines[2][1] == "-"
