@@ -3,9 +3,9 @@
 Every evolution kind but one has the form U = sum_jk |jk><jk| (x) V_jk: qubit
 basis branch (j, k) gets its own MS operation.  `CircuitSpec` checks its tags
 and builds that table once, as ``spec.ops``, which `evolve` and `disentangle`
-hand to `collective.branch_conditional`.  ``evolve(spec)`` runs the table
-on the spec's prepared input in that input's own fresh array.  An entry is the tuple of MS blocks
-to flip (the empty tuple is the identity):
+hand to `collective.branch_conditional` (``evolve(spec)`` runs it on the
+spec's prepared input in that input's own array).  An entry is the tuple of
+MS blocks to flip (the empty tuple is the identity):
 
 - ``parity_collective``: V = flip on the odd branches (01, 10), so the
   parity lands in the sectors {0, n}.

@@ -24,7 +24,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -222,15 +221,6 @@ class CollectiveBlockState:
 
     def with_tensor(self, t: np.ndarray) -> "CollectiveBlockState":
         return CollectiveBlockState(t.reshape(self.amplitudes.shape), self.block_sizes)
-
-
-def block_ground_state(qubit_amplitudes: np.ndarray, block_sizes: Sequence[int]) -> CollectiveBlockState:
-    """Qubits in the given 2x2 amplitude table, every block all |0>."""
-    sizes = tuple(int(b) for b in block_sizes)
-    amps = np.zeros((2, 2) + (2,) * len(sizes), dtype=complex)
-    idx = (slice(None), slice(None)) + (0,) * len(sizes)
-    amps[idx] = np.asarray(qubit_amplitudes, dtype=complex)
-    return CollectiveBlockState(amps, sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from mesoparity.collective import (
     SectorMixture,
     binomial_pmf,
     block_excitations,
-    block_ground_state,
     branch_conditional,
     collective_flip,
     edge_phase_gate,
@@ -56,6 +55,13 @@ from helpers import (
     kron_chain,
     thermal_matrix,
 )
+
+
+def block_ground_state(qubit_amplitudes, block_sizes) -> CollectiveBlockState:
+    """Qubits in the given 2x2 amplitude table, every block all |0>."""
+    amps = np.zeros((2, 2) + (2,) * len(block_sizes), dtype=complex)
+    amps[(slice(None), slice(None)) + (0,) * len(block_sizes)] = qubit_amplitudes
+    return CollectiveBlockState(amps, block_sizes)
 
 
 # ---------------------------------------------------------------------------
