@@ -15,8 +15,9 @@ file was left), the sha256 of the start of stderr, and the argv.  The grid
 covers every circuit kind and ``parity_conditioned`` tag pair, every
 backend and readout, pure and mixed inputs, with and without
 ``--disentangle``, at N = 3, 4 and 9; ``--post-select`` at N <= 4; the pure
-dense runs at N = 20; and a few ``bound`` and ``verify`` commands.  It takes a
-few minutes.
+dense runs at N = 20; ``bound`` sweeps in each format, at epsilon 0, across
+N = 50 and 51, over unsorted and repeated N, on the benchmark's 1:1000 grid
+and refused; and ``verify``.  It takes a few minutes.
 """
 
 import contextlib
@@ -73,6 +74,18 @@ def grid() -> list:
         commands.append(("bound", "--n", "1:40", "--polarization", "0.2,0.5,0.9",
                          "--format", fmt))
     commands.append(("bound", "--n", "2,8,300", "--epsilon", "0.1,0.6"))
+    # the sweep's edges: the one-hot rows at epsilon 0, the pmf's switch from
+    # exact products to log space past N = 50, unsorted and repeated N, the
+    # benchmark's grid, and refused grids
+    for fmt in ("csv", "json", "svg"):
+        commands.append(("bound", "--n", "1:120", "--epsilon", "0,0.3,0.999",
+                         "--format", fmt))
+    commands.append(("bound", "--n", "52,50,51,7,50,2000,1,51", "--epsilon", "0.9,0,0.25,0"))
+    commands.append(("bound", "--n", "1:1000", "--polarization",
+                     "0.28125,0.40625,0.59375,0.71875"))
+    for n, eps in (("3,0", "0.2,1.0"), ("3,0", "0.2"), ("4", "0.5,-0.1")):
+        commands.append(("bound", "--n", n, "--epsilon", eps))
+    commands.append(("bound", "--n", "3", "--polarization", "0"))
     for seed in ("0", "1"):
         commands.append(("verify", "all", "--seed", seed))
     return commands

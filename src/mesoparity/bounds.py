@@ -48,11 +48,17 @@ def _exact_sum(values: np.ndarray) -> float:
     return math.fsum(np.sort(values)[::-1].tolist())
 
 
-def binomial_cdf(n: int, p: float, k: int) -> float:
-    """B(k; n, p) = sum_{m<=k} b(m; n, p), summed exactly."""
-    if k < 0:
-        return 0.0
-    return _exact_sum(binomial_pmf(n, p)[: min(k, n) + 1])
+def _closed_forms(n: int, pmf: np.ndarray) -> list:
+    """`bound_closed_form` read off each row b(.; n, epsilon/2) of ``pmf``.
+
+    For odd and even n alike the binomial tail is the row's first (n+1)//2
+    terms, summed as `_exact_sum` sums, largest first.
+    """
+    heads = np.sort(pmf[:, : (n + 1) // 2], axis=1)[:, ::-1].tolist()
+    values = [math.fsum(head) for head in heads]
+    if n % 2:
+        return values
+    return [v + 0.5 * c for v, c in zip(values, pmf[:, n // 2].tolist())]
 
 
 def bound_closed_form(n: int, epsilon: float) -> float:
@@ -62,11 +68,7 @@ def bound_closed_form(n: int, epsilon: float) -> float:
     B(n/2 - 1; n, epsilon/2) + b(n/2; n, epsilon/2)/2.
     """
     _validate_params(n, epsilon)
-    p = epsilon / 2.0
-    if n % 2:
-        return binomial_cdf(n, p, (n - 1) // 2)
-    pmf = binomial_pmf(n, p)
-    return _exact_sum(pmf[: n // 2]) + 0.5 * float(pmf[n // 2])
+    return _closed_forms(n, binomial_pmf(n, [epsilon / 2.0]))[0]
 
 
 def bound_sum_form(n: int, epsilon: float) -> float:
@@ -76,6 +78,39 @@ def bound_sum_form(n: int, epsilon: float) -> float:
     p_even = binomial_pmf(n, epsilon / 2.0)
     p_odd = binomial_pmf(n, 1.0 - epsilon / 2.0)
     return 0.5 * _exact_sum(np.maximum(p_even, p_odd))
+
+
+def _sum_forms(p_even: np.ndarray, p_odd: np.ndarray) -> list:
+    """`bound_sum_form` of each pair of rows b(.; n, epsilon/2) and
+    b(.; n, 1-epsilon/2), summed pairwise by numpy rather than exactly: at
+    n = 1000 that moves it by ~1e-15, far below TOL.bound_forms."""
+    return (0.5 * np.maximum(p_even, p_odd).sum(axis=1)).tolist()
+
+
+def bound_grid(n_values, epsilons) -> list:
+    """The closed-form ceiling at every (N, epsilon) of a grid: one list per
+    entry of ``n_values``, holding one value per epsilon, in the given orders.
+
+    One `binomial_pmf` call per N builds the rows at every epsilon/2 and
+    every 1 - epsilon/2, and every value is cross-checked against the sum
+    form read off the same rows.
+    """
+    epsilons = list(epsilons)
+    half = np.array(epsilons, dtype=float) / 2.0
+    k = len(epsilons)
+    grid = []
+    for n in n_values:
+        for eps in epsilons:
+            _validate_params(n, eps)
+        pmf = binomial_pmf(n, np.concatenate([half, 1.0 - half]))
+        values = _closed_forms(n, pmf[:k])
+        for eps, value, cross in zip(epsilons, values, _sum_forms(pmf[:k], pmf[k:])):
+            if abs(value - cross) > TOL.bound_forms:
+                raise ValidationError(
+                    f"bound forms disagree at N={n}, eps={eps}: {value} vs {cross}"
+                )
+        grid.append(values)
+    return grid
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,13 +10,13 @@ cast, one set of choices and one default, all in `build_parser`.  Flags on
 the command line beat the file.
 
 Outputs are deterministic: floats are printed with 17 significant digits, grid
-sweeps are computed in parallel but written sorted, and charts use fixed
-2-decimal coordinates.  JSON reports are written to ``--out`` as they are
-emitted, never held whole in memory; ``simulate`` writes each outcome's entry
-as soon as that outcome is measured.  A report that fails partway, measuring
+sweeps are written sorted by N and epsilon, and charts use fixed 2-decimal
+coordinates.  JSON reports are written to ``--out`` as they are emitted,
+never held whole in memory; ``simulate`` writes each outcome's entry as soon
+as that outcome is measured.  A report that fails partway, measuring
 included, leaves no file behind; under ``--out -`` stdout keeps the entries
-already written.  Exit codes: 0 ok, 1 verification failure, 2
-usage/config error, 3 representation error, 4 I/O error.
+already written.  Exit codes: 0 ok, 1 verification failure, 2 usage/config
+error, 3 representation error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import sys
 from array import array
 from collections import namedtuple
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
@@ -474,30 +473,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # bound sweep
 
 
-def _bound_row(task):
-    n, eps, pol = task
-    value = bounds.bound_closed_form(n, eps)
-    cross = bounds.bound_sum_form(n, eps)
-    if abs(value - cross) > TOL.bound_forms:
-        raise ValidationError(
-            f"bound forms disagree at N={n}, eps={eps}: {value} vs {cross}"
-        )
-    return (n, eps, pol, value)
-
-
-def _bound_block(tasks) -> list:
-    return [_bound_row(task) for task in tasks]
-
-
 def compute_bound_rows(sweep: SweepConfig) -> list:
-    """Every grid row, each cross-checked between two forms.  The pool gets
-    one contiguous block of rows per worker."""
-    tasks = [(n, eps, pol) for n in sweep.n_values for eps, pol in sweep.pairs]
-    workers = min(8, len(tasks))
-    size = -(-len(tasks) // workers)
-    blocks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = [row for block in pool.map(_bound_block, blocks) for row in block]
+    """Every grid row, each cross-checked between two forms, sorted by N and
+    epsilon."""
+    grid = bounds.bound_grid(sweep.n_values, [eps for eps, _ in sweep.pairs])
+    rows = [(n, eps, pol, value)
+            for n, values in zip(sweep.n_values, grid)
+            for (eps, pol), value in zip(sweep.pairs, values)]
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows
 

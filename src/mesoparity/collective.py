@@ -112,35 +112,42 @@ def _log_gamma_table(size: int) -> np.ndarray:
     return table
 
 
-def binomial_pmf(n: int, p: float) -> np.ndarray:
-    """b(m; n, p) for m = 0..n.
+def binomial_pmf(n: int, p) -> np.ndarray:
+    """b(m; n, p) for m = 0..n; for a 1-D array of p, one such row per p.
 
     Exact products up to n = 50, log-space beyond so that large-n tails do not
     underflow through intermediate factors.  Beyond, log C(n, m) is read off
     the log-gamma table as lgam(n+1) - lgam(m+1) - lgam(n-m+1), the same
     operations in the same order as with scipy's gammaln, and so the same
-    bits.
+    bits.  Each row of an array call is elementwise the same arithmetic as
+    the call at its own p, and so equals that call bit for bit; p = 0 and
+    p = 1 give the one-hot rows.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"success probability {p} outside [0, 1]")
-    if p == 0.0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    if p == 1.0:
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
-    m = np.arange(n + 1)
-    if n <= 50:
-        combs = np.array([math.comb(n, k) for k in m], dtype=float)
-        return combs * p**m * (1.0 - p) ** (n - m)
-    table = _log_gamma_table(1 << (n + 1).bit_length())
-    lt = table[1:n + 2]
-    coef = table[n + 1] - lt - lt[::-1]
-    return np.exp(coef + m * np.log(p) + (n - m) * np.log1p(-p))
+    ps = np.asarray(p, dtype=float)
+    if ps.ndim > 1:
+        raise ValueError(f"need a scalar or a 1-D array of p, got shape {ps.shape}")
+    inside = (0.0 <= ps) & (ps <= 1.0)
+    if not inside.all():
+        raise ValueError(f"success probability {ps[~inside].flat[0]} outside [0, 1]")
+    flat = ps.reshape(-1)
+    out = np.zeros((len(flat), n + 1))
+    out[:, 0] = flat == 0.0
+    out[:, n] = flat == 1.0
+    live = (0.0 < flat) & (flat < 1.0)
+    if live.any():
+        q = flat[live, None]
+        m = np.arange(n + 1)
+        if n <= 50:
+            combs = np.array([math.comb(n, k) for k in m], dtype=float)
+            out[live] = combs * q**m * (1.0 - q) ** (n - m)
+        else:
+            table = _log_gamma_table(1 << (n + 1).bit_length())
+            lt = table[1:n + 2]
+            coef = table[n + 1] - lt - lt[::-1]
+            out[live] = np.exp(coef + m * np.log(q) + (n - m) * np.log1p(-q))
+    return out if ps.ndim else out[0]
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ from mesoparity.bounds import (
     DomainError,
     ViolationReport,
     _exact_sum,
-    binomial_cdf,
+    _sum_forms,
     bound_closed_form,
     bound_coefficient_program,
+    bound_grid,
     bound_sum_form,
     bound_violation_search,
     haar_unitary,
@@ -22,6 +23,7 @@ from mesoparity.bounds import (
     optimal_strategy,
     random_collective_povm,
 )
+from mesoparity import bounds
 from mesoparity.circuits import TAG_FLIP, TAG_IDENTITY
 from mesoparity.collective import binomial_pmf
 from mesoparity.states import ValidationError
@@ -153,6 +155,13 @@ class TestCoefficientProgram:
             CoefficientProgram(np.array([0.5, 0.5]), (1, 1), np.array([2.0, 1.0]))
 
 
+def binomial_cdf(n: int, p: float, k: int) -> float:
+    """B(k; n, p) = sum_{m<=k} b(m; n, p), summed exactly."""
+    if k < 0:
+        return 0.0
+    return _exact_sum(binomial_pmf(n, p)[: min(k, n) + 1])
+
+
 class TestCdf:
     def test_prefix_sums(self):
         pmf = binomial_pmf(6, 0.3)
@@ -160,6 +169,62 @@ class TestCdf:
             want = math.fsum(pmf[: max(0, k + 1)])
             assert binomial_cdf(6, 0.3, k) == pytest.approx(want, abs=1e-15)
         assert binomial_cdf(6, 0.3, 99) == pytest.approx(1.0, abs=1e-12)
+
+
+# the polarizations of the pinned `bound` reports in tests/test_cli.py
+PINNED_POLARIZATIONS = ((0.5, 0.7, 0.9, 0.99), (0.28125, 0.40625, 0.59375, 0.71875))
+
+
+class TestGrid:
+    @pytest.mark.parametrize("pols", PINNED_POLARIZATIONS)
+    def test_equals_closed_form_bit_for_bit(self, pols):
+        n_values = range(1, 1001)
+        epsilons = [1.0 - pol for pol in pols]
+        grid = bound_grid(n_values, epsilons)
+        assert len(grid) == len(n_values)
+        for n, values in zip(n_values, grid):
+            assert values == [bound_closed_form(n, eps) for eps in epsilons]
+            assert all(type(v) is float for v in values)
+
+    def test_one_hot_unsorted_and_repeated(self):
+        n_values = (7, 50, 51, 2, 50, 1, 2000, 7, 52)
+        epsilons = (0.0, 0.3, 0.0, 0.999)
+        grid = bound_grid(n_values, epsilons)
+        assert [[bound_closed_form(n, eps) for eps in epsilons] for n in n_values] == grid
+        assert all(values[0] == values[2] == 1.0 for values in grid)
+
+    @pytest.mark.parametrize("pols", PINNED_POLARIZATIONS)
+    def test_sum_form_within_pairwise_rounding(self, pols):
+        epsilons = [1.0 - pol for pol in pols]
+        half = np.array(epsilons) / 2.0
+        for n in range(1, 1001):
+            got = _sum_forms(binomial_pmf(n, half), binomial_pmf(n, 1.0 - half))
+            want = [bound_sum_form(n, eps) for eps in epsilons]
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14
+
+    def test_refusals_name_the_first_bad_row(self):
+        with pytest.raises(DomainError, match="got 1.0"):
+            bound_grid((3, 0), (0.2, 1.0))
+        with pytest.raises(DomainError, match="MS size, got 0"):
+            bound_grid((3, 0), (0.2, 0.5))
+        with pytest.raises(DomainError, match="got -0.1"):
+            bound_grid((3,), (-0.1,))
+
+    def test_disagreeing_odd_row_fails_the_cross_check(self, monkeypatch):
+        # the cross-check reads its odd rows off p = 1 - epsilon/2, so a
+        # corrupt one at N = 7, epsilon = 0.3 alone must fail that row
+        real = bounds.binomial_pmf
+
+        def corrupt(n, p):
+            rows = real(n, p)
+            if n == 7:
+                rows[np.asarray(p) == 1.0 - 0.3 / 2.0] *= 1.001
+            return rows
+
+        monkeypatch.setattr(bounds, "binomial_pmf", corrupt)
+        assert bound_grid((5, 6), (0.1, 0.3))
+        with pytest.raises(ValidationError, match=r"N=7, eps=0\.3:"):
+            bound_grid((5, 6, 7, 8), (0.1, 0.3))
 
 
 class TestOptimalStrategy:

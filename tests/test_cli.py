@@ -644,6 +644,22 @@ class TestBound:
         args = ("bound", "--n", "1:40", "--epsilon", "0.2,0.6")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
+    def test_failed_cross_check_exits_2_and_leaves_no_file(self, tmp_path, monkeypatch,
+                                                           capsys):
+        real = bounds.binomial_pmf
+
+        def corrupt(n, p):
+            rows = real(n, p)
+            if n == 7:
+                rows[np.asarray(p) == 1.0 - 0.3 / 2.0] *= 1.001
+            return rows
+
+        monkeypatch.setattr(bounds, "binomial_pmf", corrupt)
+        out = tmp_path / "bound.csv"
+        assert main(["bound", "--n", "1:10", "--epsilon", "0.1,0.3", "--out", str(out)]) == 2
+        assert "bound forms disagree at N=7, eps=0.3:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPlot:
     def test_round_trip(self, tmp_path):

@@ -114,6 +114,23 @@ def test_binomial_pmf_degenerate_edges():
     np.testing.assert_array_equal(binomial_pmf(4, 1.0), [0, 0, 0, 0, 1])
 
 
+@pytest.mark.parametrize("n", [1, 2, 50, 51, 52, 999, 2000])
+def test_binomial_pmf_rows_equal_scalar_calls(n):
+    ps = np.array([0.0, 1e-9, 0.140625, 0.5, 0.859375, 1.0 - 1e-12, 1.0, 0.0, -0.0])
+    rows = binomial_pmf(n, ps)
+    assert rows.shape == (len(ps), n + 1)
+    for p, row in zip(ps, rows):
+        want = binomial_pmf(n, float(p))
+        assert np.array_equal(row.view(np.int64), want.view(np.int64))
+    assert binomial_pmf(n, ps[:0]).shape == (0, n + 1)
+
+
+@pytest.mark.parametrize("p", [[0.5, 1.5], [[0.5]], [np.nan]])
+def test_binomial_pmf_refuses_bad_rows(p):
+    with pytest.raises(ValueError):
+        binomial_pmf(3, np.array(p))
+
+
 def _gammaln_binomial_pmf(n, p):
     """`binomial_pmf` as one expression with scipy's gammaln, the reference
     for its log-gamma table."""
