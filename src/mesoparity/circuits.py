@@ -184,7 +184,8 @@ def _is_mixture(spec: CircuitSpec) -> bool:
 def _input_tensor(spec: CircuitSpec):
     """The prepared input of a spec whose state has a tensor, unwrapped.
 
-    Returns a fresh, writable tensor shaped like that state's ``as_tensor()``;
+    Returns a fresh, writable tensor shaped like that state's ``as_tensor()``
+    (real for a density: |++><++| (x) rho_eps, which the block flips keep real);
     the (layout, own block sizes) `branch_conditional_into` reads its MS slot
     from, the sizes None for a dense MS slot; and the checked constructor
     that wraps such a tensor as the state.

@@ -470,7 +470,7 @@ def sector_sums(pops: np.ndarray, index: np.ndarray, n: int = 0) -> np.ndarray:
 
 
 def thermal_ms_dense(config: MsConfig) -> DensityOperator:
-    """rho_eps as one dense diagonal over the 2^n product basis."""
+    """rho_eps as one dense real diagonal over the 2^n product basis."""
     n = config.n
     if (1 << n) > DENSE_DENSITY_DIM_CAP:
         raise LayoutError(f"2^{n} exceeds the dense density cap")
@@ -478,7 +478,7 @@ def thermal_ms_dense(config: MsConfig) -> DensityOperator:
     pops = popcounts(n).astype(np.float64)
     diag = q ** (n - pops) * (1.0 - q) ** pops
     layout = SubsystemLayout((1 << n,), (LABEL_MS,))
-    return DensityOperator(np.diag(diag).astype(complex), layout)
+    return DensityOperator(np.diag(diag), layout)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ Which post form is built: the update of a state with a tensor (dense pure,
 block-bit or density) vanishes off the effect's support S, the MS entries
 where sqrt(E_alpha) is nonzero, so `measure` gathers the ket entries on S
 (rho[S, S] for a density), updates them and reads the qubit marginal and the
-sector weights from that checked block.  The full post-state, the block
-written into zeros, is built only when the caller asks for post states (the
-CLI does for ``--disentangle``).  `SectorMixture` builds and keeps its
+sector weights from that checked block, cast to complex when the density
+is stored real.  The full post-state, the block written into zeros, is built
+only when the caller asks for post states (the CLI does for
+``--disentangle``).  `SectorMixture` builds and keeps its
 closed-form post-state for every live outcome, as does the apparatus route,
 which runs on the full joint tensor of every representation.  A record
 carries its post-state's sector distribution exactly when post states were
@@ -257,11 +258,14 @@ def _support_update(state, sqrt_coeffs: np.ndarray, p: float, post_states: bool)
     # the weights of all sides are combined first, so the block is multiplied once
     kernel = sector_diagonal(sqrt_coeffs, sub_index)
     weight = apply_kernel(state, kernel, np.ones((1,) * (sides * len(dims))))
-    # ket entries whose MS entry lies in S, in the block's C order, on every side
+    # ket entries whose MS entry lies in S, in the block's C order, on every side;
+    # a real density's block is made complex, so the record is read from the
+    # same values, summed in the same order, as for complex storage
     rows = np.flatnonzero(np.broadcast_to(on_support, state.layout.dims))
     on_s = np.ix_(*(rows,) * sides)
     d = state.layout.total_dim
-    t = state.as_tensor().reshape((d,) * sides)[on_s].reshape(sub.dims * sides)
+    t = state.as_tensor().reshape((d,) * sides)[on_s].astype(complex, copy=False)
+    t = t.reshape(sub.dims * sides)
     t *= weight
     t /= p if sides == 2 else np.sqrt(p)
     flat = t.reshape((rows.size,) * sides)
@@ -382,8 +386,10 @@ def apparatus_measure(
     amps = _probe_rotation(table.theta)[:, 0]
     records = []
     for k in range(len(amps)) if outcomes is None else outcomes:
-        # the probe entered in |0> and was read out in |k>
-        raw = apply_kernel(state, sector_diagonal(amps[k], index))
+        # the probe entered in |0> and was read out in |k>; complex coefficients
+        # make the first side write a complex array, so a real density's trace
+        # sums in the same order as a complex one's
+        raw = apply_kernel(state, sector_diagonal(amps[k].astype(complex), index))
         p = branch_probability(state, raw)
         if p < TOL.prob_floor:
             records.append(_record(k, p))

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra and state bookkeeping over labelled tensor layouts.
+"""Dense linear algebra and state bookkeeping over labelled tensor layouts.
 
 Slot 0 is the leftmost tensor factor and basis indices are big-endian over
 slots (numpy C-order reshape), so a basis index of |q1 q2> (x) |ms> reads left
@@ -26,10 +26,10 @@ DENSE_STATE_DIM_CAP = 2**22
 DENSE_DENSITY_DIM_CAP = 2**11
 
 # Side of the square blocks the Hermiticity residual is taken over.  A pair of
-# 64 x 64 complex tiles (128 KB) stays in cache, where a whole-matrix
-# ``M - M^dag`` makes two full-size copies, one read down the columns.  One
-# check at the 2048 cap on one Xeon core: 30 ms at 64, 50 ms at 32, 65-75 ms
-# at 128 and 256, 145 ms untiled.
+# 64 x 64 tiles (128 KB complex, 64 KB real) stays in cache, where a
+# whole-matrix ``M - M^dag`` makes two full-size copies, one read down the
+# columns.  One check of a complex matrix at the 2048 cap on one Xeon core:
+# 30 ms at 64, 50 ms at 32, 65-75 ms at 128 and 256, 145 ms untiled.
 HERMITICITY_TILE = 64
 
 
@@ -121,6 +121,14 @@ class PureState:
 class DensityOperator:
     """Hermitian, unit-trace matrix over a layout.
 
+    A float64 matrix is kept as it is, real and uncopied, at half the bytes
+    of complex storage; any other dtype becomes complex128.  Every density
+    built from rho_eps stays real through the block flips and the edge
+    phases, which only move and negate entries; a complex coefficient (the
+    GHZ entangler's, the probe readout's) makes the result complex, and the
+    measurement's support update casts its gathered block to complex, so
+    the records are computed on complex values either way.
+
     Positivity is not re-checked on every construction (it costs an
     eigendecomposition); call :func:`validate_density` at trust boundaries.
     """
@@ -129,7 +137,9 @@ class DensityOperator:
     layout: SubsystemLayout
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix)
+        if mat.dtype != np.float64:
+            mat = mat.astype(complex, copy=False)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         d = self.layout.total_dim

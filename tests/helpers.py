@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import reduce
 
 import numpy as np
+import pytest
 
 ID2 = np.eye(2)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -45,6 +46,17 @@ def joint_controlled(n: int, control: str, u: np.ndarray) -> np.ndarray:
 # MS on the odd branches, the Hamming readout one half per excited qubit
 PARITY_TABLE = {(0, 0): (), (0, 1): (0,), (1, 0): (0,), (1, 1): ()}
 HAMMING_TABLE = {(0, 0): (), (0, 1): (1,), (1, 0): (0,), (1, 1): (0, 1)}
+
+# every circuit kind, and every tag pair of the parity-conditioned one, as
+# CircuitSpec keyword arguments
+KIND_TAGS = pytest.mark.parametrize("kind, tags", [
+    ("parity_collective", {}),
+    ("hamming_half", {}),
+    ("ghz_local", {}),
+    *[("parity_conditioned", {"v_odd": o, "v_even": e})
+      for o in ("identity", "collective_flip") for e in ("identity", "collective_flip")],
+], ids=["parity_collective", "hamming_half", "ghz_local", "conditioned-id-id",
+        "conditioned-id-flip", "conditioned-flip-id", "conditioned-flip-flip"])
 
 
 def branch_unitary(n: int, blocks: dict) -> np.ndarray:

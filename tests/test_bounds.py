@@ -26,7 +26,7 @@ from mesoparity.bounds import (
 from mesoparity import bounds
 from mesoparity.circuits import TAG_FLIP, TAG_IDENTITY
 from mesoparity.collective import binomial_pmf
-from mesoparity.states import ValidationError
+from mesoparity.states import DensityOperator, ValidationError
 
 from helpers import exact_bound
 
@@ -283,6 +283,18 @@ class TestViolationSearch:
         assert a == b
         c = bound_violation_search(2, 0.3, trials=25, seed=12)
         assert a.max_f_avg != c.max_f_avg
+
+    def test_real_thermal_state_gives_the_complex_report(self, monkeypatch):
+        # the Haar products promote the real rho_eps to complex exactly
+        real = bound_violation_search(3, 0.4, trials=8, seed=2)
+        thermal = bounds.thermal_ms_dense
+
+        def complex_thermal(config):
+            rho = thermal(config)
+            return DensityOperator(rho.matrix.astype(complex), rho.layout)
+
+        monkeypatch.setattr(bounds, "thermal_ms_dense", complex_thermal)
+        assert repr(bound_violation_search(3, 0.4, trials=8, seed=2)) == repr(real)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):

@@ -33,6 +33,7 @@ from mesoparity.states import (
 
 import helpers
 from helpers import (
+    KIND_TAGS,
     dense_flip,
     joint_controlled,
     kron_chain,
@@ -359,17 +360,6 @@ def _random_state(spec, start, rng):
 
 def _comparable(state):
     return mixture_to_dense(state).matrix if isinstance(state, SectorMixture) else state.as_tensor()
-
-
-# every kind, and parity_conditioned with every tag pair
-KIND_TAGS = pytest.mark.parametrize("kind, tags", [
-    ("parity_collective", {}),
-    ("hamming_half", {}),
-    ("ghz_local", {}),
-    *[("parity_conditioned", {"v_odd": o, "v_even": e})
-      for o in (TAG_IDENTITY, TAG_FLIP) for e in (TAG_IDENTITY, TAG_FLIP)],
-], ids=["parity_collective", "hamming_half", "ghz_local", "conditioned-id-id",
-        "conditioned-id-flip", "conditioned-flip-id", "conditioned-flip-flip"])
 
 
 def _runs(kind) -> dict:

@@ -237,6 +237,7 @@ class TestMsConfig:
 def test_thermal_ms_dense_matches_kron_oracle():
     for n, eps in ((1, 0.4), (3, 0.5), (4, 0.22)):
         rho = thermal_ms_dense(MsConfig(n, eps))
+        assert rho.matrix.dtype == np.float64
         np.testing.assert_allclose(rho.matrix, thermal_matrix(n, eps), atol=1e-15)
 
 

@@ -333,7 +333,7 @@ class TestOutcomeStream:
                            v_odd=TAG_FLIP)
         state = evolve(spec, prepare_inputs(spec))
         joint_bytes = state.matrix.nbytes
-        assert joint_bytes == 16 * 2**20
+        assert joint_bytes == 8 * 2**20
         peaks, live = {}, {}
         for name, povm in (("sector", sector_pvm(n)), ("threshold", threshold_pvm(n))):
             live[name] = 0
@@ -400,10 +400,17 @@ class TestOutcomeStream:
             np.testing.assert_array_equal(a.post_state.matrix, c.post_state.matrix)
 
 
-def _field_bytes(obj):
-    """Every dataclass field of ``obj``, arrays as their raw bytes."""
-    return [(f.name, *((v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else (v,)))
-            for f in dataclasses.fields(obj) for v in (getattr(obj, f.name),)]
+def _bits(value):
+    """A value as comparable raw bits: arrays with dtype and shape, floats by
+    their hex form (which tells -0.0 from 0.0), a dataclass (a record, a
+    state, a layout) field by field."""
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return [(f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value)]
+    return value
 
 
 class TestSectorReadout:
@@ -458,7 +465,7 @@ class TestSectorReadout:
             assert (a.post_state is None) == (b.post_state is None)
             if a.post_state is not None:
                 assert type(a.post_state) is type(b.post_state)
-                assert _field_bytes(a.post_state) == _field_bytes(b.post_state)
+                assert _bits(a.post_state) == _bits(b.post_state)
 
     def test_stream_sums_the_sectors_once(self, monkeypatch):
         spec = CircuitSpec("parity_conditioned", MsConfig(50, 0.4), backend="collective",
@@ -514,6 +521,35 @@ class TestSectorReadout:
             p, dot = povm.probability(alpha, sectors), float(povm.row(alpha) @ sectors)
             assert type(p) is float
             assert (p, math.copysign(1.0, p)) == (dot, math.copysign(1.0, dot))
+
+
+class TestRealDensityStorage:
+    """A density built from rho_eps is stored as float64 while it is real,
+    and is evolved and measured to the same bits as its complex copy."""
+
+    @helpers.KIND_TAGS
+    def test_real_input_matches_its_complex_copy(self, kind, tags):
+        for n in (3, 4) if kind != "hamming_half" else (4,):
+            spec = CircuitSpec(kind, MsConfig(n, 0.3), backend="dense", **tags)
+            real = prepare_inputs(spec)
+            assert real.matrix.dtype == np.float64
+            cplx = DensityOperator(real.matrix.astype(complex), real.layout)
+            out_r, out_c = evolve(spec, real), evolve(spec, cplx)
+            # only the GHZ entangler's complex coefficients make the state complex
+            want = np.complex128 if kind == "ghz_local" else np.float64
+            assert out_r.matrix.dtype == evolve(spec).matrix.dtype == want
+            assert out_r.matrix.astype(complex).tobytes() == out_c.matrix.tobytes()
+            readouts = [sector_pvm(n), threshold_pvm(n),
+                        povm_from_theta(TwoOutcomeTheta(0.37 * np.arange(n + 1))),
+                        ApparatusSpec(0.3, 1.1), TwoOutcomeTheta.linear(n, 0.9, 1.4)]
+            for readout in readouts:
+                for post_states in (True, False):
+                    got = list(measure_each(out_r, readout, post_states))
+                    ref = list(measure_each(out_c, readout, post_states))
+                    assert len(got) == len(ref) == readout.n_outcomes
+                    assert any(rec.fidelity_best is not None for rec in got)
+                    for a, b in zip(got, ref):
+                        assert _bits(a) == _bits(b), (n, readout, post_states, a.outcome)
 
 
 class TestConditionedFidelities:

@@ -58,8 +58,8 @@ class TestSubsystemLayout:
         assert kept.labels == (LABEL_MS, LABEL_Q1)
 
 
-def _density_with_nan(i, j):
-    m = np.eye(4, dtype=complex) / 4.0
+def _density_with_nan(i, j, dtype=complex):
+    m = np.eye(4, dtype=dtype) / 4.0
     m[i, j] = np.nan
     return DensityOperator(m, qubit_pair_layout())
 
@@ -89,7 +89,8 @@ class TestStateValidation:
         lambda: _density_with_nan(0, 1),
         lambda: _density_with_nan(2, 2),
         lambda: PureState(np.array([np.nan, 0.0, 0.0, 1.0]), qubit_pair_layout()),
-    ], ids=["density-off-diagonal", "density-diagonal", "pure-amplitude"])
+        lambda: _density_with_nan(2, 3, np.float64),
+    ], ids=["density-off-diagonal", "density-diagonal", "pure-amplitude", "real-density"])
     def test_nan_entry_refused(self, build):
         # a NaN residual, trace or norm compares False against any tolerance,
         # so each check must be written to fail on it
@@ -106,6 +107,32 @@ class TestStateValidation:
         with pytest.raises(LayoutError):
             dim = DENSE_STATE_DIM_CAP * 2
             PureState(np.zeros(dim), SubsystemLayout((dim,), (LABEL_MS,)))
+
+
+class TestDensityStorage:
+    """A float64 matrix is kept real; every other dtype becomes complex."""
+
+    def test_float64_matrix_is_kept_read_only_without_a_copy(self):
+        m = np.diag([0.5, 0.25, 0.25, 0.0])
+        rho = DensityOperator(m, qubit_pair_layout())
+        assert rho.matrix is m
+        assert rho.matrix.dtype == np.float64 and not m.flags.writeable
+        assert rho.with_tensor(rho.as_tensor()).matrix.dtype == np.float64
+
+    def test_complex_matrix_stays_complex(self):
+        m = np.eye(4, dtype=complex) / 4.0
+        rho = DensityOperator(m, qubit_pair_layout())
+        assert rho.matrix is m and rho.matrix.dtype == np.complex128
+
+    @pytest.mark.parametrize("m", [
+        np.diag([1, 0, 0, 0]),
+        np.eye(4, dtype=np.float32) / 4,
+        np.eye(4, dtype=np.complex64) / 4,
+    ], ids=["int", "float32", "complex64"])
+    def test_other_dtypes_become_complex(self, m):
+        rho = DensityOperator(m, qubit_pair_layout())
+        assert rho.matrix.dtype == np.complex128
+        np.testing.assert_array_equal(rho.matrix, m)
 
 
 # whole tiles, partial last tiles and a single partial tile, up to the density cap
