@@ -15,7 +15,9 @@ file was left), the sha256 of the start of stderr, and the argv.  The grid
 covers every circuit kind and ``parity_conditioned`` tag pair, every
 backend and readout, pure and mixed inputs, with and without
 ``--disentangle``, at N = 3, 4 and 9; ``--post-select`` at N <= 4; the pure
-dense runs at N = 20; ``bound`` sweeps in each format, at epsilon 0, across
+dense runs at N = 20; every kind and readout on the collective backend's
+pure block-bit states at N = 40, past the dense cap, with and without
+``--disentangle``; ``bound`` sweeps in each format, at epsilon 0, across
 N = 50 and 51, over unsorted and repeated N, on the benchmark's 1:1000 grid
 and refused; and ``verify``.  It takes a few minutes.
 """
@@ -70,6 +72,10 @@ def grid() -> list:
         for extra in ((), ("--disentangle",)):
             commands.append(("simulate", "--kind", kind, "--backend", "dense", "--n", "20",
                              *extra))
+    for kind, readout, extra in itertools.product(KINDS, _readouts(40),
+                                                  ((), ("--disentangle",))):
+        commands.append(("simulate", *kind, "--backend", "collective", *readout,
+                         "--n", "40", "--epsilon", "0", *extra))
     for fmt in ("csv", "json", "svg"):
         commands.append(("bound", "--n", "1:40", "--polarization", "0.2,0.5,0.9",
                          "--format", fmt))

@@ -137,12 +137,12 @@ class CoefficientProgram:
         object.__setattr__(self, "multiplicities", tuple(int(m) for m in self.multiplicities))
         if not (len(c) == len(b) == len(self.multiplicities)):
             raise ValidationError("program fields must have equal length")
-        if np.any(np.diff(c) > 0):
-            raise ValidationError("coefficient classes must be non-increasing")
-        if b.min() < 0.0 or b.max() > 2.0:
+        if not (np.all(c >= 0.0) and np.all(np.diff(c) <= 0.0)):
+            raise ValidationError("coefficient classes must be nonnegative and non-increasing")
+        if not (0.0 <= b.min() and b.max() <= 2.0):
             raise ValidationError("beta weights must lie in [0, 2]")
         total = math.fsum(w * m for w, m in zip(b, self.multiplicities))
-        if abs(total - float(sum(self.multiplicities))) > TOL.program_mass:
+        if not abs(total - float(sum(self.multiplicities))) <= TOL.program_mass:
             raise ValidationError(f"beta mass {total} != {sum(self.multiplicities)}")
 
     def value(self) -> float:

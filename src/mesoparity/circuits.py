@@ -35,7 +35,6 @@ import numpy as np
 # collective_flip is not called here but stays importable from this module,
 # where the benchmark's tracer wraps it
 from .collective import (
-    CollectiveBlockState,
     MsConfig,
     RepresentationError,
     SectorMixture,
@@ -63,7 +62,7 @@ from .states import (
 )
 from .tolerances import TOL
 
-JointState = Union[PureState, DensityOperator, CollectiveBlockState, SectorMixture]
+JointState = Union[PureState, DensityOperator, SectorMixture]
 
 CIRCUIT_KINDS = (
     "parity_collective",
@@ -204,12 +203,10 @@ def _input_tensor(spec: CircuitSpec):
         t[:, :, 0] = 0.5
 
     def wrap(t: np.ndarray) -> JointState:
-        if sizes is not None:
-            return CollectiveBlockState(t.reshape((2, 2) + (2,) * len(sizes)), sizes)
         if density:
             d = layout.total_dim
             return DensityOperator(t.reshape(d, d), layout)
-        return PureState(t, layout)
+        return PureState(t, layout, sizes)
 
     return t, (layout, sizes), wrap
 
@@ -287,7 +284,7 @@ def branch_ms_states(state: JointState) -> dict:
     Diagnostics helper: exposes each branch's MS content so circuits can be
     compared branch-by-branch, phases included.
     """
-    if not isinstance(state, (PureState, CollectiveBlockState)):
+    if not isinstance(state, PureState):
         raise TypeError("branch decomposition needs a pure joint state")
     t = state.as_tensor()
     out = {}

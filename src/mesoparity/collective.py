@@ -1,16 +1,17 @@
 """Permutation-symmetric machinery for the mesoscopic system (MS).
 
-Excitation-sector bookkeeping, pure states that keep one bit per MS block
-(all sites |0> or all |1>), one kernel for every qubit-conditioned MS
+Excitation-sector bookkeeping, one kernel for every qubit-conditioned MS
 operation (the collective flip is one), the GHZ-manifold entangler and the
-edge phase gate, and a sector-resolved mixed-state form for the
-parity-conditioned protocol family.  The MS is an ensemble of n identical
-two-level systems addressed only through collective operations.
+edge phase gate, which act on dense states and on the block-bit `PureState`
+that keeps one bit per MS block (all sites |0> or all |1>), and a
+sector-resolved mixed-state form for the parity-conditioned protocol family.
+The MS is an ensemble of n identical two-level systems addressed only through
+collective operations.
 
 Each gate is written once for every representation with a tensor: the MS
-slot of the ket tensor (see `excitation_index`) hides whether the state is
-dense or block-bit, and `states.tensor_sides` whether it is pure or mixed.
-The block flips and the edge phase gate write a density's two sides in one
+slot of the ket tensor (see `excitation_index`) and the state's
+``block_sizes`` hide whether the state is dense or block-bit, and
+`states.tensor_sides` whether it is pure or mixed.  The block flips and the edge phase gate write a density's two sides in one
 pass; `states.apply_kernel` carries the entangler's ket-side kernel to the
 bra side.
 
@@ -183,61 +184,13 @@ class MsConfig:
 
 
 # ---------------------------------------------------------------------------
-# multi-block pure states with the two target qubits
-
-
-@dataclass(frozen=True)
-class CollectiveBlockState:
-    """Pure joint state: axes (q1, q2, block_1, ..., block_k).
-
-    Each MS block b is one bit s_b, all N_b sites in |0> or all in |1>: no
-    operation here takes a block anywhere else.  Block 1 holds the first
-    (leftmost) sites; bit string s has total excitation sum_b s_b N_b.
-    """
-
-    amplitudes: np.ndarray
-    block_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        sizes = tuple(int(b) for b in self.block_sizes)
-        object.__setattr__(self, "block_sizes", sizes)
-        if not sizes or any(b < 1 for b in sizes):
-            raise LayoutError(f"bad block sizes {sizes}")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        expected = (2, 2) + (2,) * len(sizes)
-        if amps.shape != expected:
-            raise LayoutError(f"amplitude shape {amps.shape}, expected {expected}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        nrm = np.linalg.norm(amps)
-        if not abs(nrm - 1.0) <= TOL.norm:
-            raise ValidationError(f"state norm {nrm} deviates from 1 beyond {TOL.norm}")
-
-    @property
-    def n_sites(self) -> int:
-        return sum(self.block_sizes)
-
-    @property
-    def layout(self) -> SubsystemLayout:
-        """(q1, q2, ms), the MS slot running over the blocks' bit strings."""
-        ms_dim = 1 << len(self.block_sizes)
-        return SubsystemLayout((2, 2, ms_dim), (LABEL_Q1, LABEL_Q2, LABEL_MS))
-
-    def as_tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.layout.dims)
-
-    def with_tensor(self, t: np.ndarray) -> "CollectiveBlockState":
-        return CollectiveBlockState(t.reshape(self.amplitudes.shape), self.block_sizes)
-
-
-# ---------------------------------------------------------------------------
 # the MS slot of a state tensor
 #
 # Dense states keep the MS as one big-endian slot of dimension 2^n, so a flip
 # of all sites is an index reversal (b -> 2^n-1-b) and a flip of a contiguous
-# site range is a reversal of one factor of a reshaped index.  A
-# CollectiveBlockState's MS slot is the C-order merge of its block bit axes,
-# so the same reshape exposes its blocks and the same reversal flips bit s_b,
+# site range is a reversal of one factor of a reshaped index.  A block-bit
+# state's MS slot is the C-order merge of its k block bits, dimension 2^k, so
+# the same reshape exposes its blocks and the same reversal flips bit s_b,
 # which maps m_b -> N_b - m_b.
 
 
@@ -246,19 +199,14 @@ def _ms_frame(state, block_sizes=None):
     basis entry) of a state with a tensor.
 
     A dense MS slot splits into any contiguous site ranges `block_sizes`
-    (default: one block of all sites); a CollectiveBlockState has its own.
+    (default: one block of all sites); a block-bit state has its own.
     """
-    return _layout_frame(state.layout, _own_blocks(state), block_sizes)
-
-
-def _own_blocks(state):
-    """A CollectiveBlockState's own block sizes; None for a dense MS slot."""
-    return state.block_sizes if isinstance(state, CollectiveBlockState) else None
+    return _layout_frame(state.layout, state.block_sizes, block_sizes)
 
 
 def _layout_frame(layout: SubsystemLayout, own_blocks, block_sizes=None):
-    """`_ms_frame` of a state with this layout and, for a CollectiveBlockState,
-    its own block sizes ``own_blocks`` (None for a dense MS slot)."""
+    """`_ms_frame` of a state with this layout and, for a block-bit state, its
+    own block sizes ``own_blocks`` (None for a dense MS slot)."""
     if own_blocks is not None:
         if block_sizes is not None and tuple(block_sizes) != own_blocks:
             raise LayoutError("block_sizes conflicts with the state's own blocks")
@@ -283,7 +231,7 @@ def excitation_index(state) -> np.ndarray:
     layout and block sizes, so a caller that asks once per outcome copies
     no table.
     """
-    return _excitation_index(state.layout, _own_blocks(state))
+    return _excitation_index(state.layout, state.block_sizes)
 
 
 @lru_cache(maxsize=None)
@@ -332,7 +280,7 @@ def branch_conditional(state, ops, block_sizes=None):
     """
     t = state.as_tensor()
     out = np.empty_like(t)
-    branch_conditional_into(t, out, state.layout, _own_blocks(state), ops, block_sizes)
+    branch_conditional_into(t, out, state.layout, state.block_sizes, ops, block_sizes)
     return state.with_tensor(out)
 
 
@@ -341,7 +289,7 @@ def branch_conditional_into(t, out, layout, own_blocks, ops, block_sizes=None):
     be ``t`` itself.
 
     ``t`` is shaped like the ``as_tensor()`` of a state with this ``layout``
-    and, for a CollectiveBlockState, these ``own_blocks`` (None for a dense MS
+    and, for a block-bit state, these ``own_blocks`` (None for a dense MS
     slot): the ket dims, once for amplitudes and twice for a density.  Each
     qubit branch of an amplitude tensor, and each (ket branch, bra branch)
     block of a density, is copied once with its MS axes split into their
@@ -426,7 +374,7 @@ def edge_phase_gate(state, controlled_on: str):
     slot, dims, index = _ms_frame(state)
     ctrl = state.layout.slot(controlled_on)
     n = int(index[-1])  # the last MS entry has every site excited
-    if isinstance(state, CollectiveBlockState):
+    if state.block_sizes is not None:
         if len(dims) != 1:
             raise RepresentationError("edge phase gate needs a single-block collective state")
         excited = index == n
@@ -588,16 +536,17 @@ def mixture_to_dense(mix: SectorMixture) -> DensityOperator:
     return DensityOperator(rho, layout)
 
 
-def expand_to_dense(state: CollectiveBlockState) -> PureState:
-    """Embed a block state into the dense product basis (small n only)."""
-    total = 4 * (1 << state.n_sites)
+def expand_to_dense(state: PureState) -> PureState:
+    """Embed a block-bit state into the dense product basis (small n only)."""
+    n_sites = sum(state.block_sizes)
+    total = 4 * (1 << n_sites)
     if total > DENSE_STATE_DIM_CAP:
         raise LayoutError(f"dense expansion dimension {total} exceeds the cap")
-    t = state.amplitudes
+    t = state.amplitudes.reshape((2, 2) + (2,) * len(state.block_sizes))
     for j, nb in enumerate(state.block_sizes):
         # bit 0 lands on the block's all-|0> index, bit 1 on its all-|1> index
         wide = np.zeros(t.shape[:2 + j] + (1 << nb,) + t.shape[3 + j:], dtype=complex)
         wide[(slice(None),) * (2 + j) + ([0, -1],)] = t
         t = wide
-    layout = SubsystemLayout((2, 2, 1 << state.n_sites), (LABEL_Q1, LABEL_Q2, LABEL_MS))
+    layout = SubsystemLayout((2, 2, 1 << n_sites), (LABEL_Q1, LABEL_Q2, LABEL_MS))
     return PureState(t.reshape(-1), layout)

@@ -76,10 +76,10 @@ class CollectivePOVM:
             raise LayoutError(f"coefficient matrix shape {a.shape}")
         a.setflags(write=False)
         object.__setattr__(self, "coefficients", a)
-        if a.min() < -TOL.povm or a.max() > 1.0 + TOL.povm:
+        if not (-TOL.povm <= a.min() and a.max() <= 1.0 + TOL.povm):
             raise ValidationError("POVM coefficients must lie in [0, 1]")
         res = np.abs(a.sum(axis=0) - 1.0).max()
-        if res > TOL.povm:
+        if not res <= TOL.povm:
             raise ValidationError(f"POVM incomplete: column sums off by {res}")
 
     @property

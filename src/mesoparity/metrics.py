@@ -27,7 +27,7 @@ class BellTarget:
         v = np.asarray(self.vector, dtype=complex).reshape(-1)
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
-        if v.size != 4 or abs(np.linalg.norm(v) - 1.0) > TOL.norm:
+        if v.size != 4 or not abs(np.linalg.norm(v) - 1.0) <= TOL.norm:
             raise ValidationError("Bell target must be a 4-dim unit vector")
 
 
@@ -72,9 +72,9 @@ class OutcomeDistribution:
         p = np.asarray(self.probs, dtype=float).reshape(-1)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-        if p.size == 0 or p.min() < -TOL.norm:
+        if p.size == 0 or not p.min() >= -TOL.norm:
             raise ValidationError("distribution entries must be nonnegative")
-        if abs(p.sum() - 1.0) > TOL.norm:
+        if not abs(p.sum() - 1.0) <= TOL.norm:
             raise ValidationError(f"distribution sums to {p.sum()}, not 1")
 
 

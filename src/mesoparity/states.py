@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -85,10 +85,20 @@ class SubsystemLayout:
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit-norm complex amplitude vector over a layout."""
+    """Unit-norm complex amplitude vector over a layout.
+
+    ``block_sizes`` None keeps the MS slot in the sites' product basis.  The
+    collective backend's block-bit states set it instead: each MS block b is
+    one bit s_b, all N_b sites in |0> or all in |1> (no collective operation
+    takes a block anywhere else), so the MS slot has dimension 2^k for k
+    blocks and runs over the bit strings s in C order, block 1 (the first,
+    leftmost sites) the most significant bit; s has total excitation
+    sum_b s_b N_b.
+    """
 
     amplitudes: np.ndarray
     layout: SubsystemLayout
+    block_sizes: Optional[tuple] = None
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -103,6 +113,14 @@ class PureState:
             raise LayoutError(
                 f"{amps.size} amplitudes for total dimension {self.layout.total_dim}"
             )
+        if self.block_sizes is not None:
+            sizes = tuple(int(b) for b in self.block_sizes)
+            object.__setattr__(self, "block_sizes", sizes)
+            if not sizes or any(b < 1 for b in sizes):
+                raise LayoutError(f"bad block sizes {sizes}")
+            ms_dim = self.layout.dims[self.layout.slot(LABEL_MS)]
+            if ms_dim != 1 << len(sizes):
+                raise LayoutError(f"MS dimension {ms_dim} for {len(sizes)} block bits")
         nrm = np.linalg.norm(amps)
         if not abs(nrm - 1.0) <= TOL.norm:
             raise ValidationError(f"state norm {nrm} deviates from 1 beyond {TOL.norm}")
@@ -111,10 +129,7 @@ class PureState:
         return self.amplitudes.reshape(self.layout.dims)
 
     def with_tensor(self, t: np.ndarray) -> "PureState":
-        return PureState(t.reshape(-1), self.layout)
-
-    def to_density(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.layout)
+        return PureState(t.reshape(-1), self.layout, self.block_sizes)
 
 
 @dataclass(frozen=True)
@@ -135,6 +150,8 @@ class DensityOperator:
 
     matrix: np.ndarray
     layout: SubsystemLayout
+    # a density's MS slot is always in the sites' product basis
+    block_sizes: ClassVar[None] = None
 
     def __post_init__(self):
         mat = np.asarray(self.matrix)
@@ -193,10 +210,11 @@ def validate_density(rho: DensityOperator) -> None:
 # ---------------------------------------------------------------------------
 # operations
 #
-# PureState, DensityOperator and the collective backend's CollectiveBlockState
-# share one tensor interface: ``layout``, ``as_tensor()`` (a density's bra
-# axes follow its ket axes) and ``with_tensor()``.  The functions below are
-# the only places that tell an amplitude tensor from a density tensor.
+# PureState, dense or block-bit, and DensityOperator share one tensor
+# interface: ``layout``, ``block_sizes`` (None for a product-basis MS slot),
+# ``as_tensor()`` (a density's bra axes follow its ket axes) and
+# ``with_tensor()``, which keeps ``block_sizes``.  The functions below are the
+# only places that tell an amplitude tensor from a density tensor.
 
 
 def tensor_sides(state) -> int:

@@ -12,6 +12,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from mesoparity.states import DensityOperator, PureState
+
 ID2 = np.eye(2)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 P0 = np.diag([1.0, 0.0])
@@ -97,6 +99,11 @@ def binomial_oracle(n: int, p: Fraction, m: int) -> Fraction:
 def random_unit_vector(rng, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def to_density(psi: PureState) -> DensityOperator:
+    """|psi><psi| of a product-basis pure state, on the same layout."""
+    return DensityOperator(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.layout)
 
 
 def random_density_matrix(rng, dim: int, rank: int = None) -> np.ndarray:

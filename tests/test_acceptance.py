@@ -192,8 +192,8 @@ def test_criterion_08_apparatus_equivalence():
             worst_p = max(worst_p, abs(a.probability - b.probability))
             if a.post_state is not None and a.probability > 1e-12:
                 worst_d = max(worst_d, helpers.trace_distance_matrices(
-                    a.post_state.to_density().matrix,
-                    b.post_state.to_density().matrix,
+                    helpers.to_density(a.post_state).matrix,
+                    helpers.to_density(b.post_state).matrix,
                 ))
     report(
         8,

@@ -17,7 +17,6 @@ from mesoparity.circuits import (
     qubit_marginal,
 )
 from mesoparity.collective import (
-    CollectiveBlockState,
     MsConfig,
     RepresentationError,
     SectorMixture,
@@ -343,23 +342,25 @@ class TestParityConditioned:
 def _random_state(spec, start, rng):
     """A random state of ``start``'s representation."""
     if isinstance(start, PureState):
-        return PureState(helpers.random_unit_vector(rng, start.layout.total_dim), start.layout)
+        amps = helpers.random_unit_vector(rng, start.layout.total_dim)
+        return PureState(amps, start.layout, start.block_sizes)
     if isinstance(start, DensityOperator):
         d = start.layout.total_dim
         return DensityOperator(helpers.random_density_matrix(rng, d), start.layout)
-    if isinstance(start, SectorMixture):
-        n, a = spec.ms.n, rng.uniform(0.1, 0.9)
-        w_o = 2 * a * rng.dirichlet(np.ones(n + 1))
-        w_e = 2 * (1 - a) * rng.dirichlet(np.ones(n + 1))
-        cross = rng.uniform(-1, 1, n + 1) * np.sqrt(w_o * w_e)
-        return SectorMixture(n, w_o, w_e, cross)
-    shape = (2, 2) + (2,) * len(start.block_sizes)
-    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return CollectiveBlockState(amps / np.linalg.norm(amps), start.block_sizes)
+    n, a = spec.ms.n, rng.uniform(0.1, 0.9)
+    w_o = 2 * a * rng.dirichlet(np.ones(n + 1))
+    w_e = 2 * (1 - a) * rng.dirichlet(np.ones(n + 1))
+    cross = rng.uniform(-1, 1, n + 1) * np.sqrt(w_o * w_e)
+    return SectorMixture(n, w_o, w_e, cross)
 
 
 def _comparable(state):
     return mixture_to_dense(state).matrix if isinstance(state, SectorMixture) else state.as_tensor()
+
+
+def _route(state) -> tuple:
+    """A state's type and whether it holds block bits."""
+    return type(state), getattr(state, "block_sizes", None) is not None
 
 
 def _runs(kind) -> dict:
@@ -380,12 +381,12 @@ def test_disentangle_undoes_evolve(kind, tags, rng):
         for eps in epsilons:
             spec = CircuitSpec(kind, MsConfig(4, eps), backend=backend, **tags)
             start = prepare_inputs(spec)
-            seen.add(type(start))
-            if isinstance(start, CollectiveBlockState):
-                assert len(start.block_sizes) == len(spec.block_sizes)
+            seen.add(_route(start))
+            if _route(start)[1]:
+                assert start.block_sizes == spec.block_sizes
             for s in [start, evolve(spec, start), _random_state(spec, start, rng)]:
                 back = disentangle(spec, evolve(spec, s))
-                assert type(back) is type(s)
+                assert _route(back) == _route(s)
                 np.testing.assert_allclose(_comparable(back), _comparable(s), atol=1e-12, rtol=0)
     assert len(seen) == len(runs["dense"]) + len(runs["collective"])
 
@@ -397,7 +398,7 @@ def _bits(state) -> tuple:
         meta = (state.n, state.cross_flipped)
     else:
         arrays = (state.matrix if isinstance(state, DensityOperator) else state.amplitudes,)
-        meta = (type(state), state.layout, getattr(state, "block_sizes", None))
+        meta = (type(state), state.layout, state.block_sizes)
     return meta, tuple((a.shape, a.tobytes()) for a in arrays), [a.flags.writeable for a in arrays]
 
 
@@ -413,7 +414,7 @@ class TestFusedEvolve:
                     spec = CircuitSpec(kind, MsConfig(n, eps), backend=backend, **tags)
                     want = evolve(spec, prepare_inputs(spec))
                     got = evolve(spec)
-                    seen.add(type(got))
+                    seen.add(_route(got))
                     assert _bits(got) == _bits(want)
             assert len(seen) == sum(map(len, _runs(kind).values()))
 

@@ -441,7 +441,7 @@ class TestSimulate:
     ])
     def test_backends_agree_at_the_auto_switch_point(self, tmp_path, extra):
         """n=20 is the largest pure input that still fits the dense cap: the
-        PureState and CollectiveBlockState reports are equal apart from the
+        dense and block-bit PureState reports are equal apart from the
         requested and resolved backend names."""
         reports = {}
         for backend in ("dense", "collective"):

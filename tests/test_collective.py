@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from scipy.special import gammaln
 
 from mesoparity.collective import (
-    CollectiveBlockState,
     MsConfig,
     RepresentationError,
     SectorMixture,
@@ -57,11 +56,20 @@ from helpers import (
 )
 
 
-def block_ground_state(qubit_amplitudes, block_sizes) -> CollectiveBlockState:
+def block_layout(ms_dim: int) -> SubsystemLayout:
+    return SubsystemLayout((2, 2, ms_dim), (LABEL_Q1, LABEL_Q2, LABEL_MS))
+
+
+def block_state(amps, block_sizes) -> PureState:
+    """The block-bit state of the (2, 2) + (2,) * k amplitude array ``amps``."""
+    return PureState(np.reshape(amps, -1), block_layout(1 << len(block_sizes)), block_sizes)
+
+
+def block_ground_state(qubit_amplitudes, block_sizes) -> PureState:
     """Qubits in the given 2x2 amplitude table, every block all |0>."""
     amps = np.zeros((2, 2) + (2,) * len(block_sizes), dtype=complex)
     amps[(slice(None), slice(None)) + (0,) * len(block_sizes)] = qubit_amplitudes
-    return CollectiveBlockState(amps, block_sizes)
+    return block_state(amps, block_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +326,7 @@ def test_block_state_flip_agrees_with_dense():
 
 def test_branch_table_on_block_state_agrees_with_dense(rng):
     amps = rng.standard_normal((2, 2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2, 2))
-    block = CollectiveBlockState(amps / np.linalg.norm(amps), (2, 2))
+    block = block_state(amps / np.linalg.norm(amps), (2, 2))
     got = expand_to_dense(branch_conditional(block, HAMMING_TABLE))
     want = _hamming_oracle() @ expand_to_dense(block).amplitudes
     np.testing.assert_allclose(got.amplitudes, want, atol=1e-13)
@@ -336,20 +344,26 @@ def test_branch_table_refusals(rng):
         branch_conditional(psi, {**PARITY_TABLE, (1, 1): (1,)})
 
 
+@pytest.mark.parametrize("sizes, ms_dim", [
+    ((), 1),  # no block at all
+    ((2, 0), 4),  # a block of no sites
+    ((3, -1), 4),
+    ((3,), 4),  # a 3-site block holds one bit, not the four Dicke sectors m = 0..3
+    ((2, 2), 2),
+], ids=["empty", "zero-size", "negative-size", "dicke-sectors", "too-few-bits"])
+def test_block_state_layout_refused(sizes, ms_dim):
+    amps = np.zeros(4 * ms_dim, dtype=complex)
+    amps[0] = 1.0
+    with pytest.raises(LayoutError):
+        PureState(amps, block_layout(ms_dim), sizes)
+
+
 def test_block_state_nan_amplitude_refused():
     amps = np.zeros((2, 2, 2), dtype=complex)
     amps[0, 0, 0] = 1.0
     amps[1, 1, 1] = np.nan
     with pytest.raises(ValidationError):
-        CollectiveBlockState(amps, (3,))
-
-
-def test_block_state_holds_one_bit_per_block():
-    # a 3-site block holds one bit, not the four Dicke sectors m = 0..3
-    amps = np.zeros((2, 2, 4), dtype=complex)
-    amps[0, 0, 0] = 1.0
-    with pytest.raises(LayoutError):
-        CollectiveBlockState(amps, (3,))
+        block_state(amps, (3,))
 
 
 def test_mixture_only_supports_unconditional_flip():
@@ -391,7 +405,7 @@ def test_edge_phase_gate_matches_cz_oracle(rng):
 @pytest.mark.parametrize("n", [1, 3])
 def test_edge_phase_gate_on_block_bits_matches_cz_oracle(rng, n):
     amps = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-    block = CollectiveBlockState(amps / np.linalg.norm(amps), (n,))
+    block = block_state(amps / np.linalg.norm(amps), (n,))
     start = expand_to_dense(block).amplitudes
     z_first = np.diag([(-1.0) ** ((b >> (n - 1)) & 1) for b in range(1 << n)])
     z_last = np.diag([(-1.0) ** (b & 1) for b in range(1 << n)])
@@ -497,7 +511,7 @@ def test_density_gate_allocates_one_joint_array(thermal_density_n9, gate):
 def test_density_sector_update_matches_pure_update(rng, n):
     psi = _joint_pure(rng, n)
     povm = random_collective_povm(n, rng)
-    pure, dens = measure(psi, povm), measure(psi.to_density(), povm)
+    pure, dens = measure(psi, povm), measure(helpers.to_density(psi), povm)
     for a, b in zip(pure, dens):
         assert a.probability == pytest.approx(b.probability, abs=1e-12)
         if a.post_state is None:
@@ -520,7 +534,7 @@ def test_sector_probabilities_consistency(rng):
     t = np.abs(psi.as_tensor()) ** 2
     want = np.array([t[:, :, pops == m].sum() for m in range(n + 1)])
     np.testing.assert_allclose(probs, want, atol=1e-13)
-    rho = psi.to_density()
+    rho = helpers.to_density(psi)
     np.testing.assert_allclose(sector_probabilities(rho), want, atol=1e-13)
 
 
@@ -605,7 +619,7 @@ class TestSectorMixture:
 def test_expand_to_dense_of_ladder_ground():
     amps = np.zeros((2, 2, 2), dtype=complex)
     amps[0, 0, 0] = 1.0
-    dense = expand_to_dense(CollectiveBlockState(amps, (3,)))
+    dense = expand_to_dense(block_state(amps, (3,)))
     want = np.zeros(32)
     want[0] = 1.0
     np.testing.assert_array_equal(dense.amplitudes, want)
@@ -615,5 +629,4 @@ def test_expand_to_dense_of_ladder_ground():
     amps[1, 0, 1] = 1.0
     want = np.zeros(32)
     want[2 * 8 + 7] = 1.0
-    np.testing.assert_array_equal(expand_to_dense(CollectiveBlockState(amps, (3,))).amplitudes,
-                                  want)
+    np.testing.assert_array_equal(expand_to_dense(block_state(amps, (3,))).amplitudes, want)

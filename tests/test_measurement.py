@@ -164,7 +164,7 @@ class TestSqrtRule:
 
     def test_density_posterior_matches_explicit_filter(self, rng):
         n = 2
-        rho = _joint_pure(rng, n).to_density()
+        rho = helpers.to_density(_joint_pure(rng, n))
         povm = random_collective_povm(n, rng)
         pops = popcounts(n)
         for rec in measure(rho, povm):
@@ -272,6 +272,28 @@ class TestSupportUpdate:
         # which moves its fidelities by a few ulps from n = 8 on
         self._compare(_joint_pure(rng, n + 6), _readout(readout, n + 6), 8)
 
+    @pytest.mark.parametrize("route", ["povm", "apparatus"])
+    def test_block_bits_are_kept_by_every_full_update(self, route):
+        """A block-bit state's post states, and the states built from its
+        tensor, keep its blocks; the block on an outcome's support has an MS
+        slot of |S| entries and so none."""
+        spec = CircuitSpec("hamming_half", MsConfig(4), backend="collective")
+        state = evolve(spec)
+        assert state.block_sizes == (2, 2)
+        assert state.with_tensor(state.as_tensor()).block_sizes == (2, 2)
+        assert renormalized(state, 2.0 * state.as_tensor(), 4.0).block_sizes == (2, 2)
+        if route == "povm":
+            records = measure(state, sector_pvm(4))
+        else:
+            records = apparatus_measure(state, ApparatusSpec(g=1.4, t_m=0.9))
+        live = [r for r in records if r.post_state is not None]
+        assert live and all(r.post_state.block_sizes == (2, 2) for r in live)
+        sectors = sector_probabilities(state)
+        a = np.eye(5)[2]
+        block, _, post = measurement._support_update(state, a, sectors[2], True)
+        assert block.layout.dims == (2, 2, 2)
+        assert (block.block_sizes, post.block_sizes) == (None, (2, 2))
+
     def test_partial_support_outcome_is_measured(self, rng):
         n = 4
         povm = _readout("theta", n)
@@ -316,7 +338,7 @@ class TestSupportUpdate:
         spec = CircuitSpec("parity_collective", MsConfig(2), backend="dense")
         state = evolve(spec, prepare_inputs(spec))
         if rep == "density":
-            state = state.to_density()
+            state = helpers.to_density(state)
         rec = measure(state, sector_pvm(2), post_states=post_states)[1]
         assert rec.probability < TOL.prob_floor
         assert (rec.post_state, rec.fidelity_odd, rec.fidelity_even, rec.fidelity_best,
@@ -383,7 +405,7 @@ class TestOutcomeStream:
 
     @pytest.mark.parametrize("route", ["povm", "apparatus"])
     def test_stream_and_chosen_outcomes_match_the_full_list(self, rng, route):
-        rho = _joint_pure(rng, 3).to_density()
+        rho = helpers.to_density(_joint_pure(rng, 3))
         app = ApparatusSpec(g=1.4, t_m=0.9)
         readout = povm_from_theta(app.theta(3)) if route == "povm" else app
         run = measure if route == "povm" else apparatus_measure
@@ -624,12 +646,12 @@ class TestApparatusRoute:
         psi = _joint_pure(rng, n)
         app = ApparatusSpec(g=1.4, t_m=0.9)
         rec_pure = apparatus_measure(psi, app)
-        rec_dens = apparatus_measure(psi.to_density(), app)
+        rec_dens = apparatus_measure(helpers.to_density(psi), app)
         for a, b in zip(rec_pure, rec_dens):
             assert a.probability == pytest.approx(b.probability, abs=1e-12)
             if a.post_state is not None and a.probability > 1e-10:
                 gap = helpers.trace_distance_matrices(
-                    a.post_state.to_density().matrix, b.post_state.matrix
+                    helpers.to_density(a.post_state).matrix, b.post_state.matrix
                 )
                 assert gap < 1e-10
 

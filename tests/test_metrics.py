@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mesoparity.bounds import CoefficientProgram
+from mesoparity.measurement import CollectivePOVM
 from mesoparity.metrics import (
     BELL_EVEN_PLUS,
     BELL_ODD_PLUS,
@@ -23,6 +25,24 @@ from mesoparity.states import (
 )
 
 from helpers import random_density_matrix, random_unit_vector
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CollectivePOVM([[NAN, 0.5], [0.5, 0.5]]),
+    lambda: OutcomeDistribution([NAN, 0.5, 0.5]),
+    lambda: CoefficientProgram(np.array([0.5, 0.25]), (1, 2), np.array([NAN, 0.5])),
+    lambda: CoefficientProgram(np.array([NAN, 0.25]), (2, 2), np.array([1.0, 1.0])),
+    lambda: CoefficientProgram(np.array([NAN]), (1,), np.array([1.0])),
+    lambda: BellTarget("even_plus", np.array([NAN, 0, 0, 1.0])),
+], ids=["povm", "distribution", "program-beta", "program-classes", "program-one-class",
+        "bell-target"])
+def test_nan_entry_refused(build):
+    """Every bound check fails on NaN, which compares False both ways."""
+    with pytest.raises(ValidationError):
+        build()
 
 
 class FakeRecord:

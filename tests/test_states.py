@@ -19,7 +19,7 @@ from mesoparity.states import (
 )
 from mesoparity.tolerances import TOL
 
-from helpers import random_density_matrix, random_unit_vector
+from helpers import random_density_matrix, random_unit_vector, to_density
 
 
 def qubit_pair_layout():
@@ -202,8 +202,7 @@ class TestPartialTrace:
     def test_trace_of_product_state_recovers_factor(self, rng):
         a = PureState(random_unit_vector(rng, 4), qubit_pair_layout())
         b = random_unit_vector(rng, 5)
-        joint = PureState(np.kron(a.amplitudes, b),
-                          three_slot_layout(5)).to_density()
+        joint = to_density(PureState(np.kron(a.amplitudes, b), three_slot_layout(5)))
         reduced = partial_trace(joint, keep=(0, 1))
         np.testing.assert_allclose(
             reduced.matrix, np.outer(a.amplitudes, a.amplitudes.conj()), atol=1e-13
