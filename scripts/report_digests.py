@@ -17,7 +17,9 @@ backend and readout, pure and mixed inputs, with and without
 ``--disentangle``, at N = 3, 4 and 9; ``--post-select`` at N <= 4; the pure
 dense runs at N = 20; every kind and readout on the collective backend's
 pure block-bit states at N = 40, past the dense cap, with and without
-``--disentangle``; ``bound`` sweeps in each format, at epsilon 0, across
+``--disentangle``; the same for the mixed inputs of ``parity_collective``
+and each ``parity_conditioned`` tag pair at N = 40 and epsilon 0.3, which
+the ``auto`` backend runs as a sector mixture; ``bound`` sweeps in each format, at epsilon 0, across
 N = 50 and 51, over unsorted and repeated N, on the benchmark's 1:1000 grid
 and refused; and ``verify``.  It takes a few minutes.
 """
@@ -76,6 +78,12 @@ def grid() -> list:
                                                   ((), ("--disentangle",))):
         commands.append(("simulate", *kind, "--backend", "collective", *readout,
                          "--n", "40", "--epsilon", "0", *extra))
+    # the parity family's mixed inputs past the dense cap, where auto picks
+    # the sector mixture
+    for kind, readout, extra in itertools.product(KINDS[:1] + KINDS[3:], _readouts(40),
+                                                  ((), ("--disentangle",))):
+        commands.append(("simulate", *kind, *readout, "--n", "40", "--epsilon", "0.3",
+                         *extra))
     for fmt in ("csv", "json", "svg"):
         commands.append(("bound", "--n", "1:40", "--polarization", "0.2,0.5,0.9",
                          "--format", fmt))
