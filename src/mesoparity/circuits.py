@@ -265,17 +265,18 @@ def _evolve_impl(spec: CircuitSpec, state: JointState) -> JointState:
 def qubit_marginal(state: JointState) -> DensityOperator:
     """Reduced two-qubit state after tracing out the MS."""
     if isinstance(state, SectorMixture):
-        o = BELL_ODD_PLUS.vector[:, None]
-        e = BELL_EVEN_PLUS.vector[:, None]
-        x = state.cross_trace
-        rho = 0.5 * (
-            state.weight_odd.sum() * (o @ o.conj().T)
-            + state.weight_even.sum() * (e @ e.conj().T)
-            + x * (o @ e.conj().T)
-            + x * (e @ o.conj().T)
-        )
-        return DensityOperator(rho, SubsystemLayout((2, 2), (LABEL_Q1, LABEL_Q2)))
+        return _bell_block_marginal(state.weight_odd.sum(), state.weight_even.sum(),
+                                    state.cross_trace)
     return partial_trace(state, [state.layout.slot(LABEL_Q1), state.layout.slot(LABEL_Q2)])
+
+
+def _bell_block_marginal(odd, even, cross) -> DensityOperator:
+    """The qubit marginal of a `SectorMixture` from its odd and even weight
+    sums and its cross trace."""
+    o, e = BELL_ODD_PLUS.vector[:, None], BELL_EVEN_PLUS.vector[:, None]
+    rho = 0.5 * (odd * (o @ o.conj().T) + even * (e @ e.conj().T)
+                 + cross * (o @ e.conj().T) + cross * (e @ o.conj().T))
+    return DensityOperator(rho, SubsystemLayout((2, 2), (LABEL_Q1, LABEL_Q2)))
 
 
 def branch_ms_states(state: JointState) -> dict:

@@ -367,7 +367,7 @@ def _report_outcome(cfg: ScenarioConfig, spec, rec) -> dict:
     the record's own."""
     post, sectors = rec.post_state, rec.sectors
     f_odd, f_even, f_best = rec.fidelity_odd, rec.fidelity_even, rec.fidelity_best
-    if post is not None and cfg.disentangle:
+    if post is not None:
         post = circuits.disentangle(spec, post)
         marg = circuits.qubit_marginal(post)
         f_odd = fidelity(marg, BELL_ODD_PLUS)

@@ -466,21 +466,26 @@ class SectorMixture:
             object.__setattr__(self, name, v)
             if v.size != self.n + 1:
                 raise LayoutError(f"{name} has length {v.size}, expected {self.n + 1}")
-        if self.weight_odd.min() < -TOL.norm or self.weight_even.min() < -TOL.norm:
-            raise ValidationError("negative sector weight")
-        total = 0.5 * (self.weight_odd.sum() + self.weight_even.sum())
-        if not abs(total - 1.0) <= TOL.norm:
-            raise ValidationError(f"mixture trace {total} deviates from 1")
-        # the cross block connects sector m of the even branch with sector m
-        # (or n-m, when it carries the flip) of the odd branch
-        w_o = self.weight_odd[::-1] if self.cross_flipped else self.weight_odd
-        bound = np.sqrt(np.clip(w_o, 0, None) * np.clip(self.weight_even, 0, None))
-        if not np.all(np.abs(self.cross) <= bound + TOL.cross_block):
-            raise ValidationError("cross block exceeds its Cauchy-Schwarz bound")
+        _check_sector_weights(self.weight_odd, self.weight_even, self.cross, self.cross_flipped)
 
     @property
     def cross_trace(self) -> float:
         return 0.0 if self.cross_flipped else float(self.cross.sum())
+
+
+def _check_sector_weights(weight_odd, weight_even, cross, cross_flipped: bool) -> None:
+    """Refuse a negative weight, a trace off 1 or a cross past its Cauchy-Schwarz bound."""
+    if weight_odd.min() < -TOL.norm or weight_even.min() < -TOL.norm:
+        raise ValidationError("negative sector weight")
+    total = 0.5 * (weight_odd.sum() + weight_even.sum())
+    if not abs(total - 1.0) <= TOL.norm:
+        raise ValidationError(f"mixture trace {total} deviates from 1")
+    # the cross block connects sector m of the even branch with sector m
+    # (or n-m, when it carries the flip) of the odd branch
+    w_o = weight_odd[::-1] if cross_flipped else weight_odd
+    bound = np.sqrt(np.clip(w_o, 0, None) * np.clip(weight_even, 0, None))
+    if not np.all(np.abs(cross) <= bound + TOL.cross_block):
+        raise ValidationError("cross block exceeds its Cauchy-Schwarz bound")
 
 
 def mixture_prepare(config: MsConfig) -> SectorMixture:

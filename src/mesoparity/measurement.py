@@ -8,18 +8,16 @@ sqrt(E_alpha) = sum_m sqrt(a[alpha][m]) Pi(m) acting on the MS slots only.
 resolving readout (`sector_pvm`) is held by its size and builds each row, a
 unit vector, when asked, so no (n+1) x (n+1) table exists while it measures.
 
-Which post form is built: the update of a state with a tensor (dense pure,
-block-bit or density) vanishes off the effect's support S, the MS entries
-where sqrt(E_alpha) is nonzero, so `measure` gathers the ket entries on S
-(rho[S, S] for a density), updates them and reads the qubit marginal and the
-sector weights from that checked block, cast to complex when the density
-is stored real.  The full post-state, the block written into zeros, is built
-only when the caller asks for post states (the CLI does for
-``--disentangle``).  `SectorMixture` builds and keeps its
-closed-form post-state for every live outcome, as does the apparatus route,
-which runs on the full joint tensor of every representation.  A record
-carries its post-state's sector distribution exactly when post states were
-not asked for.
+For every representation, route and readout, a record carries its post
+state exactly when the caller asks for post states (the CLI does for
+``--disentangle``), and that state's sector distribution otherwise.  The
+update of a state with a tensor vanishes off the effect's support S, the MS
+entries where sqrt(E_alpha) is nonzero, so `measure` updates the ket entries
+on S (rho[S, S] for a density, cast to complex when stored real) and reads
+the record from that checked block; the full post-state is the block written
+into zeros.  A `SectorMixture` outcome is its three checked, updated sector
+vectors, made a `SectorMixture` only to be kept.  The apparatus route runs
+on the full joint tensor of a state with a tensor.
 
 The apparatus route realizes a two-outcome member of this family physically:
 attach a probe qubit in |0>, rotate it by theta(m) conditioned on the sector,
@@ -39,9 +37,10 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .circuits import JointState, qubit_marginal
+from .circuits import JointState, _bell_block_marginal, qubit_marginal
 from .collective import (
     SectorMixture,
+    _check_sector_weights,
     excitation_index,
     sector_diagonal,
     sector_probabilities,
@@ -182,11 +181,10 @@ class ApparatusSpec:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeRecord:
-    """One measurement outcome: its probability, post-selected state, the
-    Bell fidelities of the post-selected qubit pair and, when post states
-    were not asked for, the post-state's sector distribution.  Every field
-    but the probability is None below the probability floor; the post state
-    also for a state with a tensor measured without post states."""
+    """One measurement outcome: its probability, the Bell fidelities of the
+    post-selected qubit pair and either its post state, when post states
+    were asked for, or else the post state's sector distribution.  Every
+    field but the probability is None below the probability floor."""
 
     outcome: int
     probability: float
@@ -218,21 +216,15 @@ def sector_pvm(n: int) -> SectorPVM:
 # square-root-rule measurement
 
 
-def _record(outcome, p, post=None, sectors=None, keep=None) -> OutcomeRecord:
-    """The record of an outcome of probability ``p``: with ``post`` (the
-    post-state or a part of it holding the whole qubit marginal), its
-    ``sectors`` and ``keep`` as the post state for a live outcome."""
-    if post is None:
+def _record(outcome, p, marg=None, sectors=None, post=None) -> OutcomeRecord:
+    """The record of an outcome of probability ``p``: for a live outcome,
+    with the post state's qubit marginal ``marg`` and either its ``sectors``
+    or the ``post`` state itself."""
+    if marg is None:
         return OutcomeRecord(outcome, max(float(p), 0.0), None, None, None, None, None)
-    marg = qubit_marginal(post)
     f_o = fidelity(marg, BELL_ODD_PLUS)
     f_e = fidelity(marg, BELL_EVEN_PLUS)
-    return OutcomeRecord(outcome, float(p), keep, f_o, f_e, max(f_o, f_e), sectors)
-
-
-def _live_record(outcome, p, post, post_states: bool) -> OutcomeRecord:
-    """A live outcome of a full post-state, which the record keeps."""
-    return _record(outcome, p, post, None if post_states else sector_probabilities(post), post)
+    return OutcomeRecord(outcome, float(p), post, f_o, f_e, max(f_o, f_e), sectors)
 
 
 def _support_update(state, sqrt_coeffs: np.ndarray, p: float, post_states: bool):
@@ -279,18 +271,21 @@ def _support_update(state, sqrt_coeffs: np.ndarray, p: float, post_states: bool)
     return block, sector_sums(populations(block), sub_index, sqrt_coeffs.size - 1), None
 
 
-def _mixture_update(mix: SectorMixture, sqrt_coeffs: np.ndarray, p: float) -> SectorMixture:
-    """sqrt(E) mix sqrt(E) / p for one sector-diagonal effect, in closed form
-    on the sector weights."""
+def _mixture_update(mix: SectorMixture, sqrt_coeffs: np.ndarray, p: float, post_states: bool):
+    """sqrt(E) mix sqrt(E) / p for one sector-diagonal effect, on the sector
+    weights and checked as `SectorMixture` checks them: the qubit marginal,
+    then the sectors and None, or with ``post_states`` None and the post-state."""
     a = sqrt_coeffs**2
     cross_factor = a if not mix.cross_flipped else sqrt_coeffs * sqrt_coeffs[::-1]
-    return SectorMixture(
-        mix.n,
-        a * mix.weight_odd / p,
-        a * mix.weight_even / p,
-        cross_factor * mix.cross / p,
-        mix.cross_flipped,
-    )
+    w_odd, w_even = a * mix.weight_odd / p, a * mix.weight_even / p
+    cross = cross_factor * mix.cross / p
+    if post_states:
+        post, sectors = SectorMixture(mix.n, w_odd, w_even, cross, mix.cross_flipped), None
+    else:
+        _check_sector_weights(w_odd, w_even, cross, mix.cross_flipped)
+        post, sectors = None, 0.5 * (w_odd + w_even)
+    x = 0.0 if mix.cross_flipped else float(cross.sum())
+    return _bell_block_marginal(w_odd.sum(), w_even.sum(), x), sectors, post
 
 
 def measure(
@@ -309,11 +304,11 @@ def measure(
     live outcome's coefficients, as one row of ``povm``, so a dead outcome
     of `sector_pvm` costs O(1).
     ``sectors`` is the state's sector distribution, when the caller has it.
-    A state with a tensor is updated on each outcome's support only (see
-    `_support_update`); its full post state is built, and kept in the
-    record, only with ``post_states``.  A `SectorMixture` builds and keeps
-    its post state in every case.  Without ``post_states`` each live record
-    carries its post state's sector distribution.
+    Each live record carries its post state with ``post_states`` and its
+    post state's sector distribution without.  A state with a tensor is
+    updated on each outcome's support only (see `_support_update`), a
+    `SectorMixture` on its sector weights (see `_mixture_update`); either
+    builds its full post state only with ``post_states``.
     """
     if sectors is None:
         sectors = sector_probabilities(state)
@@ -328,12 +323,12 @@ def measure(
         if p < TOL.prob_floor:
             records.append(_record(alpha, p))
             continue
-        a = povm.row(alpha)
+        sqrt_a = np.sqrt(povm.row(alpha))
         if isinstance(state, SectorMixture):
-            post = _mixture_update(state, np.sqrt(a), p)
-            records.append(_live_record(alpha, p, post, post_states))
+            records.append(_record(alpha, p, *_mixture_update(state, sqrt_a, p, post_states)))
         else:
-            records.append(_record(alpha, p, *_support_update(state, np.sqrt(a), p, post_states)))
+            block, sec, post = _support_update(state, sqrt_a, p, post_states)
+            records.append(_record(alpha, p, qubit_marginal(block), sec, post))
     return records
 
 
@@ -369,10 +364,10 @@ def apparatus_measure(
 ) -> list:
     """Measure via the probe qubit and return records identical to
     `measure` with `povm_from_theta`, for the same ``outcomes`` and
-    ``post_states``, except that the post states of states with a tensor
-    are kept too: the circuit runs on the full joint tensor of every
-    representation, so each live outcome's post state is built and kept.  Without ``post_states``
-    each live record carries its post state's sector distribution.
+    ``post_states``.  The circuit runs on the full joint tensor of every
+    representation with a tensor, so each live outcome's post state is
+    built; as with `measure`, the record keeps it only with
+    ``post_states`` and carries its sector distribution without.
 
     Steps: attach |0>, rotate the probe by theta(m) on each sector, read the
     probe in its computational basis, discard it, then apply the
@@ -395,7 +390,9 @@ def apparatus_measure(
             records.append(_record(k, p))
             continue
         corrected = apply_kernel(state, sector_diagonal(_sector_signs(amps[k]), index), raw)
-        records.append(_live_record(k, p, renormalized(state, corrected, p), post_states))
+        post = renormalized(state, corrected, p)
+        sectors = None if post_states else sector_probabilities(post)
+        records.append(_record(k, p, qubit_marginal(post), sectors, post if post_states else None))
     return records
 
 
@@ -413,9 +410,8 @@ def measure_each(
     that also drops each record's sectors once it has used them, as
     ``simulate`` does by writing each outcome's report entry before asking
     for the next, holds O(1) sector lists.  Without ``post_states`` the
-    records carry their post states' sector distributions, and a state with
-    a tensor measured through a POVM never has its full post state built
-    (nor kept).
+    records carry their post states' sector distributions and no post
+    state, and only the apparatus route builds a full post state.
     """
     if isinstance(readout, (ApparatusSpec, TwoOutcomeTheta)):
         for k in range(readout.n_outcomes):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from mesoparity.circuits import (
 )
 from mesoparity.collective import (
     MsConfig,
+    SectorMixture,
     excitation_index,
     expand_to_dense,
     mixture_to_dense,
@@ -325,12 +327,8 @@ class TestSupportUpdate:
         for full, lean in zip(run(True), run(False)):
             assert full.sectors is None
             assert lean.sectors.tobytes() == sector_probabilities(full.post_state).tobytes()
-            # every state with a tensor skips its post state on the POVM route
-            if rep != "mixture" and route == "povm":
-                assert lean.post_state is None
-            else:
-                got = sector_probabilities(lean.post_state)
-                assert lean.sectors.tobytes() == got.tobytes()
+            # no representation keeps its post state on either route
+            assert lean.post_state is None
 
     @pytest.mark.parametrize("post_states", [True, False])
     @pytest.mark.parametrize("rep", ["dense_pure", "density"])
@@ -502,8 +500,8 @@ class TestSectorReadout:
         monkeypatch.setattr(measurement, "sector_probabilities", counted)
         records = list(measure_each(state, sector_pvm(50), post_states=False))
         assert len(records) == 51
-        # once for the state; the others are the live post states' sectors
-        assert sum(st is state for st in calls) == 1
+        # once for the state: each live record's sectors come from its update
+        assert len(calls) == 1 and calls[0] is state
         monkeypatch.undo()
         for rec in records:
             (ref,) = measure(state, sector_pvm(50), [rec.outcome], post_states=False)
@@ -543,6 +541,126 @@ class TestSectorReadout:
             p, dot = povm.probability(alpha, sectors), float(povm.row(alpha) @ sectors)
             assert type(p) is float
             assert (p, math.copysign(1.0, p)) == (dot, math.copysign(1.0, dot))
+
+
+def _mixture(n, v_odd=TAG_FLIP, v_even=TAG_IDENTITY, eps=0.3):
+    spec = CircuitSpec("parity_conditioned", MsConfig(n, eps), backend="collective",
+                       v_odd=v_odd, v_even=v_even)
+    return evolve(spec, prepare_inputs(spec))
+
+
+def _readouts(n):
+    """The four CLI readouts: resolving, threshold, a theta table and (g, t_m)."""
+    return tuple(_readout(name, n) for name in ("sector", "threshold", "theta")) + (
+        ApparatusSpec(g=0.3, t_m=1.1),)
+
+
+class TestPostStateRule:
+    """A record carries its post state exactly when post states are asked
+    for, and its post state's sectors exactly when they are not, on every
+    representation, route and readout."""
+
+    @staticmethod
+    def _states(n):
+        spec = CircuitSpec("parity_conditioned", MsConfig(n, 0.3), backend="dense",
+                           v_odd=TAG_FLIP)
+        yield "density", evolve(spec)
+        spec = CircuitSpec("parity_conditioned", MsConfig(n), backend="dense", v_odd=TAG_FLIP)
+        yield "dense_pure", evolve(spec)
+        yield "blocks", evolve(CircuitSpec("hamming_half", MsConfig(n), backend="collective"))
+        yield "mixture", _mixture(n)
+
+    def test_post_state_exactly_when_asked(self):
+        n = 4
+        for (rep, state), post_states in itertools.product(self._states(n), (True, False)):
+            app = ApparatusSpec(g=1.4, t_m=0.9)
+            runs = [list(measure_each(state, r, post_states)) for r in _readouts(n)]
+            runs += [measure(state, povm_from_theta(app.theta(n)), post_states=post_states),
+                     apparatus_measure(state, app, post_states=post_states),
+                     apparatus_measure(state, app.theta(n), post_states=post_states)]
+            for records in runs:
+                live = [rec for rec in records if rec.fidelity_best is not None]
+                assert live, rep
+                for rec in live:
+                    assert (rec.post_state is not None) == post_states, (rep, rec.outcome)
+                    assert (rec.sectors is None) == post_states, (rep, rec.outcome)
+
+    @pytest.mark.parametrize("readout", range(4))
+    def test_lean_mixture_builds_no_mixture(self, monkeypatch, readout):
+        state = _mixture(40)
+        built = []
+        init = SectorMixture.__post_init__
+
+        def counted(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(SectorMixture, "__post_init__", counted)
+        records = list(measure_each(state, _readouts(40)[readout], post_states=False))
+        assert built == []
+        kept = list(measure_each(state, _readouts(40)[readout], post_states=True))
+        live = [rec for rec in kept if rec.post_state is not None]
+        assert len(live) == sum(rec.sectors is not None for rec in records) > 0
+        assert [id(m) for m in built] == [id(rec.post_state) for rec in live]
+
+    @staticmethod
+    def _broken(case):
+        """A checked two-site mixture and the readout outcome whose update
+        breaks one invariant, with the sectors to read its probability from."""
+        n = 2
+        if case == "negative":
+            # weight -0.9e-10 passes the state's check but not once divided by p
+            mix = SectorMixture(n, [1.0, -0.9e-10, 0.0], [1.0, 2e-10, 0.0], np.zeros(3))
+            return mix, 1, None
+        if case == "trace":
+            # a sector distribution that is not the state's gives the wrong p
+            mix = _mixture(n)
+            return mix, 0, 2 * sector_probabilities(mix)
+        # a cross entry past its bound by less than the slack, then divided by p
+        w = np.array([1.0 - 1e-8, 1e-8, 0.0])
+        mix = SectorMixture(n, w, w, [0.0, 1e-8 + 0.9e-9, 0.0])
+        return mix, 1, None
+
+    @pytest.mark.parametrize("case, message", [
+        ("negative", "negative sector weight"),
+        ("trace", "mixture trace"),
+        ("cross", "Cauchy-Schwarz"),
+    ])
+    def test_each_invariant_is_checked_on_every_update(self, monkeypatch, case, message):
+        mix, outcome, sectors = self._broken(case)
+        # the kept post state's constructor refuses it ...
+        with pytest.raises(ValidationError, match=message):
+            measure(mix, sector_pvm(2), [outcome], True, sectors)
+
+        def refused(self):
+            raise AssertionError("a SectorMixture was built without post states")
+
+        # ... and so does the lean update, which builds none
+        monkeypatch.setattr(SectorMixture, "__post_init__", refused)
+        with pytest.raises(ValidationError, match=message):
+            measure(mix, sector_pvm(2), [outcome], False, sectors)
+
+    @pytest.mark.parametrize("tags", [(TAG_FLIP, TAG_IDENTITY), (TAG_IDENTITY, TAG_IDENTITY),
+                                      (TAG_FLIP, TAG_FLIP), (TAG_IDENTITY, TAG_FLIP)])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 400])
+    def test_lean_mixture_records_equal_kept_ones(self, n, tags):
+        state = _mixture(n, *tags)
+        assert state.cross_flipped == (tags[0] != tags[1])
+        for readout in _readouts(n):
+            lean = list(measure_each(state, readout, post_states=False))
+            kept = list(measure_each(state, readout, post_states=True))
+            assert len(lean) == len(kept) == readout.n_outcomes
+            for a, b in zip(lean, kept):
+                if b.post_state is None:
+                    assert _bits(a) == _bits(b)
+                    continue
+                assert a.post_state is None and b.sectors is None
+                assert _bits(a.sectors) == _bits(sector_probabilities(b.post_state))
+                marg = qubit_marginal(b.post_state)
+                want = (fidelity(marg, BELL_ODD_PLUS), fidelity(marg, BELL_EVEN_PLUS))
+                assert _bits(want) == _bits((a.fidelity_odd, a.fidelity_even))
+                assert _bits(dataclasses.replace(a, sectors=None)) == _bits(
+                    dataclasses.replace(b, post_state=None))
 
 
 class TestRealDensityStorage:
