@@ -572,8 +572,8 @@ class TestPostStateRule:
 
     def test_post_state_exactly_when_asked(self):
         n = 4
+        app = ApparatusSpec(g=1.4, t_m=0.9)
         for (rep, state), post_states in itertools.product(self._states(n), (True, False)):
-            app = ApparatusSpec(g=1.4, t_m=0.9)
             runs = [list(measure_each(state, r, post_states)) for r in _readouts(n)]
             runs += [measure(state, povm_from_theta(app.theta(n)), post_states=post_states),
                      apparatus_measure(state, app, post_states=post_states),
@@ -658,7 +658,7 @@ class TestPostStateRule:
                 assert _bits(a.sectors) == _bits(sector_probabilities(b.post_state))
                 marg = qubit_marginal(b.post_state)
                 want = (fidelity(marg, BELL_ODD_PLUS), fidelity(marg, BELL_EVEN_PLUS))
-                assert _bits(want) == _bits((a.fidelity_odd, a.fidelity_even))
+                assert [_bits(f) for f in want] == [_bits(a.fidelity_odd), _bits(a.fidelity_even)]
                 assert _bits(dataclasses.replace(a, sectors=None)) == _bits(
                     dataclasses.replace(b, post_state=None))
 
