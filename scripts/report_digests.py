@@ -21,7 +21,9 @@ pure block-bit states at N = 40, past the dense cap, with and without
 and each ``parity_conditioned`` tag pair at N = 40 and epsilon 0.3, which
 the ``auto`` backend runs as a sector mixture; ``bound`` sweeps in each format, at epsilon 0, across
 N = 50 and 51, over unsorted and repeated N, on the benchmark's 1:1000 grid
-and refused; and ``verify``.  It takes a few minutes.
+and refused; ``simulate`` and ``bound`` with an epsilon and a polarization
+that disagree, NaN among them, and with a NaN epsilon, which must be refused
+before any report is written; and ``verify``.  It takes a few minutes.
 """
 
 import contextlib
@@ -100,6 +102,12 @@ def grid() -> list:
     for n, eps in (("3,0", "0.2,1.0"), ("3,0", "0.2"), ("4", "0.5,-0.1")):
         commands.append(("bound", "--n", n, "--epsilon", eps))
     commands.append(("bound", "--n", "3", "--polarization", "0"))
+    # parse-time refusals: epsilon and polarization that disagree, NaN among them
+    for pair in (("--epsilon", "0.3", "--polarization", "nan"),
+                 ("--epsilon", "0.3", "--polarization", "0.6"),
+                 ("--epsilon", "nan")):
+        commands.append(("simulate", "--n", "3", *pair))
+        commands.append(("bound", "--n", "1:3", *pair))
     for seed in ("0", "1"):
         commands.append(("verify", "all", "--seed", seed))
     return commands
