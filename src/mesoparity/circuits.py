@@ -245,16 +245,15 @@ def disentangle(spec: CircuitSpec, state: JointState) -> JointState:
 
 
 def _evolve_impl(spec: CircuitSpec, state: JointState) -> JointState:
-    kind = spec.kind
-    if kind in ("hamming_half", "ghz_local") and isinstance(state, SectorMixture):
-        raise RepresentationError(f"{kind} on mixed inputs needs the dense backend")
-    if kind == "ghz_local":
+    if isinstance(state, SectorMixture):
+        if spec.kind in ("hamming_half", "ghz_local"):
+            raise RepresentationError(f"{spec.kind} on mixed inputs needs the dense backend")
+        return mixture_conditional(state, spec.ops[(0, 1)] != (), spec.ops[(0, 0)] != ())
+    if spec.kind == "ghz_local":
         out = ghz_entangler(state)
         out = edge_phase_gate(out, LABEL_Q1)
         out = edge_phase_gate(out, LABEL_Q2)
         return ghz_entangler(out, inverse=True)
-    if isinstance(state, SectorMixture):
-        return mixture_conditional(state, spec.ops[(0, 1)] != (), spec.ops[(0, 0)] != ())
     return branch_conditional(state, spec.ops, spec.block_sizes)
 
 

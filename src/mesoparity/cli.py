@@ -252,7 +252,7 @@ def _resolve_epsilon(epsilon, polarization) -> tuple:
         return 1.0 - polarization, polarization
     if polarization is None:
         return epsilon, 1.0 - epsilon
-    if abs((1.0 - polarization) - epsilon) > TOL.param_agreement:
+    if not abs((1.0 - polarization) - epsilon) <= TOL.param_agreement:
         raise UsageError(
             f"epsilon={epsilon} and polarization={polarization} disagree "
             f"(need polarization = 1 - epsilon)"

@@ -8,12 +8,13 @@ sector-resolved mixed-state form for the parity-conditioned protocol family.
 The MS is an ensemble of n identical two-level systems addressed only through
 collective operations.
 
-Each gate is written once for every representation with a tensor: the MS
-slot of the ket tensor (see `excitation_index`) and the state's
-``block_sizes`` hide whether the state is dense or block-bit, and
-`states.tensor_sides` whether it is pure or mixed.  The block flips and the edge phase gate write a density's two sides in one
-pass; `states.apply_kernel` carries the entangler's ket-side kernel to the
-bra side.
+Each gate is written once for every representation with a tensor:
+`_ms_frame`, the one place that finds the MS slot (by its label) and splits
+it into blocks, hides whether the state is dense or block-bit, and
+`states.tensor_sides` whether it is pure or mixed.  The block flips and the
+edge phase gate write a density's two sides in one pass;
+`states.apply_kernel` carries the entangler's ket-side kernel to the bra
+side.  A `SectorMixture` has no tensor; `mixture_conditional` is its flip.
 
 Convention: m always counts constituents in |1> (per-site number operator
 |1><1|), so the weakly polarized product state rho_eps concentrates near m=0.
@@ -60,16 +61,6 @@ def popcounts(n: int) -> np.ndarray:
     v = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.uint8)
     v.setflags(write=False)
     return v
-
-
-@lru_cache(maxsize=None)
-def block_excitations(block_sizes: tuple[int, ...]) -> np.ndarray:
-    """Total excitation m(s) = sum_b s_b N_b of every block bit string s, the
-    2^k strings in C order (block 1 the most significant bit)."""
-    bits = np.indices((2,) * len(block_sizes)).reshape(len(block_sizes), -1)
-    table = np.asarray(block_sizes, dtype=np.intp) @ bits
-    table.setflags(write=False)
-    return table
 
 
 # cephes `lgam` at the positive integers, the algorithm behind
@@ -186,32 +177,29 @@ class MsConfig:
 # ---------------------------------------------------------------------------
 # the MS slot of a state tensor
 #
-# Dense states keep the MS as one big-endian slot of dimension 2^n, so a flip
-# of all sites is an index reversal (b -> 2^n-1-b) and a flip of a contiguous
-# site range is a reversal of one factor of a reshaped index.  A block-bit
-# state's MS slot is the C-order merge of its k block bits, dimension 2^k, so
-# the same reshape exposes its blocks and the same reversal flips bit s_b,
-# which maps m_b -> N_b - m_b.
+# The MS slot, found by its label, runs over big-endian bit strings s in C
+# order, site 1 (block 1) the most significant bit.  A dense slot has one bit
+# per site, dimension 2^n, so a flip of all sites is an index reversal
+# (b -> 2^n-1-b) and a flip of a contiguous site range is a reversal of one
+# factor of a reshaped index.  A block-bit slot has one bit per block,
+# dimension 2^k, so the same reshape exposes its blocks and the same reversal
+# flips bit s_b, which maps m_b -> N_b - m_b.  Blocks are contiguous, so the
+# first bit holds site 1 and the last holds site n either way.
 
 
-def _ms_frame(state, block_sizes=None):
-    """(MS slot, axis length of each MS block, total excitation of every MS
-    basis entry) of a state with a tensor.
+def _ms_frame(layout: SubsystemLayout, own_blocks, block_sizes=None):
+    """(MS slot, axis length of each MS block) of a state with this layout
+    and, for a block-bit state, its own block sizes ``own_blocks`` (None for
+    a dense MS slot).
 
     A dense MS slot splits into any contiguous site ranges `block_sizes`
     (default: one block of all sites); a block-bit state has its own.
     """
-    return _layout_frame(state.layout, state.block_sizes, block_sizes)
-
-
-def _layout_frame(layout: SubsystemLayout, own_blocks, block_sizes=None):
-    """`_ms_frame` of a state with this layout and, for a block-bit state, its
-    own block sizes ``own_blocks`` (None for a dense MS slot)."""
+    slot = layout.slot(LABEL_MS)
     if own_blocks is not None:
         if block_sizes is not None and tuple(block_sizes) != own_blocks:
             raise LayoutError("block_sizes conflicts with the state's own blocks")
-        return 2, (2,) * len(own_blocks), block_excitations(own_blocks)
-    slot = layout.slot(LABEL_MS)
+        return slot, (2,) * len(own_blocks)
     dim = layout.dims[slot]
     n = dim.bit_length() - 1
     if 1 << n != dim:
@@ -219,12 +207,14 @@ def _layout_frame(layout: SubsystemLayout, own_blocks, block_sizes=None):
     sizes = (n,) if block_sizes is None else tuple(int(b) for b in block_sizes)
     if sum(sizes) != n:
         raise LayoutError(f"block sizes {sizes} do not cover {n} sites")
-    return slot, tuple(1 << b for b in sizes), popcounts(n)
+    return slot, tuple(1 << b for b in sizes)
 
 
 def excitation_index(state) -> np.ndarray:
-    """Total MS excitation m of every ket basis entry, as integers shaped to
-    broadcast against the ket tensor (length 1 off the MS slot).
+    """Total MS excitation m(s) = sum_b s_b N_b of every ket basis entry, over
+    the MS bits s_b of N_b sites each (one site per bit in a dense slot), as
+    integers shaped to broadcast against the ket tensor (length 1 off the MS
+    slot).
 
     A sector-diagonal operator sum_m f[m] Pi(m) multiplies the ket tensor by
     ``f[excitation_index(state)]``.  The array is read-only and made once per
@@ -236,10 +226,15 @@ def excitation_index(state) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _excitation_index(layout: SubsystemLayout, own_blocks) -> np.ndarray:
-    slot, _, table = _layout_frame(layout, own_blocks)
+    slot, _ = _ms_frame(layout, own_blocks)
+    if own_blocks is None:
+        table = popcounts(layout.dims[slot].bit_length() - 1).astype(np.intp)
+    else:
+        bits = np.indices((2,) * len(own_blocks)).reshape(len(own_blocks), -1)
+        table = np.asarray(own_blocks, dtype=np.intp) @ bits
     shape = [1] * layout.n_slots
     shape[slot] = table.size
-    index = table.astype(np.intp).reshape(shape)
+    index = table.reshape(shape)
     index.setflags(write=False)
     return index
 
@@ -299,7 +294,7 @@ def branch_conditional_into(t, out, layout, own_blocks, ops, block_sizes=None):
     block at a time, a sixteenth of a density), so every bit is the same, and
     an identity block is left where it is.
     """
-    slot, dims, _ = _layout_frame(layout, own_blocks, block_sizes)
+    slot, dims = _ms_frame(layout, own_blocks, block_sizes)
     if set(ops) != set(QUBIT_BRANCHES):
         raise LayoutError(f"need one MS operation per qubit branch, got {sorted(ops)}")
     for op in ops.values():
@@ -332,17 +327,10 @@ def collective_flip(state, controlled_on=None, blocks=None, block_sizes=None):
     MS slot into contiguous site ranges (default: one block of all sites);
     collective-backend states flip their own declared blocks.
     """
-    if isinstance(state, SectorMixture):
-        if controlled_on is not None:
-            raise RepresentationError(
-                "single-qubit-controlled flips leave the parity-block family; "
-                "use the parity-conditioned evolution instead"
-            )
-        return mixture_conditional(state, True, True)
     if controlled_on not in (None, LABEL_Q1, LABEL_Q2):
         raise LayoutError(f"unknown control label {controlled_on!r}")
     if blocks is None:
-        blocks = range(len(_ms_frame(state, block_sizes)[1]))
+        blocks = range(len(_ms_frame(state.layout, state.block_sizes, block_sizes)[1]))
     ctrl = None if controlled_on is None else (LABEL_Q1, LABEL_Q2).index(controlled_on)
     ops = {jk: tuple(blocks) if ctrl is None or jk[ctrl] else () for jk in QUBIT_BRANCHES}
     return branch_conditional(state, ops, block_sizes)
@@ -353,7 +341,7 @@ def ghz_entangler(state, inverse: bool = False):
     sends |m> to (|m> -/+ i |N-m>)/sqrt(2); its square is -/+ i * flip-all.
     """
     coeff = 1j if inverse else -1j
-    slot = _ms_frame(state)[0]
+    slot = _ms_frame(state.layout, state.block_sizes)[0]
 
     def kernel(t, offset, conj):
         c = coeff.conjugate() if conj else coeff
@@ -365,22 +353,19 @@ def ghz_entangler(state, inverse: bool = False):
 def edge_phase_gate(state, controlled_on: str):
     """Controlled-Z between a target qubit and its nearby MS site.
 
-    Qubit q1 couples to site 1 (most significant bit of the dense index), q2
-    to site n (least significant).  A single-block collective state holds
-    only m in {0, n}, where either edge site is excited exactly at m = n.
+    Qubit q1 couples to site 1, the first (most significant) bit of the MS
+    index, and q2 to site n, the last bit.  A dense MS has one bit per site;
+    a block-bit MS has one per block, whose contiguous blocks put site 1 in
+    block 1 and site n in block k, so any block-bit state gets the exact gate.
     """
     if controlled_on not in (LABEL_Q1, LABEL_Q2):
         raise LayoutError(f"unknown control label {controlled_on!r}")
-    slot, dims, index = _ms_frame(state)
+    slot, _ = _ms_frame(state.layout, state.block_sizes)
     ctrl = state.layout.slot(controlled_on)
-    n = int(index[-1])  # the last MS entry has every site excited
-    if state.block_sizes is not None:
-        if len(dims) != 1:
-            raise RepresentationError("edge phase gate needs a single-block collective state")
-        excited = index == n
-    else:
-        sites = np.arange(1 << n)
-        excited = ((sites >> (n - 1) if controlled_on == LABEL_Q1 else sites) & 1) == 1
+    dim = state.layout.dims[slot]
+    # site 1 is bit log2(dim) - 1 of an MS index, site n bit 0
+    shift = dim.bit_length() - 2 if controlled_on == LABEL_Q1 else 0
+    excited = ((np.arange(dim) >> shift) & 1) == 1
     shape = [1] * state.layout.n_slots
     shape[ctrl], shape[slot] = 2, excited.size
     mask = np.zeros(shape, dtype=bool)

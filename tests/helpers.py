@@ -115,3 +115,42 @@ def random_density_matrix(rng, dim: int, rank: int = None) -> np.ndarray:
 
 def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+def hamming_half_mixed(n: int, eps: float, rows, disentangle: bool) -> list:
+    """Closed form of the ``hamming_half`` circuit on |++><++| (x) rho_eps
+    under a sector readout: (p, f_odd, f_even, sectors) for each coefficient
+    row a[m], m = 0..n, of the readout.
+
+    rho_eps is a mixture of product basis states with a ~ Binomial(n/2, eps/2)
+    excitations in the first half and b ~ Binomial(n/2, eps/2) in the second.
+    Qubit branch jk flips half 1 when j = 1 and half 2 when k = 1, so its MS
+    excitation is a + b, a + n/2 - b, n/2 - a + b or n - a - b.  The four
+    branch states of one (a, b) are distinct basis states, so the post-state's
+    qubit marginal is diagonal, each branch weighted by a[m_jk].  Undoing the
+    flips returns every branch to the same basis state, of excitation a + b,
+    and the qubits keep the coherent sum (1/2) sum_jk sqrt(a[m_jk]) |jk>.
+    """
+    half = n // 2
+    q = eps / 2.0
+    w = np.array([math.comb(half, k) * q**k * (1.0 - q) ** (half - k) for k in range(half + 1)])
+    a, b = np.meshgrid(np.arange(half + 1), np.arange(half + 1), indexing="ij")
+    weight = np.outer(w, w)
+    m = {(0, 0): a + b, (0, 1): a + half - b, (1, 0): half - a + b, (1, 1): n - a - b}
+    out = []
+    for row in rows:
+        amp = {jk: np.sqrt(np.asarray(row, dtype=float)[mk]) for jk, mk in m.items()}
+        branch = {jk: weight * v**2 / 4.0 for jk, v in amp.items()}
+        p = sum(v.sum() for v in branch.values())
+        if disentangle:
+            f_odd = (weight * (amp[0, 1] + amp[1, 0]) ** 2).sum() / 8.0 / p
+            f_even = (weight * (amp[0, 0] + amp[1, 1]) ** 2).sum() / 8.0 / p
+            sectors = np.bincount((a + b).reshape(-1), sum(branch.values()).reshape(-1),
+                                  minlength=n + 1) / p
+        else:
+            f_odd = (branch[0, 1].sum() + branch[1, 0].sum()) / 2.0 / p
+            f_even = (branch[0, 0].sum() + branch[1, 1].sum()) / 2.0 / p
+            sectors = sum(np.bincount(m[jk].reshape(-1), branch[jk].reshape(-1),
+                                      minlength=n + 1) for jk in m) / p
+        out.append((p, f_odd, f_even, sectors))
+    return out

@@ -24,6 +24,9 @@ from mesoparity.cli import (
     read_flat_config,
 )
 from mesoparity.states import ValidationError
+from mesoparity.tolerances import TOL
+
+import helpers
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                0.30000000000000004, 0.33333333333333331, 1.2345678901234567e-200)
@@ -744,6 +747,49 @@ class TestVerifyCommand:
         assert checks["no_random_strategy_beats_bound"]["value"] > 0
 
 
+def _hamming_readout(name, n):
+    """The `simulate` arguments of a readout and its coefficient rows a[m],
+    m = 0..n, from first principles."""
+    m = np.arange(n + 1)
+    if name in ("sector_pvm", "threshold_pvm"):
+        low = (m <= n // 2).astype(float)
+        rows = np.eye(n + 1) if name == "sector_pvm" else [low, 1.0 - low]
+        return ["--measurement", name], rows
+    if name == "theta":
+        theta = 0.37 * m
+        argv = ["--theta", ",".join(repr(float(t)) for t in theta)]
+    else:
+        # the probe qubit's readout rotates it by theta(m) = g t_m m
+        theta = 0.3 * 1.1 * m
+        argv = ["--g", "0.3", "--t-m", "1.1"]
+    return ["--measurement", "two_outcome", *argv], [np.cos(theta) ** 2, np.sin(theta) ** 2]
+
+
+@pytest.mark.parametrize("readout", ["sector_pvm", "threshold_pvm", "theta", "probe"])
+@pytest.mark.parametrize("disentangle", [False, True], ids=["kept", "disentangled"])
+@pytest.mark.parametrize("eps", [0.3, 0.5])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_mixed_hamming_half_matches_closed_form(n, eps, readout, disentangle, tmp_path):
+    # the paper's Hamming-weight route on the dense backend, against the
+    # binomial closed form of `helpers.hamming_half_mixed`
+    readout_argv, rows = _hamming_readout(readout, n)
+    out = tmp_path / "report.json"
+    argv = ["simulate", "--kind", "hamming_half", "--n", str(n), "--epsilon", str(eps),
+            *readout_argv, "--out", str(out)] + (["--disentangle"] if disentangle else [])
+    assert main(argv) == 0
+    got = json.loads(out.read_text())["outcomes"]
+    want = helpers.hamming_half_mixed(n, eps, rows, disentangle)
+    assert len(got) == len(want)
+    for entry, (p, f_odd, f_even, sectors) in zip(got, want):
+        assert entry["p"] == pytest.approx(p, abs=TOL.accumulated, rel=0)
+        if entry["f_odd"] is None:
+            assert p < TOL.prob_floor + TOL.accumulated
+            continue
+        assert entry["f_odd"] == pytest.approx(f_odd, abs=TOL.accumulated, rel=0)
+        assert entry["f_even"] == pytest.approx(f_even, abs=TOL.accumulated, rel=0)
+        np.testing.assert_allclose(entry["sectors"], sectors, atol=TOL.accumulated, rtol=0)
+
+
 class TestExitCodes:
     def test_inconsistent_epsilon_polarization(self):
         proc = run_cli("simulate", "--n", "2", "--epsilon", "0.5",
@@ -768,6 +814,18 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert "disagree" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--n", "3"),
+        ("bound", "--n", "1:3"),
+    ], ids=["simulate", "bound"])
+    def test_nan_polarization_disagrees(self, argv, tmp_path, capsys):
+        # NaN agrees with no epsilon, so it is refused before any report
+        out = tmp_path / "report"
+        code = main([*argv, "--epsilon", "0.3", "--polarization", "nan", "--out", str(out)])
+        assert code == 2
+        assert "disagree" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_main_callable_directly(self, capsys):
         code = main(["simulate", "--n", "1", "--epsilon", "0.5",

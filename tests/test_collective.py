@@ -12,10 +12,8 @@ from scipy.special import gammaln
 
 from mesoparity.collective import (
     MsConfig,
-    RepresentationError,
     SectorMixture,
     binomial_pmf,
-    block_excitations,
     branch_conditional,
     collective_flip,
     edge_phase_gate,
@@ -31,7 +29,7 @@ from mesoparity.collective import (
 from mesoparity import collective
 from mesoparity.bounds import random_collective_povm
 from mesoparity.circuits import TAG_FLIP, CircuitSpec, evolve, prepare_inputs, qubit_marginal
-from mesoparity.measurement import measure
+from mesoparity.measurement import measure, sector_pvm
 from mesoparity.metrics import BELL_EVEN_PLUS, BELL_ODD_PLUS, fidelity
 from mesoparity.states import (
     LABEL_MS,
@@ -85,8 +83,8 @@ def test_popcounts_matches_bin():
 
 def test_total_excitation_grid_two_blocks():
     # bit strings 00, 01, 10, 11 in C order, block 1 the leading bit
-    table = block_excitations((2, 3))
-    np.testing.assert_array_equal(table, [0, 3, 2, 5])
+    table = collective.excitation_index(block_ground_state(np.eye(2) / math.sqrt(2), (2, 3)))
+    np.testing.assert_array_equal(table, np.reshape([0, 3, 2, 5], (1, 1, 4)))
     assert not table.flags.writeable
 
 
@@ -366,10 +364,47 @@ def test_block_state_nan_amplitude_refused():
         block_state(amps, (3,))
 
 
-def test_mixture_only_supports_unconditional_flip():
-    mix = mixture_prepare(MsConfig(3, 0.4))
-    with pytest.raises(RepresentationError):
-        collective_flip(mix, controlled_on=LABEL_Q1)
+def _ms_first(state: PureState) -> PureState:
+    """The same block-bit state over the layout (ms, q1, q2)."""
+    layout = SubsystemLayout(state.layout.dims[::-1][:1] + state.layout.dims[:2],
+                             (LABEL_MS, LABEL_Q1, LABEL_Q2))
+    return PureState(np.moveaxis(state.as_tensor(), 2, 0), layout, state.block_sizes)
+
+
+def _qubits_first(t: np.ndarray) -> np.ndarray:
+    return np.moveaxis(t, 0, 2)
+
+
+def test_block_state_ms_slot_is_found_by_label(rng):
+    # the MS slot of a block-bit state is wherever its label puts it, so the
+    # sectors, the gates and the records do not depend on the slot order
+    amps = rng.standard_normal((2, 2, 4)) + 1j * rng.standard_normal((2, 2, 4))
+    block = block_state(amps / np.linalg.norm(amps), (2, 3))
+    moved = _ms_first(block)
+    np.testing.assert_allclose(sector_probabilities(moved), sector_probabilities(block),
+                               atol=1e-15, rtol=0)
+    excited = np.zeros((2, 2, 2))
+    excited[1, 0, 0] = 1.0  # the one block all |1>, both qubits |0>
+    ms_layout = SubsystemLayout((2, 2, 2), (LABEL_MS, LABEL_Q1, LABEL_Q2))
+    np.testing.assert_array_equal(
+        sector_probabilities(PureState(excited, ms_layout, (3,))), [0, 0, 0, 1])
+    gates = [
+        lambda s: collective_flip(s, controlled_on=LABEL_Q1, blocks=(0,)),
+        lambda s: branch_conditional(s, HAMMING_TABLE),
+        lambda s: edge_phase_gate(s, LABEL_Q2),
+    ]
+    for gate in gates:
+        np.testing.assert_array_equal(_qubits_first(gate(moved).as_tensor()),
+                                      gate(block).as_tensor())
+    for got, want in zip(measure(moved, sector_pvm(5)), measure(block, sector_pvm(5))):
+        assert got.probability == pytest.approx(want.probability, abs=1e-15)
+        if want.post_state is None:
+            assert got.post_state is None
+            continue
+        assert got.fidelity_odd == pytest.approx(want.fidelity_odd, abs=1e-14)
+        assert got.fidelity_even == pytest.approx(want.fidelity_even, abs=1e-14)
+        np.testing.assert_allclose(_qubits_first(got.post_state.as_tensor()),
+                                   want.post_state.as_tensor(), atol=1e-14, rtol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,24 +437,22 @@ def test_edge_phase_gate_matches_cz_oracle(rng):
     np.testing.assert_allclose(got2.amplitudes, want2, atol=1e-13)
 
 
-@pytest.mark.parametrize("n", [1, 3])
-def test_edge_phase_gate_on_block_bits_matches_cz_oracle(rng, n):
-    amps = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-    block = block_state(amps / np.linalg.norm(amps), (n,))
-    start = expand_to_dense(block).amplitudes
+@pytest.mark.parametrize("sizes", [(1,), (3,), (2, 3), (1, 1, 2)],
+                         ids=["1", "3", "2+3", "1+1+2"])
+def test_edge_phase_gate_on_block_bits_matches_cz_oracle(rng, sizes):
+    # site 1 lies in block 1 and site n in the last block, whatever the blocks
+    shape = (2, 2) + (2,) * len(sizes)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    block = block_state(amps / np.linalg.norm(amps), sizes)
+    dense = expand_to_dense(block)
+    n = sum(sizes)
     z_first = np.diag([(-1.0) ** ((b >> (n - 1)) & 1) for b in range(1 << n)])
     z_last = np.diag([(-1.0) ** (b & 1) for b in range(1 << n)])
-    got1 = expand_to_dense(edge_phase_gate(block, LABEL_Q1))
-    np.testing.assert_allclose(got1.amplitudes, joint_controlled(n, "q1", z_first) @ start,
-                               atol=1e-13)
-    got2 = expand_to_dense(edge_phase_gate(block, LABEL_Q2))
-    np.testing.assert_allclose(got2.amplitudes, joint_controlled(n, "q2", z_last) @ start,
-                               atol=1e-13)
-
-
-def test_edge_phase_gate_needs_a_single_block():
-    with pytest.raises(RepresentationError):
-        edge_phase_gate(block_ground_state(np.full((2, 2), 0.5), (2, 2)), LABEL_Q1)
+    for label, z in ((LABEL_Q1, z_first), (LABEL_Q2, z_last)):
+        got = expand_to_dense(edge_phase_gate(block, label))
+        np.testing.assert_array_equal(got.amplitudes, edge_phase_gate(dense, label).amplitudes)
+        np.testing.assert_allclose(got.amplitudes, joint_controlled(n, label, z) @ dense.amplitudes,
+                                   atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
