@@ -366,8 +366,8 @@ def test_block_state_nan_amplitude_refused():
 
 def _ms_first(state: PureState) -> PureState:
     """The same block-bit state over the layout (ms, q1, q2)."""
-    layout = SubsystemLayout(state.layout.dims[::-1][:1] + state.layout.dims[:2],
-                             (LABEL_MS, LABEL_Q1, LABEL_Q2))
+    q1, q2, ms = state.layout.dims
+    layout = SubsystemLayout((ms, q1, q2), (LABEL_MS, LABEL_Q1, LABEL_Q2))
     return PureState(np.moveaxis(state.as_tensor(), 2, 0), layout, state.block_sizes)
 
 
