@@ -44,10 +44,10 @@ from .collective import (
     edge_phase_gate,
     ghz_entangler,
     mixture_conditional,
+    mixture_marginal,
     mixture_prepare,
     thermal_ms_dense,
 )
-from .metrics import BELL_EVEN_PLUS, BELL_ODD_PLUS
 from .states import (
     DENSE_DENSITY_DIM_CAP,
     DENSE_STATE_DIM_CAP,
@@ -264,29 +264,21 @@ def _evolve_impl(spec: CircuitSpec, state: JointState) -> JointState:
 def qubit_marginal(state: JointState) -> DensityOperator:
     """Reduced two-qubit state after tracing out the MS."""
     if isinstance(state, SectorMixture):
-        return _bell_block_marginal(state.weight_odd.sum(), state.weight_even.sum(),
-                                    state.cross_trace)
+        return mixture_marginal(state)
     return partial_trace(state, [state.layout.slot(LABEL_Q1), state.layout.slot(LABEL_Q2)])
-
-
-def _bell_block_marginal(odd, even, cross) -> DensityOperator:
-    """The qubit marginal of a `SectorMixture` from its odd and even weight
-    sums and its cross trace."""
-    o, e = BELL_ODD_PLUS.vector[:, None], BELL_EVEN_PLUS.vector[:, None]
-    rho = 0.5 * (odd * (o @ o.conj().T) + even * (e @ e.conj().T)
-                 + cross * (o @ e.conj().T) + cross * (e @ o.conj().T))
-    return DensityOperator(rho, SubsystemLayout((2, 2), (LABEL_Q1, LABEL_Q2)))
 
 
 def branch_ms_states(state: JointState) -> dict:
     """Per qubit-basis-branch (weight, normalized MS vector) of a pure state.
 
     Diagnostics helper: exposes each branch's MS content so circuits can be
-    compared branch-by-branch, phases included.
+    compared branch-by-branch, phases included.  The slots are found by
+    their labels, whatever their order.
     """
     if not isinstance(state, PureState):
         raise TypeError("branch decomposition needs a pure joint state")
-    t = state.as_tensor()
+    slots = [state.layout.slot(label) for label in (LABEL_Q1, LABEL_Q2, LABEL_MS)]
+    t = np.moveaxis(state.as_tensor(), slots, (0, 1, 2))
     out = {}
     for j in (0, 1):
         for k in (0, 1):

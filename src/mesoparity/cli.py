@@ -39,7 +39,9 @@ import numpy as np
 
 from . import bounds, circuits, measurement, svgchart, verify
 from .collective import MsConfig, RepresentationError, sector_probabilities
-from .metrics import BELL_EVEN_PLUS, BELL_ODD_PLUS, average_fidelity, fidelity
+# fidelity is not called here but stays importable from this module, where
+# the benchmark's tracer wraps it
+from .metrics import average_fidelity, fidelity
 from .states import LayoutError, ValidationError
 from .tolerances import TOL
 
@@ -363,24 +365,18 @@ def _report_outcome(cfg: ScenarioConfig, spec, rec) -> dict:
     """The report entry of one outcome's record.
 
     Post states are asked for only under ``--disentangle``, and the entry
-    then reports the disentangled state's fidelities and sectors; otherwise
-    the record's own."""
-    post, sectors = rec.post_state, rec.sectors
-    f_odd, f_even, f_best = rec.fidelity_odd, rec.fidelity_even, rec.fidelity_best
-    if post is not None:
-        post = circuits.disentangle(spec, post)
-        marg = circuits.qubit_marginal(post)
-        f_odd = fidelity(marg, BELL_ODD_PLUS)
-        f_even = fidelity(marg, BELL_EVEN_PLUS)
-        f_best = max(f_odd, f_even)
-        sectors = sector_probabilities(post)
+    then reports the record of the disentangled state; otherwise the
+    record itself."""
+    if rec.post_state is not None:
+        post = circuits.disentangle(spec, rec.post_state)
+        rec = measurement.post_record(rec.outcome, rec.probability, post, keep=False)
     return {
         "id": int(rec.outcome),
         "p": float(rec.probability),
-        "f_odd": f_odd,
-        "f_even": f_even,
-        "f_best": f_best,
-        "sectors": sectors,
+        "f_odd": rec.fidelity_odd,
+        "f_even": rec.fidelity_even,
+        "f_best": rec.fidelity_best,
+        "sectors": rec.sectors,
     }
 
 

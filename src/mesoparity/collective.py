@@ -10,11 +10,13 @@ collective operations.
 
 Each gate is written once for every representation with a tensor:
 `_ms_frame`, the one place that finds the MS slot (by its label) and splits
-it into blocks, hides whether the state is dense or block-bit, and
-`states.tensor_sides` whether it is pure or mixed.  The block flips and the
+it into blocks, hides whether the state is dense or block-bit, and the
+state's ``sides`` whether it is pure or mixed.  The block flips and the
 edge phase gate write a density's two sides in one pass;
 `states.apply_kernel` carries the entangler's ket-side kernel to the bra
-side.  A `SectorMixture` has no tensor; `mixture_conditional` is its flip.
+side.  A `SectorMixture` has no tensor and only this module reads its
+fields: `mixture_conditional` is its flip, `mixture_update` its square-root
+measurement update and `mixture_marginal` its qubit marginal.
 
 Convention: m always counts constituents in |1> (per-site number operator
 |1><1|), so the weakly polarized product state rho_eps concentrates near m=0.
@@ -42,8 +44,8 @@ from .states import (
     ValidationError,
     apply_kernel,
     populations,
-    tensor_sides,
 )
+from .metrics import BELL_EVEN_PLUS, BELL_ODD_PLUS
 from .tolerances import TOL
 
 
@@ -377,7 +379,7 @@ def edge_phase_gate(state, controlled_on: str):
     # U rho U^dag negates an entry when exactly one of its sides is excited;
     # `mask` itself broadcasts against a density's bra axes
     where = _on_side(mask, out, 0)
-    if tensor_sides(state) == 2:
+    if state.sides == 2:
         where = where ^ mask
     np.negative(out, out=out, where=where)
     return state.with_tensor(out)
@@ -453,10 +455,6 @@ class SectorMixture:
                 raise LayoutError(f"{name} has length {v.size}, expected {self.n + 1}")
         _check_sector_weights(self.weight_odd, self.weight_even, self.cross, self.cross_flipped)
 
-    @property
-    def cross_trace(self) -> float:
-        return 0.0 if self.cross_flipped else float(self.cross.sum())
-
 
 def _check_sector_weights(weight_odd, weight_even, cross, cross_flipped: bool) -> None:
     """Refuse a negative weight, a trace off 1 or a cross past its Cauchy-Schwarz bound."""
@@ -494,6 +492,38 @@ def mixture_conditional(mix: SectorMixture, odd_flip: bool, even_flip: bool) -> 
     return SectorMixture(mix.n, w_o, w_e, cross, flipped)
 
 
+def mixture_update(mix: SectorMixture, sqrt_coeffs: np.ndarray, p: float, post_states: bool):
+    """sqrt(E) mix sqrt(E) / p for one sector-diagonal effect, on the sector
+    weights and checked as `SectorMixture` checks them: the qubit marginal,
+    then the sectors and None, or with ``post_states`` None and the post-state."""
+    a = sqrt_coeffs**2
+    cross_factor = a if not mix.cross_flipped else sqrt_coeffs * sqrt_coeffs[::-1]
+    w_odd, w_even = a * mix.weight_odd / p, a * mix.weight_even / p
+    cross = cross_factor * mix.cross / p
+    if post_states:
+        post, sectors = SectorMixture(mix.n, w_odd, w_even, cross, mix.cross_flipped), None
+    else:
+        _check_sector_weights(w_odd, w_even, cross, mix.cross_flipped)
+        post, sectors = None, 0.5 * (w_odd + w_even)
+    return _bell_block_marginal(w_odd, w_even, cross, mix.cross_flipped), sectors, post
+
+
+def mixture_marginal(mix: SectorMixture) -> DensityOperator:
+    """The two-qubit marginal of a `SectorMixture`."""
+    return _bell_block_marginal(mix.weight_odd, mix.weight_even, mix.cross, mix.cross_flipped)
+
+
+def _bell_block_marginal(weight_odd, weight_even, cross, cross_flipped) -> DensityOperator:
+    """The qubit marginal of a mixture's sector fields: its odd and even
+    weight sums and its cross trace, which a flipped cross block lacks."""
+    odd, even = weight_odd.sum(), weight_even.sum()
+    x = 0.0 if cross_flipped else float(cross.sum())
+    o, e = BELL_ODD_PLUS.vector[:, None], BELL_EVEN_PLUS.vector[:, None]
+    rho = 0.5 * (odd * (o @ o.conj().T) + even * (e @ e.conj().T)
+                 + x * (o @ e.conj().T) + x * (e @ o.conj().T))
+    return DensityOperator(rho, SubsystemLayout((2, 2), (LABEL_Q1, LABEL_Q2)))
+
+
 def _spread_over_basis(n: int, sector_weights: np.ndarray) -> np.ndarray:
     """Per-basis-state diagonal whose sector sums reproduce the given weights."""
     pops = popcounts(n).astype(np.intp)
@@ -503,8 +533,6 @@ def _spread_over_basis(n: int, sector_weights: np.ndarray) -> np.ndarray:
 
 def mixture_to_dense(mix: SectorMixture) -> DensityOperator:
     """Expand to the dense (q1, q2, ms) density for cross-checks at small n."""
-    from .metrics import BELL_EVEN_PLUS, BELL_ODD_PLUS
-
     n = mix.n
     dim = 1 << n
     if 4 * dim > DENSE_DENSITY_DIM_CAP:
@@ -527,12 +555,15 @@ def mixture_to_dense(mix: SectorMixture) -> DensityOperator:
 
 
 def expand_to_dense(state: PureState) -> PureState:
-    """Embed a block-bit state into the dense product basis (small n only)."""
+    """Embed a block-bit state into the dense product basis (small n only),
+    over the layout (q1, q2, ms) whatever the order of the state's slots."""
     n_sites = sum(state.block_sizes)
     total = 4 * (1 << n_sites)
     if total > DENSE_STATE_DIM_CAP:
         raise LayoutError(f"dense expansion dimension {total} exceeds the cap")
-    t = state.amplitudes.reshape((2, 2) + (2,) * len(state.block_sizes))
+    slots = [state.layout.slot(label) for label in (LABEL_Q1, LABEL_Q2, LABEL_MS)]
+    t = np.moveaxis(state.as_tensor(), slots, (0, 1, 2))
+    t = t.reshape((2, 2) + (2,) * len(state.block_sizes))
     for j, nb in enumerate(state.block_sizes):
         # bit 0 lands on the block's all-|0> index, bit 1 on its all-|1> index
         wide = np.zeros(t.shape[:2 + j] + (1 << nb,) + t.shape[3 + j:], dtype=complex)

@@ -15,9 +15,11 @@ update of a state with a tensor vanishes off the effect's support S, the MS
 entries where sqrt(E_alpha) is nonzero, so `measure` updates the ket entries
 on S (rho[S, S] for a density, cast to complex when stored real) and reads
 the record from that checked block; the full post-state is the block written
-into zeros.  A `SectorMixture` outcome is its three checked, updated sector
-vectors, made a `SectorMixture` only to be kept.  The apparatus route runs
-on the full joint tensor of a state with a tensor.
+into zeros.  A `SectorMixture` outcome is `collective.mixture_update` of its
+three sector vectors, checked, and made a `SectorMixture` only to be kept.
+Both updates return the qubit marginal, the sectors and the post state.  The
+apparatus route runs on the full joint tensor of a state with a tensor and
+reads each record off the post state with `post_record`, as the CLI does.
 
 The apparatus route realizes a two-outcome member of this family physically:
 attach a probe qubit in |0>, rotate it by theta(m) conditioned on the sector,
@@ -37,11 +39,11 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .circuits import JointState, _bell_block_marginal, qubit_marginal
+from .circuits import JointState, qubit_marginal
 from .collective import (
     SectorMixture,
-    _check_sector_weights,
     excitation_index,
+    mixture_update,
     sector_diagonal,
     sector_probabilities,
     sector_sums,
@@ -49,16 +51,13 @@ from .collective import (
 from .metrics import BELL_EVEN_PLUS, BELL_ODD_PLUS, fidelity
 from .states import (
     LABEL_MS,
-    DensityOperator,
     LayoutError,
-    PureState,
     SubsystemLayout,
     ValidationError,
     apply_kernel,
     branch_probability,
     populations,
     renormalized,
-    tensor_sides,
 )
 from .tolerances import TOL
 
@@ -227,17 +226,24 @@ def _record(outcome, p, marg=None, sectors=None, post=None) -> OutcomeRecord:
     return OutcomeRecord(outcome, float(p), post, f_o, f_e, max(f_o, f_e), sectors)
 
 
+def post_record(outcome, p, post, keep: bool) -> OutcomeRecord:
+    """The live record of an outcome of probability ``p`` read off its post
+    state ``post``: carrying ``post`` itself with ``keep``, else its sectors."""
+    sectors = None if keep else sector_probabilities(post)
+    return _record(outcome, p, qubit_marginal(post), sectors, post if keep else None)
+
+
 def _support_update(state, sqrt_coeffs: np.ndarray, p: float, post_states: bool):
     """sqrt(E) state sqrt(E) / p for one sector-diagonal effect on a state with
     a tensor, computed on its support S only: the MS entries where sqrt(E) is
     nonzero.
 
-    Returns the checked block on S (the MS slot shrunk to |S|: a
-    `DensityOperator` for a density, a `PureState` for amplitudes) and either,
-    with ``post_states``, None and the full post-state (the block written into
-    zeros) or the post-state's sector distribution and None.  The update
-    vanishes off S on every side, so the block holds the whole qubit marginal
-    and every sector's weight.
+    Returns the qubit marginal and either, with ``post_states``, None and the
+    full post-state (the block written into zeros) or the post-state's sector
+    distribution and None, the triple `collective.mixture_update` returns.
+    Both are read from the checked block on S, a state of ``state``'s class
+    with the MS slot shrunk to |S|: the update vanishes off S on every side,
+    so the block holds the whole qubit marginal and every sector's weight.
     """
     index = excitation_index(state)
     slot = state.layout.slot(LABEL_MS)
@@ -246,7 +252,7 @@ def _support_update(state, sqrt_coeffs: np.ndarray, p: float, post_states: bool)
     dims = list(state.layout.dims)
     dims[slot] = sub_index.size
     sub = SubsystemLayout(tuple(dims), state.layout.labels)
-    sides = tensor_sides(state)
+    sides = state.sides
     # the weights of all sides are combined first, so the block is multiplied once
     kernel = sector_diagonal(sqrt_coeffs, sub_index)
     weight = apply_kernel(state, kernel, np.ones((1,) * (sides * len(dims))))
@@ -261,31 +267,15 @@ def _support_update(state, sqrt_coeffs: np.ndarray, p: float, post_states: bool)
     t *= weight
     t /= p if sides == 2 else np.sqrt(p)
     flat = t.reshape((rows.size,) * sides)
-    block = (DensityOperator if sides == 2 else PureState)(flat, sub)
+    block = type(state)(flat, sub)
     if post_states:
         full = np.zeros((d,) * sides, dtype=complex)
         full[on_s] = flat
-        return block, None, state.with_tensor(full)
+        return qubit_marginal(block), None, state.with_tensor(full)
     # an amplitude state's row index is half its block's size: free it before the sums
     del rows, on_s
-    return block, sector_sums(populations(block), sub_index, sqrt_coeffs.size - 1), None
-
-
-def _mixture_update(mix: SectorMixture, sqrt_coeffs: np.ndarray, p: float, post_states: bool):
-    """sqrt(E) mix sqrt(E) / p for one sector-diagonal effect, on the sector
-    weights and checked as `SectorMixture` checks them: the qubit marginal,
-    then the sectors and None, or with ``post_states`` None and the post-state."""
-    a = sqrt_coeffs**2
-    cross_factor = a if not mix.cross_flipped else sqrt_coeffs * sqrt_coeffs[::-1]
-    w_odd, w_even = a * mix.weight_odd / p, a * mix.weight_even / p
-    cross = cross_factor * mix.cross / p
-    if post_states:
-        post, sectors = SectorMixture(mix.n, w_odd, w_even, cross, mix.cross_flipped), None
-    else:
-        _check_sector_weights(w_odd, w_even, cross, mix.cross_flipped)
-        post, sectors = None, 0.5 * (w_odd + w_even)
-    x = 0.0 if mix.cross_flipped else float(cross.sum())
-    return _bell_block_marginal(w_odd.sum(), w_even.sum(), x), sectors, post
+    sectors = sector_sums(populations(block), sub_index, sqrt_coeffs.size - 1)
+    return qubit_marginal(block), sectors, None
 
 
 def measure(
@@ -307,8 +297,8 @@ def measure(
     Each live record carries its post state with ``post_states`` and its
     post state's sector distribution without.  A state with a tensor is
     updated on each outcome's support only (see `_support_update`), a
-    `SectorMixture` on its sector weights (see `_mixture_update`); either
-    builds its full post state only with ``post_states``.
+    `SectorMixture` on its sector weights (see `collective.mixture_update`);
+    either builds its full post state only with ``post_states``.
     """
     if sectors is None:
         sectors = sector_probabilities(state)
@@ -317,18 +307,14 @@ def measure(
         raise LayoutError(
             f"POVM covers sectors 0..{povm.n_sites} but the MS has {n} sites"
         )
+    update = mixture_update if isinstance(state, SectorMixture) else _support_update
     records = []
     for alpha in range(povm.n_outcomes) if outcomes is None else outcomes:
         p = povm.probability(alpha, sectors)
         if p < TOL.prob_floor:
             records.append(_record(alpha, p))
             continue
-        sqrt_a = np.sqrt(povm.row(alpha))
-        if isinstance(state, SectorMixture):
-            records.append(_record(alpha, p, *_mixture_update(state, sqrt_a, p, post_states)))
-        else:
-            block, sec, post = _support_update(state, sqrt_a, p, post_states)
-            records.append(_record(alpha, p, qubit_marginal(block), sec, post))
+        records.append(_record(alpha, p, *update(state, np.sqrt(povm.row(alpha)), p, post_states)))
     return records
 
 
@@ -390,9 +376,7 @@ def apparatus_measure(
             records.append(_record(k, p))
             continue
         corrected = apply_kernel(state, sector_diagonal(_sector_signs(amps[k]), index), raw)
-        post = renormalized(state, corrected, p)
-        sectors = None if post_states else sector_probabilities(post)
-        records.append(_record(k, p, qubit_marginal(post), sectors, post if post_states else None))
+        records.append(post_record(k, p, renormalized(state, corrected, p), post_states))
     return records
 
 

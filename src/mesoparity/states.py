@@ -99,6 +99,7 @@ class PureState:
     amplitudes: np.ndarray
     layout: SubsystemLayout
     block_sizes: Optional[tuple] = None
+    sides: ClassVar[int] = 1
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -152,6 +153,7 @@ class DensityOperator:
     layout: SubsystemLayout
     # a density's MS slot is always in the sites' product basis
     block_sizes: ClassVar[None] = None
+    sides: ClassVar[int] = 2
 
     def __post_init__(self):
         mat = np.asarray(self.matrix)
@@ -212,15 +214,10 @@ def validate_density(rho: DensityOperator) -> None:
 #
 # PureState, dense or block-bit, and DensityOperator share one tensor
 # interface: ``layout``, ``block_sizes`` (None for a product-basis MS slot),
-# ``as_tensor()`` (a density's bra axes follow its ket axes) and
-# ``with_tensor()``, which keeps ``block_sizes``.  The functions below are the
-# only places that tell an amplitude tensor from a density tensor.
-
-
-def tensor_sides(state) -> int:
-    """Number of sides of ``state``'s tensor: 1 for amplitudes, 2 for a
-    density, whose bra side starts at axis ``n_slots``."""
-    return 2 if isinstance(state, DensityOperator) else 1
+# ``sides`` (1 for amplitudes, 2 for a density), ``as_tensor()`` (a density's
+# bra axes follow its ket axes) and ``with_tensor()``, which keeps
+# ``block_sizes``.  The functions below are the only places that tell an
+# amplitude tensor from a density tensor.
 
 
 def apply_kernel(state, kernel, t=None) -> np.ndarray:
@@ -238,7 +235,7 @@ def apply_kernel(state, kernel, t=None) -> np.ndarray:
     coefficients would round differently if both sides were fused.
     """
     t = state.as_tensor() if t is None else t
-    for side in range(tensor_sides(state)):
+    for side in range(state.sides):
         t = kernel(t, side * state.layout.n_slots, side == 1)
     return t
 

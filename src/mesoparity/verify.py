@@ -38,15 +38,6 @@ from .states import (
 )
 from .tolerances import TOL
 
-SUITES = (
-    "povm-axioms",
-    "backend-agreement",
-    "circuit-equivalence",
-    "bound-saturation",
-    "bound-search",
-    "trace-identities",
-)
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -331,6 +322,7 @@ _SUITE_FUNCS = {
     "bound-search": _suite_bound_search,
     "trace-identities": _suite_trace_identities,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def run_suite(suite: str, seed: int = 0) -> SuiteResult:

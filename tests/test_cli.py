@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import shlex
@@ -295,6 +296,12 @@ class TestFlatConfig:
             read_flat_config(str(p))
 
 
+# the kinds and tag pairs the collective backend runs on mixed inputs
+PARITY_FAMILY = [("--kind", "parity_collective")] + [
+    ("--kind", "parity_conditioned", "--v-odd", odd, "--v-even", even)
+    for odd in ("identity", "collective_flip") for even in ("identity", "collective_flip")]
+
+
 class TestSimulate:
     def test_perfect_parity_report(self):
         theta = ",".join(str(m * math.pi / 6.0) for m in range(4))
@@ -410,14 +417,22 @@ class TestSimulate:
     def test_dense_and_collective_backends_agree(self, tmp_path):
         """At n=9, the largest mixed input that still fits the dense density,
         the DensityOperator and SectorMixture reports differ only in the
-        requested and resolved backend names and in rounding."""
+        requested and resolved backend names and in rounding, for every kind
+        and tag pair of the parity family, every readout, with and without
+        ``--disentangle``."""
+        for kind, readout, extra in itertools.product(
+                PARITY_FAMILY, ("sector_pvm", "threshold_pvm", "theta", "probe"),
+                ((), ("--disentangle",))):
+            argv = ["simulate", *kind, *_hamming_readout(readout, 9)[0], "--n", "9",
+                    "--epsilon", "0.3", *extra]
+            self._assert_backends_agree(tmp_path, argv)
+
+    @staticmethod
+    def _assert_backends_agree(tmp_path, argv):
         reports = {}
         for backend in ("dense", "collective"):
             out = tmp_path / f"{backend}.json"
-            assert main(["simulate", "--kind", "parity_conditioned",
-                         "--v-odd", "collective_flip", "--n", "9",
-                         "--epsilon", "0.3", "--backend", backend,
-                         "--out", str(out)]) == 0
+            assert main([*argv, "--backend", backend, "--out", str(out)]) == 0
             reports[backend] = json.loads(out.read_text())
         dense, coll = reports["dense"], reports["collective"]
         for report, backend in ((dense, "dense"), (coll, "collective")):

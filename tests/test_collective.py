@@ -28,7 +28,14 @@ from mesoparity.collective import (
 )
 from mesoparity import collective
 from mesoparity.bounds import random_collective_povm
-from mesoparity.circuits import TAG_FLIP, CircuitSpec, evolve, prepare_inputs, qubit_marginal
+from mesoparity.circuits import (
+    TAG_FLIP,
+    CircuitSpec,
+    branch_ms_states,
+    evolve,
+    prepare_inputs,
+    qubit_marginal,
+)
 from mesoparity.measurement import measure, sector_pvm
 from mesoparity.metrics import BELL_EVEN_PLUS, BELL_ODD_PLUS, fidelity
 from mesoparity.states import (
@@ -405,6 +412,29 @@ def test_block_state_ms_slot_is_found_by_label(rng):
         assert got.fidelity_even == pytest.approx(want.fidelity_even, abs=1e-14)
         np.testing.assert_allclose(_qubits_first(got.post_state.as_tensor()),
                                    want.post_state.as_tensor(), atol=1e-14, rtol=0)
+
+
+def test_expansion_and_branches_find_their_slots_by_label(rng):
+    # expand_to_dense and branch_ms_states take the q1, q2 and MS slots by
+    # their labels, so a state over (ms, q1, q2) reads as one over (q1, q2, ms)
+    excited = np.zeros((2, 2, 2))
+    excited[1, 0, 0] = 1.0  # the one 2-site block all |1>, both qubits |0>
+    ms_layout = SubsystemLayout((2, 2, 2), (LABEL_MS, LABEL_Q1, LABEL_Q2))
+    state = PureState(excited, ms_layout, (2,))
+    dense = expand_to_dense(state)
+    assert dense.layout.labels == (LABEL_Q1, LABEL_Q2, LABEL_MS)
+    np.testing.assert_array_equal(np.flatnonzero(dense.amplitudes), [3])
+    assert branch_ms_states(state)[(0, 0)][0] == 1.0
+    assert branch_ms_states(_ms_first(dense))[(0, 0)][0] == 1.0
+    amps = rng.standard_normal((2, 2, 4)) + 1j * rng.standard_normal((2, 2, 4))
+    block = block_state(amps / np.linalg.norm(amps), (2, 3))
+    np.testing.assert_array_equal(expand_to_dense(_ms_first(block)).amplitudes,
+                                  expand_to_dense(block).amplitudes)
+    for state in (block, expand_to_dense(block)):
+        got, want = branch_ms_states(_ms_first(state)), branch_ms_states(state)
+        for jk, (w, vec) in want.items():
+            assert got[jk][0] == w
+            np.testing.assert_array_equal(got[jk][1], vec)
 
 
 # ---------------------------------------------------------------------------

@@ -277,8 +277,8 @@ class TestSupportUpdate:
     @pytest.mark.parametrize("route", ["povm", "apparatus"])
     def test_block_bits_are_kept_by_every_full_update(self, route):
         """A block-bit state's post states, and the states built from its
-        tensor, keep its blocks; the block on an outcome's support has an MS
-        slot of |S| entries and so none."""
+        tensor, keep its blocks; the support update returns the qubit
+        marginal and the full post state, which keeps them too."""
         spec = CircuitSpec("hamming_half", MsConfig(4), backend="collective")
         state = evolve(spec)
         assert state.block_sizes == (2, 2)
@@ -292,9 +292,10 @@ class TestSupportUpdate:
         assert live and all(r.post_state.block_sizes == (2, 2) for r in live)
         sectors = sector_probabilities(state)
         a = np.eye(5)[2]
-        block, _, post = measurement._support_update(state, a, sectors[2], True)
-        assert block.layout.dims == (2, 2, 2)
-        assert (block.block_sizes, post.block_sizes) == (None, (2, 2))
+        marg, sec, post = measurement._support_update(state, a, sectors[2], True)
+        assert marg.matrix.shape == (4, 4)
+        assert marg.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
+        assert sec is None and post.block_sizes == (2, 2)
 
     def test_partial_support_outcome_is_measured(self, rng):
         n = 4
