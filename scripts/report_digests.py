@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the exit code, report sha256 and argv of a fixed grid of CLI commands.
+"""Print the exit code, report sha256s and argv of a fixed grid of CLI commands.
 
 Two trees write the same reports when this script prints the same lines on
 both.  Run it on each tree's ``src`` and compare::
@@ -10,8 +10,13 @@ both.  Run it on each tree's ``src`` and compare::
 
 Each command runs in this process through ``cli.main`` with ``--out`` a
 temporary file.  A line holds the exit code (``raised <Error>`` for an
-exception that escapes ``main``), the sha256 of the report (``-`` when no
-file was left), the sha256 of the start of stderr, and the argv.  The grid
+exception that escapes ``main``), the sha256 of the report's bytes, the
+sha256 of its value (both ``-`` when no file was left), the sha256 of the
+start of stderr, and the argv.  The value digest is taken over the report
+parsed as JSON and written again with fixed separators, so it stays the
+same when only the layout of a report changes; a report that is not JSON
+(a bound CSV or SVG) is its own value, and its value digest is its byte
+digest.  The grid
 covers every circuit kind and ``parity_conditioned`` tag pair, every
 backend and readout, pure and mixed inputs, with and without
 ``--disentangle``, at N = 3, 4 and 9; ``--post-select`` at N <= 4; the pure
@@ -30,6 +35,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import os
 import shlex
 import sys
@@ -113,21 +119,33 @@ def grid() -> list:
     return commands
 
 
+def value_sha256(data: bytes) -> str:
+    """The sha256 of a report's value: JSON parsed and written again with
+    fixed separators and its own key order; other text as it is."""
+    try:
+        data = json.dumps(json.loads(data), separators=(",", ":")).encode()
+    except ValueError:
+        pass
+    return hashlib.sha256(data).hexdigest()
+
+
 def digest(argv, out: str) -> tuple:
-    """(exit code, report sha256, stderr sha256) of ``main([*argv, "--out", out])``."""
+    """(exit code, report sha256, report value sha256, stderr sha256) of
+    ``main([*argv, "--out", out])``."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         try:
             code = str(cli.main([*argv, "--out", out]))
         except Exception as exc:  # an escaping error is part of the record
             code = f"raised {type(exc).__name__}"
-    report = "-"
+    report = value = "-"
     if os.path.exists(out):
         with open(out, "rb") as fh:
-            report = hashlib.sha256(fh.read()).hexdigest()
+            data = fh.read()
+        report, value = hashlib.sha256(data).hexdigest(), value_sha256(data)
         os.remove(out)
     head = err.getvalue()[:STDERR_HEAD].encode()
-    return code, report, hashlib.sha256(head).hexdigest()[:16]
+    return code, report, value, hashlib.sha256(head).hexdigest()[:16]
 
 
 def lines(commands):
@@ -135,8 +153,8 @@ def lines(commands):
     with tempfile.TemporaryDirectory() as work:
         out = os.path.join(work, "report")
         for argv in commands:
-            code, report, err = digest(argv, out)
-            yield f"{code}\t{report}\t{err}\t{shlex.join(argv)}"
+            code, report, value, err = digest(argv, out)
+            yield f"{code}\t{report}\t{value}\t{err}\t{shlex.join(argv)}"
 
 
 def main() -> int:

@@ -505,6 +505,18 @@ MIX = ("simulate", "--kind", "parity_conditioned", "--v-odd", "collective_flip",
 SWEEP = ("bound", "--n", "1:100", "--polarization", "0.5,0.7,0.9,0.99")
 
 
+def value_sha256(data: bytes) -> str:
+    """The sha256 of a report's value, whatever its layout: JSON parsed and
+    written again with fixed separators and its own key order, as
+    ``scripts/report_digests.py`` does; a CSV or SVG report is its own
+    value."""
+    try:
+        data = json.dumps(json.loads(data), separators=(",", ":")).encode()
+    except ValueError:
+        pass
+    return hashlib.sha256(data).hexdigest()
+
+
 def as_config_file(argv, path):
     """The same call with every config key moved from the flags into a
     key=value file at ``path``; ``--format`` stays a flag."""
@@ -525,7 +537,7 @@ def as_config_file(argv, path):
 
 
 class TestPinnedReports:
-    """Report bytes that must not move: the dense mixed reference (at N = 9
+    """Report values and bytes that must not move: the dense mixed reference (at N = 9
     also under the threshold readout and a theta table one of whose outcomes
     is supported on only some sectors), the density disentangle route, the
     sector mixture (at N = 2000 the benchmark's run), a pure threshold run, the density probe-qubit route, the
@@ -536,56 +548,76 @@ class TestPinnedReports:
     call but verify gives the same bytes when its inputs come from a config
     file."""
 
-    PINNED = pytest.mark.parametrize("argv, digest", [
+    PINNED = pytest.mark.parametrize("argv, digest, value", [
         (MIX + ("--n", "9", "--epsilon", "0.3"),
-         "1dd3e744e6623541f6f1907da67ce7f5c34f60697b55b58d8c5cd233bd756c9c"),
+         "1dd3e744e6623541f6f1907da67ce7f5c34f60697b55b58d8c5cd233bd756c9c",
+         "bb5ebc8f1d5a960cd0d6456ffc1ae2d7fca80139b1bd1433de3515ab4513278a"),
         (MIX + ("--n", "8", "--epsilon", "0.3", "--post-select", "3", "--disentangle"),
-         "03489701dc127148e73e260bdedc693bb0cac5311f92439d62d6f254919d980b"),
+         "03489701dc127148e73e260bdedc693bb0cac5311f92439d62d6f254919d980b",
+         "7dcd6944907fed4b2636d8ba151fa910e7ab7e63874d6e89ed27d00b21d5f7cb"),
         (MIX + ("--n", "300", "--epsilon", "0.5", "--post-select", "7", "--disentangle"),
-         "e79e8b0ca9f55d335f0975324e614a0fdad515f7f7c08e596d67e132364f359e"),
+         "e79e8b0ca9f55d335f0975324e614a0fdad515f7f7c08e596d67e132364f359e",
+         "11eb807c9ecbfb38ebef1b7e39171546bfb5b013a421192a557f77df43ec833a"),
         (("simulate", "--kind", "parity_collective", "--n", "12",
           "--measurement", "threshold_pvm", "--disentangle"),
-         "22a0da6e94ecb5d944e5d7595dd6f740696dfb995454bc05bbbf4d1324a7bb2b"),
+         "22a0da6e94ecb5d944e5d7595dd6f740696dfb995454bc05bbbf4d1324a7bb2b",
+         "ab0f158a80b5aaad093c5f61200600be604df6c2378d8167e64227e3f105874f"),
         (("simulate", "--kind", "parity_collective", "--n", "4", "--epsilon", "0.3",
           "--measurement", "two_outcome", "--g", "0.3", "--t-m", "1.1"),
-         "9c8d778fbfc50f0e030d618ecb38c4e5f3cf44498484974d4135b4d5abf49d19"),
+         "9c8d778fbfc50f0e030d618ecb38c4e5f3cf44498484974d4135b4d5abf49d19",
+         "f1343f50802ffc2017443f17979ad8a6ecd03d1e87e7a819e0272aa46e24d8d3"),
         (("simulate", "--kind", "hamming_half", "--n", "4", "--measurement", "sector_pvm",
           "--post-select", "2", "--disentangle"),
-         "fe2f5c58c634fae7024fcd15533ba0b3139149ad8517867a5f9920aff5b2c289"),
+         "fe2f5c58c634fae7024fcd15533ba0b3139149ad8517867a5f9920aff5b2c289",
+         "cb672c62362a3fb19313f9a9291f4c2099417cd10ec528ae22d13e5acde0c6c9"),
         (("simulate", "--kind", "hamming_half", "--n", "40", "--backend", "collective"),
-         "793c27b84b44efbdc7344a255a66f6d9220c3a05846e42680d713c3027ef69fb"),
+         "793c27b84b44efbdc7344a255a66f6d9220c3a05846e42680d713c3027ef69fb",
+         "fc1795ffa4d56023f105204b53dcc980d8eba43a2418ce3088fe26623284ba4d"),
         (("simulate", "--kind", "ghz_local", "--n", "8", "--disentangle"),
-         "d7a91de568d5e71786094401cd554ba079fd85675f5cb5e07fac751c74da126e"),
+         "d7a91de568d5e71786094401cd554ba079fd85675f5cb5e07fac751c74da126e",
+         "42d4b306b4c5150e783981f12d9d3e97eee192ce73726c9a78e642a852610ef8"),
         (SWEEP,
+         "79713aa33abe30e061036eb984fcf8b43d5200e85edc1d9bf2407bb29fe7d598",
          "79713aa33abe30e061036eb984fcf8b43d5200e85edc1d9bf2407bb29fe7d598"),
         (SWEEP + ("--format", "json"),
-         "66a18a61be5d2c93980db27815f1568074e8f7d8160a916f150156e267a5ad4a"),
+         "66a18a61be5d2c93980db27815f1568074e8f7d8160a916f150156e267a5ad4a",
+         "3ba01129999ab67fc8292e14d00256978b884c0ab4f79e234eeb3680c806a938"),
         (SWEEP + ("--format", "svg"),
+         "d01433e35ace62bafe8221ab52f3976602c071dec29fd917811e178402082474",
          "d01433e35ace62bafe8221ab52f3976602c071dec29fd917811e178402082474"),
         (("bound", "--n", "1:1000", "--polarization", "0.28125,0.40625,0.59375,0.71875",
           "--format", "csv"),
+         "1fc79a82813d6d4333b634170eabca786f6009f49551c05975daaccb44ab8e76",
          "1fc79a82813d6d4333b634170eabca786f6009f49551c05975daaccb44ab8e76"),
         (("simulate", "--kind", "parity_collective", "--n", "4", "--epsilon", "0.3",
           "--measurement", "two_outcome", "--theta", "0.1,0.7,1.3,2.2,3.0"),
-         "6ce04f76026b1a9351f04f59f91efaed944b189d8094343a39d9d629b8f88a7e"),
+         "6ce04f76026b1a9351f04f59f91efaed944b189d8094343a39d9d629b8f88a7e",
+         "9a1c3d9b087e5b6660a36a66c53292fe68aaf9bc512e4a403fe24bac592e0822"),
         (("simulate", "--kind", "hamming_half", "--n", "1000", "--backend", "collective",
           "--disentangle"),
-         "e71c339716160827a253c8a6afe3771be5126194c329db9fe93e91e56ee736c5"),
+         "e71c339716160827a253c8a6afe3771be5126194c329db9fe93e91e56ee736c5",
+         "0a2587a1944c7fdff4d77b7da98f4a2f7e620131cd7751b2222f75791c631428"),
         (("simulate", "--kind", "ghz_local", "--n", "2000", "--backend", "collective",
           "--disentangle"),
-         "ba992771cc7e93733bce48ef10ae902aa06c25ae1616477c9b9d56a32eb271b9"),
+         "ba992771cc7e93733bce48ef10ae902aa06c25ae1616477c9b9d56a32eb271b9",
+         "4ddfde6e86fe37092ac2f02fd77a8e27fac973cc2f94186429533cbb604e6c44"),
         (MIX + ("--n", "9", "--epsilon", "0.5"),
-         "0936b678741a37aedbb4d313baa03b47c1d412f31be67e308736c9e164ac9e6c"),
+         "0936b678741a37aedbb4d313baa03b47c1d412f31be67e308736c9e164ac9e6c",
+         "dbf3db7ef3290072016ec9b2805756bd0d1d73835a74829965e2d5b1263d954a"),
         (MIX + ("--n", "9", "--epsilon", "0.5", "--disentangle"),
-         "fc966b3e2c42a18b472f34d838672d28162c14fc5065fd012f9eae8d89424fb8"),
+         "fc966b3e2c42a18b472f34d838672d28162c14fc5065fd012f9eae8d89424fb8",
+         "e36f68144b7f6466692dcae2d45b5e8e0467f56d69af216f18630cbb3d642784"),
         (("simulate", "--kind", "parity_collective", "--n", "9", "--epsilon", "0.3",
           "--measurement", "threshold_pvm"),
-         "83661848e1384b09cd64cdc1f86f34b86b90880ed29d1b0cfd8fc6598fa043dd"),
+         "83661848e1384b09cd64cdc1f86f34b86b90880ed29d1b0cfd8fc6598fa043dd",
+         "710dc09b66f6cb1f48e1385e5fc4bb630ac75a67cc04d01847e45f4bcf299e5e"),
         (("simulate", "--kind", "parity_collective", "--n", "9", "--epsilon", "0.3",
           "--measurement", "two_outcome", "--theta", "0,0,0,0,0,1,1,1,1,1"),
-         "5f713baf8e01df4179effcce1c9ad90ac517ae6b5ec7c71fe51da7daa8c4571d"),
+         "5f713baf8e01df4179effcce1c9ad90ac517ae6b5ec7c71fe51da7daa8c4571d",
+         "8dcc1279ee653fc0a452a186700ef663e354e100619a9f47587eed2477f4355e"),
         (MIX + ("--n", "2000", "--epsilon", "0.5"),
-         "8d357a1ed95144e843c9334f8e2f237071c19b802c4c35310baa6d67200654ea"),
+         "8d357a1ed95144e843c9334f8e2f237071c19b802c4c35310baa6d67200654ea",
+         "707d040f6c50fdc7332bab0aec031c4acd5842681583dbc1d9214f30d509c89a"),
     ], ids=["mixed-n9", "mixed-n8-disentangle", "mixture-n300-disentangle",
             "pure-threshold-n12", "density-probe-n4", "hamming-dense-n4-disentangle",
             "hamming-blocks-n40", "ghz-local-n8-disentangle", "bound-csv", "bound-json",
@@ -595,16 +627,20 @@ class TestPinnedReports:
             "mixed-theta-partial-support-n9", "mixture-n2000-eps05"])
 
     @PINNED
-    def test_report_sha256(self, tmp_path, argv, digest):
+    def test_report_sha256(self, tmp_path, argv, digest, value):
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == 0
+        # the value first: a report whose value holds but whose bytes moved
+        # changed only its layout
+        assert value_sha256(out.read_bytes()) == value
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @PINNED
-    def test_report_sha256_from_config_file(self, tmp_path, argv, digest):
+    def test_report_sha256_from_config_file(self, tmp_path, argv, digest, value):
         out = tmp_path / "report.json"
         cfg_argv = as_config_file(argv, tmp_path / "run.cfg")
         assert main([*cfg_argv, "--out", str(out)]) == 0
+        assert value_sha256(out.read_bytes()) == value
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv, digest", [

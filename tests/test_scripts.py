@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import json
 import re
 import shlex
 import subprocess
@@ -54,12 +55,24 @@ def test_report_digests_prints_one_line_per_command(tmp_path):
         ("bound", "--n", "1:5", "--polarization", "0.5"),
     ]
     lines = [line.split("\t") for line in digests.lines(commands)]
-    assert [(code, argv) for code, _, _, argv in lines] == [
+    assert [(code, argv) for code, _, _, _, argv in lines] == [
         ("0", shlex.join(commands[0])), ("0", shlex.join(commands[1])),
         ("2", shlex.join(commands[2])), ("0", shlex.join(commands[3]))]
-    for (_, report, _, _), argv in zip(lines, commands):
+    for (_, report, value, _, _), argv in zip(lines, commands):
         if report != "-":
             out = tmp_path / "r"
             assert main([*argv, "--out", str(out)]) == 0
-            assert report == hashlib.sha256(out.read_bytes()).hexdigest()
-    assert lines[2][1] == "-"
+            data = out.read_bytes()
+            assert report == hashlib.sha256(data).hexdigest()
+            if argv[0] == "bound":
+                # a CSV report is its own value
+                assert value == report
+            else:
+                # the value digest sees through the layout
+                text = json.dumps(json.loads(data), indent=3).encode()
+                assert value != report
+                assert value == digests.value_sha256(text)
+                assert value == hashlib.sha256(
+                    json.dumps(json.loads(data), separators=(",", ":")).encode()
+                ).hexdigest()
+    assert lines[2][1:3] == ["-", "-"]
