@@ -276,7 +276,7 @@ def branch_ms_states(state: JointState) -> dict:
     their labels, whatever their order.
     """
     if not isinstance(state, PureState):
-        raise TypeError("branch decomposition needs a pure joint state")
+        raise RepresentationError("branch decomposition needs a pure joint state")
     slots = [state.layout.slot(label) for label in (LABEL_Q1, LABEL_Q2, LABEL_MS)]
     t = np.moveaxis(state.as_tensor(), slots, (0, 1, 2))
     out = {}

@@ -9,9 +9,9 @@ chart).  ``simulate`` and ``bound`` also read a flat key=value file
 cast, one set of choices and one default, all in `build_parser`.  Flags on
 the command line beat the file.
 
-Outputs are deterministic: floats are printed with 17 significant digits, grid
-sweeps are written sorted by N and epsilon, and charts use fixed 2-decimal
-coordinates.  JSON reports are written to ``--out`` as they are emitted,
+Outputs are deterministic: floats are printed with 17 significant digits, a
+JSON list of scalars is written on one line, grid sweeps are written sorted
+by N and epsilon, and charts use fixed 2-decimal coordinates.  JSON reports are written to ``--out`` as they are emitted,
 never held whole in memory; ``simulate`` writes each outcome's entry as soon
 as that outcome is measured.  A report that fails partway, measuring
 included, leaves no file behind; under ``--out -`` stdout keeps the entries
@@ -69,17 +69,16 @@ def _format_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _emit_float_array(arr: np.ndarray, pad: str, inner: str) -> str:
-    """Bulk form of the generic list path for a 1-D float64 array: one
-    vectorised finiteness check, and only the nonzero entries (``-0.0``
+def _emit_float_array(arr: np.ndarray) -> str:
+    """Bulk form of the generic one-line list path for a 1-D float64 array:
+    one vectorised finiteness check, and only the nonzero entries (``-0.0``
     included) go through ``%.17g``; exact zeros print as "0", a run of them
     as one repeated string."""
     if not arr.size:
         return "[]"
     if not np.isfinite(arr).all():
         raise ValidationError("refusing to serialize a non-finite number")
-    sep = ",\n" + inner
-    zero = "0" + sep
+    zero = "0, "
     # each item is a run of zeros, written as one repeated string, and the
     # nonzero entry that ends it; the trailing run of zeros comes last
     items, start = [], 0
@@ -89,7 +88,7 @@ def _emit_float_array(arr: np.ndarray, pad: str, inner: str) -> str:
         start = i + 1
     if start < arr.size:
         items.append(zero * (arr.size - start - 1) + "0")
-    return "[\n" + inner + sep.join(items) + "\n" + pad + "]"
+    return "[" + ", ".join(items) + "]"
 
 
 def _scalar_json(obj) -> Optional[str]:
@@ -110,6 +109,18 @@ def _scalar_json(obj) -> Optional[str]:
     return None
 
 
+def _scalar_line(seq) -> Optional[str]:
+    """The one-line JSON text ``[a, b, c]`` of a sequence whose members are
+    all scalars, or None as soon as a member is not."""
+    texts = []
+    for v in seq:
+        text = _scalar_json(v)
+        if text is None:
+            return None
+        texts.append(text)
+    return "[" + ", ".join(texts) + "]"
+
+
 @lru_cache(maxsize=1024)
 def _key_json(key: str) -> str:
     """The JSON text of a dict key and its colon; a report has few distinct
@@ -122,11 +133,13 @@ def emit_json(obj, indent: int = 0, write=None) -> Optional[str]:
     None maps to null, and key order follows insertion order.
 
     With ``write`` the text is passed to it piece by piece as it is made,
-    and nothing is returned; without, the whole text is returned.  A
-    container writes each scalar member inline and recurses, through this
-    module-level name, only into members that are containers or arrays.
-    An iterator is written as a list, each member drawn as its turn comes,
-    and a zero-argument callable as the value it returns when called at its
+    and nothing is returned; without, the whole text is returned.  A list,
+    tuple or array whose members are all scalars is written on one line,
+    ``[a, b, c]``.  Any other container writes one member per line: each
+    scalar member inline, recursing through this module-level name only
+    into members that are containers or arrays.  An iterator is written as
+    a list, one member per line, each drawn as its turn comes, and a
+    zero-argument callable as the value it returns when called at its
     turn, so a report can be written while its parts are still computed.
     A 1-D float64 ndarray is written in bulk by ``_emit_float_array``, with
     the same bytes as its ``tolist()`` but O(1) Python calls instead of one
@@ -141,7 +154,7 @@ def emit_json(obj, indent: int = 0, write=None) -> Optional[str]:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
-        write(_emit_float_array(obj, pad, inner))
+        write(_emit_float_array(obj))
         return None
     text = _scalar_json(obj)
     if text is not None:
@@ -151,6 +164,11 @@ def emit_json(obj, indent: int = 0, write=None) -> Optional[str]:
         members = ((_key_json(str(k)), v) for k, v in obj.items())
         opening, closing = "{", "}"
     elif isinstance(obj, (list, tuple, np.ndarray, Iterator)):
+        # an iterator's members cannot be looked at before they are drawn
+        line = None if isinstance(obj, Iterator) else _scalar_line(obj)
+        if line is not None:
+            write(line)
+            return None
         members = (("", v) for v in obj)
         opening, closing = "[", "]"
     else:

@@ -140,7 +140,12 @@ def binomial_pmf(n: int, p) -> np.ndarray:
             table = _log_gamma_table(1 << (n + 1).bit_length())
             lt = table[1:n + 2]
             coef = table[n + 1] - lt - lt[::-1]
-            out[live] = np.exp(coef + m * np.log(q) + (n - m) * np.log1p(-q))
+            # coef + m log q + (n - m) log(1 - q), summed in that order in
+            # one array (a sum of two terms has the same bits either way)
+            rows = m * np.log(q)
+            rows += coef
+            rows += (n - m) * np.log1p(-q)
+            out[live] = np.exp(rows, out=rows)
     return out if ps.ndim else out[0]
 
 

@@ -490,3 +490,11 @@ def test_branch_weights_sum_to_one(rng):
     for w, v in branches.values():
         if v is not None and w > 1e-12:
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+def test_branch_states_of_a_mixed_state_are_a_representation_error():
+    # a density or a sector mixture has no branch vectors
+    for n, backend in ((3, "dense"), (20, "collective")):
+        spec = CircuitSpec("parity_collective", MsConfig(n, 0.3), backend=backend)
+        with pytest.raises(RepresentationError, match="pure joint state"):
+            branch_ms_states(evolve(spec, prepare_inputs(spec)))

@@ -71,11 +71,17 @@ class TestJsonEmitter:
 
 
 class TestFloatArrayEmitter:
-    """The bulk 1-D float64 path must write the bytes of the generic list path."""
+    """A list of scalars is written on one line, and the bulk 1-D float64
+    path writes the bytes of that generic list path."""
+
+    @staticmethod
+    def one_line(values):
+        return "[" + ", ".join("%.17g" % v for v in values) + "]"
 
     @given(FLOAT64_ARRAYS, st.integers(0, 3))
     def test_matches_list_path(self, arr, indent):
-        assert emit_json(arr, indent=indent) == emit_json(arr.tolist(), indent=indent)
+        got = emit_json(arr, indent=indent)
+        assert got == emit_json(arr.tolist(), indent=indent) == self.one_line(arr.tolist())
 
     @given(FLOAT64_ARRAYS, FLOAT64_ARRAYS, st.integers(0, 3))
     def test_matches_list_path_when_nested(self, a, b, indent):
@@ -83,11 +89,14 @@ class TestFloatArrayEmitter:
         want = emit_json({"a": a.tolist(), "b": [b.tolist(), {"c": a.tolist()}],
                           "d": 1.5}, indent=indent)
         assert got == want
+        # each array takes one line, whatever its length
+        empty = emit_json({"a": [], "b": [[], {"c": []}], "d": 1.5}, indent=indent)
+        assert got.count("\n") == empty.count("\n") == 9
 
     def test_edge_values(self):
         arr = np.array(EDGE_FLOATS)
-        assert emit_json(arr) == emit_json(arr.tolist())
-        assert emit_json(np.array([0.0, -0.0])) == "[\n  0,\n  -0\n]"
+        assert emit_json(arr) == emit_json(arr.tolist()) == self.one_line(EDGE_FLOATS)
+        assert emit_json(np.array([0.0, -0.0])) == "[0, -0]"
 
     @pytest.mark.parametrize("values", [
         [0.0], [0.0] * 5, [0.0, 0.0, 1.5], [2.5, 0.0, 0.0], [0.0, -0.0, 0.0, 0.0, 3.0, 0.0],
@@ -95,7 +104,8 @@ class TestFloatArrayEmitter:
     ])
     def test_runs_of_zeros(self, values):
         arr = np.array(values)
-        assert emit_json(arr, indent=1) == emit_json(arr.tolist(), indent=1)
+        got = emit_json(arr, indent=1)
+        assert got == emit_json(arr.tolist(), indent=1) == self.one_line(values)
 
     def test_empty(self):
         assert emit_json(np.array([], dtype=np.float64)) == "[]"
@@ -106,18 +116,30 @@ class TestFloatArrayEmitter:
     def test_non_finite_rejected(self, bad, where):
         arr = np.linspace(0.0, 1.0, 7)
         arr[where] = bad
-        with pytest.raises(ValidationError):
-            emit_json(arr)
-        with pytest.raises(ValidationError):
-            emit_json({"outcomes": [{"sectors": arr}]})
+        for obj in (arr, arr.tolist(), {"outcomes": [{"sectors": arr}]},
+                    {"outcomes": [{"sectors": arr.tolist()}]}):
+            with pytest.raises(ValidationError):
+                emit_json(obj)
 
     def test_other_arrays_keep_generic_bytes(self):
         assert (emit_json(np.array([0.1, 0.0, -0.0, 2.5], dtype=np.float32))
-                == "[\n  0.10000000149011612,\n  0,\n  -0,\n  2.5\n]")
-        assert emit_json(np.array([1, 0, -2])) == "[\n  1,\n  0,\n  -2\n]"
-        assert (emit_json(np.array([[0.5, 0.0], [1.0 / 3.0, -0.0]]))
-                == "[\n  [\n    0.5,\n    0\n  ],\n"
-                   "  [\n    0.33333333333333331,\n    -0\n  ]\n]")
+                == "[0.10000000149011612, 0, -0, 2.5]")
+        assert emit_json(np.array([1, 0, -2])) == "[1, 0, -2]"
+        # a 2-D array is a list of lists: one row per line
+        rows = np.array([[0.5, 0.0], [1.0 / 3.0, -0.0]])
+        assert emit_json(rows) == "[\n  [0.5, 0],\n  [0.33333333333333331, -0]\n]"
+        assert emit_json(rows) == emit_json(rows.tolist())
+
+    def test_mixed_lists_keep_one_member_per_line(self):
+        assert emit_json([1, "s", None, True]) == '[1, "s", null, true]'
+        assert emit_json((2.5, [1])) == "[\n  2.5,\n  [1]\n]"
+        assert emit_json([{}, 0.5]) == "[\n  {},\n  0.5\n]"
+
+    def test_iterator_of_scalars_keeps_one_member_per_line(self):
+        # an iterator cannot be inspected before its members are drawn
+        assert emit_json(iter([1, 2.5])) == "[\n  1,\n  2.5\n]"
+        assert (emit_json({"g": (x / 4 for x in range(2))})
+                == '{\n  "g": [\n    0,\n    0.25\n  ]\n}')
 
 
 STREAMED = [
@@ -176,8 +198,8 @@ class TestStreamedEmission:
         assert not list(tmp_path.iterdir())
 
     def test_mixture_report_memory_is_linear_in_the_report(self, tmp_path):
-        """At N = 2000 the 12.5 MB report is streamed, not held, and no
-        (N+1)^2 readout table is built."""
+        """At N = 2000 the 3.8 MB report is streamed, not held, and no
+        (N+1)^2 readout table (32 MB) is built."""
         out = tmp_path / "r.json"
         tracemalloc.start()
         try:
@@ -186,8 +208,8 @@ class TestStreamedEmission:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        assert out.stat().st_size > 12 * 10**6
-        assert peak <= 20 * 2**20
+        assert out.stat().st_size > 3 * 10**6
+        assert peak <= 2 * 2**20
 
     def test_mixture_simulate_holds_no_outcome_list(self, tmp_path):
         """Each outcome's entry is written as it is measured, so at N = 4000
@@ -360,6 +382,16 @@ class TestSimulate:
         phases = report["diagnostics"]["branch_phases_vs_collective_flip"]
         assert phases["00"] == pytest.approx(0.0, abs=1e-10)
         assert phases["01"] == pytest.approx(math.pi / 2, abs=1e-10)
+
+    def test_mixed_ghz_branch_phases_are_null(self, tmp_path):
+        # a density has no branch vectors, so the diagnostic is null and the
+        # report is written
+        out = tmp_path / "r.json"
+        argv = ["simulate", "--kind", "ghz_local", "--n", "3", "--epsilon", "0.3"]
+        assert main([*argv, "--out", str(out)]) == 0
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        assert diagnostics["backend"] == "dense"
+        assert diagnostics["branch_phases_vs_collective_flip"] is None
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "s.cfg"
@@ -550,31 +582,31 @@ class TestPinnedReports:
 
     PINNED = pytest.mark.parametrize("argv, digest, value", [
         (MIX + ("--n", "9", "--epsilon", "0.3"),
-         "1dd3e744e6623541f6f1907da67ce7f5c34f60697b55b58d8c5cd233bd756c9c",
+         "31e3a86359d20c46ec7b472e8ae3eff5365c0b95b460303e0474b1a048dd3630",
          "bb5ebc8f1d5a960cd0d6456ffc1ae2d7fca80139b1bd1433de3515ab4513278a"),
         (MIX + ("--n", "8", "--epsilon", "0.3", "--post-select", "3", "--disentangle"),
-         "03489701dc127148e73e260bdedc693bb0cac5311f92439d62d6f254919d980b",
+         "a48d469f5809e9fa4b0157882ab6e7c7d757afee079c44df985af9d76967f1d6",
          "7dcd6944907fed4b2636d8ba151fa910e7ab7e63874d6e89ed27d00b21d5f7cb"),
         (MIX + ("--n", "300", "--epsilon", "0.5", "--post-select", "7", "--disentangle"),
-         "e79e8b0ca9f55d335f0975324e614a0fdad515f7f7c08e596d67e132364f359e",
+         "54a182e7e9aeb791f3dcff427be65ce5c691ec2535844e9526dea6bd1574c98e",
          "11eb807c9ecbfb38ebef1b7e39171546bfb5b013a421192a557f77df43ec833a"),
         (("simulate", "--kind", "parity_collective", "--n", "12",
           "--measurement", "threshold_pvm", "--disentangle"),
-         "22a0da6e94ecb5d944e5d7595dd6f740696dfb995454bc05bbbf4d1324a7bb2b",
+         "8c1b64767968fefde1744e51a37ba1bbcdb6bb0e743db72b70d96c61b6f08499",
          "ab0f158a80b5aaad093c5f61200600be604df6c2378d8167e64227e3f105874f"),
         (("simulate", "--kind", "parity_collective", "--n", "4", "--epsilon", "0.3",
           "--measurement", "two_outcome", "--g", "0.3", "--t-m", "1.1"),
-         "9c8d778fbfc50f0e030d618ecb38c4e5f3cf44498484974d4135b4d5abf49d19",
+         "aae8adc265992986d5bb6950a26db3e5a4d4241f06bb43b8e31757385e4a62f0",
          "f1343f50802ffc2017443f17979ad8a6ecd03d1e87e7a819e0272aa46e24d8d3"),
         (("simulate", "--kind", "hamming_half", "--n", "4", "--measurement", "sector_pvm",
           "--post-select", "2", "--disentangle"),
-         "fe2f5c58c634fae7024fcd15533ba0b3139149ad8517867a5f9920aff5b2c289",
+         "44900bc02d51c1b5d0b537a6832b5c53589cad5e1f3f7b5a8fdd6558e5f72ace",
          "cb672c62362a3fb19313f9a9291f4c2099417cd10ec528ae22d13e5acde0c6c9"),
         (("simulate", "--kind", "hamming_half", "--n", "40", "--backend", "collective"),
-         "793c27b84b44efbdc7344a255a66f6d9220c3a05846e42680d713c3027ef69fb",
+         "50f1cf7911556e51d2ac304ddd561036bcf2d90af974a7efd5915423eabed072",
          "fc1795ffa4d56023f105204b53dcc980d8eba43a2418ce3088fe26623284ba4d"),
         (("simulate", "--kind", "ghz_local", "--n", "8", "--disentangle"),
-         "d7a91de568d5e71786094401cd554ba079fd85675f5cb5e07fac751c74da126e",
+         "21731ccc4d422fa0006550049d846f28a4abd04a38de666c301f983ff5cd9760",
          "42d4b306b4c5150e783981f12d9d3e97eee192ce73726c9a78e642a852610ef8"),
         (SWEEP,
          "79713aa33abe30e061036eb984fcf8b43d5200e85edc1d9bf2407bb29fe7d598",
@@ -591,32 +623,32 @@ class TestPinnedReports:
          "1fc79a82813d6d4333b634170eabca786f6009f49551c05975daaccb44ab8e76"),
         (("simulate", "--kind", "parity_collective", "--n", "4", "--epsilon", "0.3",
           "--measurement", "two_outcome", "--theta", "0.1,0.7,1.3,2.2,3.0"),
-         "6ce04f76026b1a9351f04f59f91efaed944b189d8094343a39d9d629b8f88a7e",
+         "cb01f36ad24a5d50cd43bff1bbb67692f2432987c7bd25eec9be7350ed7df734",
          "9a1c3d9b087e5b6660a36a66c53292fe68aaf9bc512e4a403fe24bac592e0822"),
         (("simulate", "--kind", "hamming_half", "--n", "1000", "--backend", "collective",
           "--disentangle"),
-         "e71c339716160827a253c8a6afe3771be5126194c329db9fe93e91e56ee736c5",
+         "eee1bb2582d9902f109e44524f9b44bc393d76e857974216c6e0a15fa0618a1c",
          "0a2587a1944c7fdff4d77b7da98f4a2f7e620131cd7751b2222f75791c631428"),
         (("simulate", "--kind", "ghz_local", "--n", "2000", "--backend", "collective",
           "--disentangle"),
-         "ba992771cc7e93733bce48ef10ae902aa06c25ae1616477c9b9d56a32eb271b9",
+         "72ed35d3158eb3c6bf91d8171f9b058a5dcad6c0dfc2466c0819e2a98ce46564",
          "4ddfde6e86fe37092ac2f02fd77a8e27fac973cc2f94186429533cbb604e6c44"),
         (MIX + ("--n", "9", "--epsilon", "0.5"),
-         "0936b678741a37aedbb4d313baa03b47c1d412f31be67e308736c9e164ac9e6c",
+         "fd220129d73f2179fc1a94cc9d5f021e208890bf93572b98e02938aa1f945253",
          "dbf3db7ef3290072016ec9b2805756bd0d1d73835a74829965e2d5b1263d954a"),
         (MIX + ("--n", "9", "--epsilon", "0.5", "--disentangle"),
-         "fc966b3e2c42a18b472f34d838672d28162c14fc5065fd012f9eae8d89424fb8",
+         "cbb2f4b91b16a7f519486372a1d318ba1dc3895143a650d275ff141aed368554",
          "e36f68144b7f6466692dcae2d45b5e8e0467f56d69af216f18630cbb3d642784"),
         (("simulate", "--kind", "parity_collective", "--n", "9", "--epsilon", "0.3",
           "--measurement", "threshold_pvm"),
-         "83661848e1384b09cd64cdc1f86f34b86b90880ed29d1b0cfd8fc6598fa043dd",
+         "7dd6a6c8beb8945dea3b68ddf69f8b3a384a5d2545dc92907e97bfdde70b0caf",
          "710dc09b66f6cb1f48e1385e5fc4bb630ac75a67cc04d01847e45f4bcf299e5e"),
         (("simulate", "--kind", "parity_collective", "--n", "9", "--epsilon", "0.3",
           "--measurement", "two_outcome", "--theta", "0,0,0,0,0,1,1,1,1,1"),
-         "5f713baf8e01df4179effcce1c9ad90ac517ae6b5ec7c71fe51da7daa8c4571d",
+         "9ab74595f229e3fee7c80c5d72288c5059dfa3f588c947d531cc681e7eb22dd2",
          "8dcc1279ee653fc0a452a186700ef663e354e100619a9f47587eed2477f4355e"),
         (MIX + ("--n", "2000", "--epsilon", "0.5"),
-         "8d357a1ed95144e843c9334f8e2f237071c19b802c4c35310baa6d67200654ea",
+         "7c0cd2de0259a64c3501d8e4b10ca394eae3900e5cd88f47e456c39f463286d4",
          "707d040f6c50fdc7332bab0aec031c4acd5842681583dbc1d9214f30d509c89a"),
     ], ids=["mixed-n9", "mixed-n8-disentangle", "mixture-n300-disentangle",
             "pure-threshold-n12", "density-probe-n4", "hamming-dense-n4-disentangle",
