@@ -11,12 +11,13 @@ the command line beat the file.
 
 Outputs are deterministic: floats are printed with 17 significant digits, a
 JSON list of scalars is written on one line, grid sweeps are written sorted
-by N and epsilon, and charts use fixed 2-decimal coordinates.  JSON reports are written to ``--out`` as they are emitted,
-never held whole in memory; ``simulate`` writes each outcome's entry as soon
-as that outcome is measured.  A report that fails partway, measuring
-included, leaves no file behind; under ``--out -`` stdout keeps the entries
-already written.  Exit codes: 0 ok, 1 verification failure, 2 usage/config
-error, 3 representation error, 4 I/O error.
+by N and epsilon, and charts use fixed 2-decimal coordinates.  JSON reports
+are written to ``--out`` as they are emitted, never held whole in memory;
+``simulate`` writes each outcome's entry as soon as that outcome is
+measured.  A report that fails partway, measuring included, leaves no file
+behind; under ``--out -`` stdout keeps the entries already written.  Exit
+codes: 0 ok, 1 verification failure, 2 usage/config error, 3 representation
+error, 4 I/O error.
 """
 
 from __future__ import annotations

@@ -140,8 +140,8 @@ def binomial_pmf(n: int, p) -> np.ndarray:
             table = _log_gamma_table(1 << (n + 1).bit_length())
             lt = table[1:n + 2]
             coef = table[n + 1] - lt - lt[::-1]
-            # coef + m log q + (n - m) log(1 - q), summed in that order in
-            # one array (a sum of two terms has the same bits either way)
+            # coef + m log q + (n - m) log(1 - q) in one array, summed in
+            # that order (coef + a and a + coef round alike)
             rows = m * np.log(q)
             rows += coef
             rows += (n - m) * np.log1p(-q)
