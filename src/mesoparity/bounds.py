@@ -172,9 +172,20 @@ class BoundResult:
             raise ValidationError(f"bound forms disagree by {spread}")
 
 
+# The largest N whose 2^N product weights, the program's total mass, is a
+# finite float; beyond, the mass check and the class multiplicities overflow.
+PROGRAM_N_MAX = 1023
+
+
 def bound_coefficient_program(n: int, epsilon: float):
-    """Build the greedy program and return (BoundResult, CoefficientProgram)."""
+    """Build the greedy program and return (BoundResult, CoefficientProgram);
+    refused with a `DomainError` past N = `PROGRAM_N_MAX`."""
     _validate_params(n, epsilon)
+    if n > PROGRAM_N_MAX:
+        raise DomainError(
+            f"the coefficient program needs N <= {PROGRAM_N_MAX}, got {n}: "
+            f"its 2^N product weights overflow a float beyond"
+        )
     q = 1.0 - epsilon / 2.0
     ls = np.arange(n + 1)
     values = q ** (n - ls) * (1.0 - q) ** ls

@@ -16,7 +16,8 @@ edge phase gate write a density's two sides in one pass;
 `states.apply_kernel` carries the entangler's ket-side kernel to the bra
 side.  A `SectorMixture` has no tensor and only this module reads its
 fields: `mixture_conditional` is its flip, `mixture_update` its square-root
-measurement update and `mixture_marginal` its qubit marginal.
+measurement update of a block of outcomes at once and `mixture_marginal` its
+qubit marginal; `bell_marginals` builds a block's qubit marginals.
 
 Convention: m always counts constituents in |1> (per-site number operator
 |1><1|), so the weakly polarized product state rho_eps concentrates near m=0.
@@ -462,17 +463,22 @@ class SectorMixture:
 
 
 def _check_sector_weights(weight_odd, weight_even, cross, cross_flipped: bool) -> None:
-    """Refuse a negative weight, a trace off 1 or a cross past its Cauchy-Schwarz bound."""
+    """Refuse a negative weight, a trace off 1 or a cross past its Cauchy-Schwarz
+    bound, in one mixture's sector fields or in each row of a block of them."""
     if weight_odd.min() < -TOL.norm or weight_even.min() < -TOL.norm:
         raise ValidationError("negative sector weight")
-    total = 0.5 * (weight_odd.sum() + weight_even.sum())
-    if not abs(total - 1.0) <= TOL.norm:
-        raise ValidationError(f"mixture trace {total} deviates from 1")
+    total = np.atleast_1d(0.5 * (weight_odd.sum(axis=-1) + weight_even.sum(axis=-1)))
+    off = np.flatnonzero(~(np.abs(total - 1.0) <= TOL.norm))
+    if off.size:
+        raise ValidationError(f"mixture trace {total[off[0]]} deviates from 1")
     # the cross block connects sector m of the even branch with sector m
     # (or n-m, when it carries the flip) of the odd branch
-    w_o = weight_odd[::-1] if cross_flipped else weight_odd
-    bound = np.sqrt(np.clip(w_o, 0, None) * np.clip(weight_even, 0, None))
-    if not np.all(np.abs(cross) <= bound + TOL.cross_block):
+    w_o = weight_odd[..., ::-1] if cross_flipped else weight_odd
+    bound = np.maximum(w_o, 0.0)
+    bound *= np.maximum(weight_even, 0.0)
+    np.sqrt(bound, out=bound)
+    bound += TOL.cross_block
+    if not np.all(np.abs(cross) <= bound):
         raise ValidationError("cross block exceeds its Cauchy-Schwarz bound")
 
 
@@ -497,36 +503,64 @@ def mixture_conditional(mix: SectorMixture, odd_flip: bool, even_flip: bool) -> 
     return SectorMixture(mix.n, w_o, w_e, cross, flipped)
 
 
-def mixture_update(mix: SectorMixture, sqrt_coeffs: np.ndarray, p: float, post_states: bool):
-    """sqrt(E) mix sqrt(E) / p for one sector-diagonal effect, on the sector
-    weights and checked as `SectorMixture` checks them: the qubit marginal,
-    then the sectors and None, or with ``post_states`` None and the post-state."""
-    a = sqrt_coeffs**2
-    cross_factor = a if not mix.cross_flipped else sqrt_coeffs * sqrt_coeffs[::-1]
-    w_odd, w_even = a * mix.weight_odd / p, a * mix.weight_even / p
-    cross = cross_factor * mix.cross / p
+def mixture_update(mix: SectorMixture, sqrt_rows: np.ndarray, probs, post_states: bool):
+    """sqrt(E) mix sqrt(E) / p for a block of K sector-diagonal effects, row k
+    of the (K, n+1) ``sqrt_rows`` with probability probs[k], on the sector
+    weights and checked as `SectorMixture` checks them.
+
+    Returns the marginal sums of each row, the odd and even weight sums and
+    the cross trace (0 for a flipped cross block), as three length-K arrays
+    for `bell_marginals`; then the (K, n+1) sector distributions and None,
+    or with ``post_states`` None and the list of post `SectorMixture`s.
+    Each row is the elementwise arithmetic of a one-row block, and each sum
+    runs over a C-contiguous row, so a row has the same bits in any block.
+    """
+    p = np.asarray(probs, dtype=float)[:, None]
+    # a * w / p and (cross factor) * cross / p, each product divided in place
+    a = sqrt_rows**2
+    w_odd, w_even = a * mix.weight_odd, a * mix.weight_even
+    w_odd /= p
+    w_even /= p
+    cross = sqrt_rows * sqrt_rows[:, ::-1] if mix.cross_flipped else a
+    cross *= mix.cross
+    cross /= p
+    x = np.zeros(len(p)) if mix.cross_flipped else cross.sum(axis=1)
+    sums = (w_odd.sum(axis=1), w_even.sum(axis=1), x)
     if post_states:
-        post, sectors = SectorMixture(mix.n, w_odd, w_even, cross, mix.cross_flipped), None
-    else:
-        _check_sector_weights(w_odd, w_even, cross, mix.cross_flipped)
-        post, sectors = None, 0.5 * (w_odd + w_even)
-    return _bell_block_marginal(w_odd, w_even, cross, mix.cross_flipped), sectors, post
+        posts = [SectorMixture(mix.n, *rows, mix.cross_flipped)
+                 for rows in zip(w_odd, w_even, cross)]
+        return sums, None, posts
+    _check_sector_weights(w_odd, w_even, cross, mix.cross_flipped)
+    sectors = w_odd + w_even
+    sectors *= 0.5
+    return sums, sectors, None
+
+
+# the Bell outer products |o+><o+|, |e+><e+|, |o+><e+| and |e+><o+| of the
+# qubit marginal, and its layout, made once
+_BELL_PRODUCTS = np.array([
+    u.vector[:, None] @ w.vector[:, None].conj().T
+    for u, w in ((BELL_ODD_PLUS, BELL_ODD_PLUS), (BELL_EVEN_PLUS, BELL_EVEN_PLUS),
+                 (BELL_ODD_PLUS, BELL_EVEN_PLUS), (BELL_EVEN_PLUS, BELL_ODD_PLUS))])
+_BELL_PRODUCTS.setflags(write=False)
+_QUBIT_PAIR_LAYOUT = SubsystemLayout((2, 2), (LABEL_Q1, LABEL_Q2))
+
+
+def bell_marginals(odd, even, cross) -> np.ndarray:
+    """The (K, 4, 4) stack of qubit marginals of K mixtures, each
+    1/2 (odd |o+><o+| + even |e+><e+| + cross (|o+><e+| + |e+><o+|)), read
+    off their odd and even weight sums and cross traces (K each).  The stack
+    is not checked: `states.validate_density_stack` checks it."""
+    odd, even, cross = (np.asarray(v, dtype=float)[:, None, None] for v in (odd, even, cross))
+    oo, ee, oe, eo = _BELL_PRODUCTS
+    return 0.5 * (odd * oo + even * ee + cross * oe + cross * eo)
 
 
 def mixture_marginal(mix: SectorMixture) -> DensityOperator:
     """The two-qubit marginal of a `SectorMixture`."""
-    return _bell_block_marginal(mix.weight_odd, mix.weight_even, mix.cross, mix.cross_flipped)
-
-
-def _bell_block_marginal(weight_odd, weight_even, cross, cross_flipped) -> DensityOperator:
-    """The qubit marginal of a mixture's sector fields: its odd and even
-    weight sums and its cross trace, which a flipped cross block lacks."""
-    odd, even = weight_odd.sum(), weight_even.sum()
-    x = 0.0 if cross_flipped else float(cross.sum())
-    o, e = BELL_ODD_PLUS.vector[:, None], BELL_EVEN_PLUS.vector[:, None]
-    rho = 0.5 * (odd * (o @ o.conj().T) + even * (e @ e.conj().T)
-                 + x * (o @ e.conj().T) + x * (e @ o.conj().T))
-    return DensityOperator(rho, SubsystemLayout((2, 2), (LABEL_Q1, LABEL_Q2)))
+    x = 0.0 if mix.cross_flipped else mix.cross.sum()
+    rho = bell_marginals([mix.weight_odd.sum()], [mix.weight_even.sum()], [x])[0]
+    return DensityOperator(rho, _QUBIT_PAIR_LAYOUT)
 
 
 def _spread_over_basis(n: int, sector_weights: np.ndarray) -> np.ndarray:
@@ -547,14 +581,8 @@ def mixture_to_dense(mix: SectorMixture) -> DensityOperator:
     x = np.diag(_spread_over_basis(n, mix.cross)).astype(complex)
     if mix.cross_flipped:
         x = np.eye(dim)[::-1] @ x
-    o = BELL_ODD_PLUS.vector[:, None]
-    e = BELL_EVEN_PLUS.vector[:, None]
-    rho = 0.5 * (
-        np.kron(o @ o.conj().T, a_o)
-        + np.kron(e @ e.conj().T, a_e)
-        + np.kron(o @ e.conj().T, x)
-        + np.kron(e @ o.conj().T, x.conj().T)
-    )
+    oo, ee, oe, eo = _BELL_PRODUCTS
+    rho = 0.5 * (np.kron(oo, a_o) + np.kron(ee, a_e) + np.kron(oe, x) + np.kron(eo, x.conj().T))
     layout = SubsystemLayout((2, 2, dim), (LABEL_Q1, LABEL_Q2, LABEL_MS))
     return DensityOperator(rho, layout)
 

@@ -4,9 +4,10 @@ Effects act only through the total-excitation projectors: E_alpha =
 sum_m a[alpha][m] Pi(m).  The post-measurement state follows the square-root
 update rule, sqrt(E_alpha) rho sqrt(E_alpha) / p_alpha, with
 sqrt(E_alpha) = sum_m sqrt(a[alpha][m]) Pi(m) acting on the MS slots only.
-`measure` reads one row a[alpha] of the readout per outcome; the fully
-resolving readout (`sector_pvm`) is held by its size and builds each row, a
-unit vector, when asked, so no (n+1) x (n+1) table exists while it measures.
+`measure` reads the rows a[alpha] of the readout's live outcomes only; the
+fully resolving readout (`sector_pvm`) is held by its size and builds its
+rows, unit vectors, when asked, so no (n+1) x (n+1) table exists while it
+measures.
 
 For every representation, route and readout, a record carries its post
 state exactly when the caller asks for post states (the CLI does for
@@ -15,11 +16,14 @@ update of a state with a tensor vanishes off the effect's support S, the MS
 entries where sqrt(E_alpha) is nonzero, so `measure` updates the ket entries
 on S (rho[S, S] for a density, cast to complex when stored real) and reads
 the record from that checked block; the full post-state is the block written
-into zeros.  A `SectorMixture` outcome is `collective.mixture_update` of its
-three sector vectors, checked, and made a `SectorMixture` only to be kept.
-Both updates return the qubit marginal, the sectors and the post state.  The
-apparatus route runs on the full joint tensor of a state with a tensor and
-reads each record off the post state with `post_record`, as the CLI does.
+into zeros.  A `SectorMixture` is measured in blocks of live outcomes: one
+`collective.mixture_update` of a block's three (K, n+1) sector arrays,
+checked row by row, whose rows become `SectorMixture`s only to be kept, and
+one (K, 4, 4) stack of its qubit marginals, checked once, off which both
+Bell fidelities of every record are read.  Each record's qubit marginal is
+checked once, positivity included, on every route.  The apparatus route
+runs on the full joint tensor of a state with a tensor and reads each
+record off the post state with `post_record`, as the CLI does.
 
 The apparatus route realizes a two-outcome member of this family physically:
 attach a probe qubit in |0>, rotate it by theta(m) conditioned on the sector,
@@ -42,13 +46,16 @@ import numpy as np
 from .circuits import JointState, qubit_marginal
 from .collective import (
     SectorMixture,
+    bell_marginals,
     excitation_index,
     mixture_update,
     sector_diagonal,
     sector_probabilities,
     sector_sums,
 )
-from .metrics import BELL_EVEN_PLUS, BELL_ODD_PLUS, fidelity
+# fidelity is not called here but stays importable from this module, where
+# the benchmark's tracer wraps it
+from .metrics import bell_overlaps, fidelity
 from .states import (
     LABEL_MS,
     LayoutError,
@@ -58,8 +65,16 @@ from .states import (
     branch_probability,
     populations,
     renormalized,
+    validate_density,
+    validate_density_stack,
 )
 from .tolerances import TOL
+
+
+# float64 entries of each (K, n+1) array of a block update of a
+# `SectorMixture` (128 KB): K = 8 live outcomes at N = 2000, one from
+# N = 16384 on
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,15 +230,27 @@ def sector_pvm(n: int) -> SectorPVM:
 # square-root-rule measurement
 
 
-def _record(outcome, p, marg=None, sectors=None, post=None) -> OutcomeRecord:
-    """The record of an outcome of probability ``p``: for a live outcome,
-    with the post state's qubit marginal ``marg`` and either its ``sectors``
-    or the ``post`` state itself."""
-    if marg is None:
-        return OutcomeRecord(outcome, max(float(p), 0.0), None, None, None, None, None)
-    f_o = fidelity(marg, BELL_ODD_PLUS)
-    f_e = fidelity(marg, BELL_EVEN_PLUS)
-    return OutcomeRecord(outcome, float(p), post, f_o, f_e, max(f_o, f_e), sectors)
+def _dead_record(outcome, p) -> OutcomeRecord:
+    """The record of an outcome of probability ``p`` below the floor."""
+    return OutcomeRecord(outcome, max(float(p), 0.0), None, None, None, None, None)
+
+
+def _live_records(outcomes, probs, margs, sectors, posts) -> list:
+    """The records of live outcomes, each with its probability, its row of
+    the checked (K, 4, 4) stack ``margs`` of qubit marginals, and its post
+    state's sectors or the post state itself (None where absent)."""
+    f_odd, f_even = bell_overlaps(margs)
+    return [OutcomeRecord(alpha, float(p), post, f_o, f_e, max(f_o, f_e), sec)
+            for alpha, p, f_o, f_e, sec, post
+            in zip(outcomes, probs, f_odd, f_even, sectors, posts)]
+
+
+def _record(outcome, p, marg, sectors=None, post=None) -> OutcomeRecord:
+    """The live record of an outcome of probability ``p`` with the post
+    state's qubit marginal ``marg``, a `DensityOperator` whose positivity is
+    checked here, and either its ``sectors`` or the ``post`` state itself."""
+    validate_density(marg)
+    return _live_records((outcome,), (p,), marg.matrix[None], (sectors,), (post,))[0]
 
 
 def post_record(outcome, p, post, keep: bool) -> OutcomeRecord:
@@ -240,7 +267,7 @@ def _support_update(state, sqrt_coeffs: np.ndarray, p: float, post_states: bool)
 
     Returns the qubit marginal and either, with ``post_states``, None and the
     full post-state (the block written into zeros) or the post-state's sector
-    distribution and None, the triple `collective.mixture_update` returns.
+    distribution and None.
     Both are read from the checked block on S, a state of ``state``'s class
     with the MS slot shrunk to |S|: the update vanishes off S on every side,
     so the block holds the whole qubit marginal and every sector's weight.
@@ -278,6 +305,31 @@ def _support_update(state, sqrt_coeffs: np.ndarray, p: float, post_states: bool)
     return qubit_marginal(block), sectors, None
 
 
+def _block_size(state, n: int) -> int:
+    """How many live outcomes `measure` updates at once: one for a state with
+    a tensor, whose post states are full joint states, and for a
+    `SectorMixture` as many rows of n+1 sector entries as fit in
+    `_BLOCK_ENTRIES`."""
+    return max(1, _BLOCK_ENTRIES // (n + 1)) if isinstance(state, SectorMixture) else 1
+
+
+def _block_records(state, outcomes, probs, sqrt_rows, post_states) -> list:
+    """The records of a block of live outcomes, of probabilities ``probs``
+    and square-root effect rows ``sqrt_rows``: for a state with a tensor,
+    one outcome's `_support_update`; for a `SectorMixture`, one
+    `collective.mixture_update` of the block, its qubit marginals built and
+    checked as one stack."""
+    if not isinstance(state, SectorMixture):
+        (alpha,), (p,), (sqrt_coeffs,) = outcomes, probs, sqrt_rows
+        return [_record(alpha, p, *_support_update(state, sqrt_coeffs, p, post_states))]
+    sums, sectors, posts = mixture_update(state, sqrt_rows, probs, post_states)
+    margs = bell_marginals(*sums)
+    validate_density_stack(margs)
+    none = (None,) * len(outcomes)
+    return _live_records(outcomes, probs, margs, none if sectors is None else sectors,
+                         none if posts is None else posts)
+
+
 def measure(
     state: JointState,
     povm: Readout,
@@ -290,15 +342,17 @@ def measure(
 
     ``outcomes`` names the effects to build records for, in that order (all
     of them by default); the post states of the others are never built.
-    Each outcome's probability is read by ``povm.probability``, and only a
-    live outcome's coefficients, as one row of ``povm``, so a dead outcome
-    of `sector_pvm` costs O(1).
+    Each outcome's probability is read by ``povm.probability``, and only the
+    live outcomes' coefficients, as rows of ``povm``, so a dead outcome of
+    `sector_pvm` costs O(1).
     ``sectors`` is the state's sector distribution, when the caller has it.
     Each live record carries its post state with ``post_states`` and its
     post state's sector distribution without.  A state with a tensor is
-    updated on each outcome's support only (see `_support_update`), a
-    `SectorMixture` on its sector weights (see `collective.mixture_update`);
-    either builds its full post state only with ``post_states``.
+    updated one outcome at a time on its support only (see
+    `_support_update`); a `SectorMixture` in blocks of live outcomes, each
+    block in one update of its sector weights (see
+    `collective.mixture_update`) and one check of its qubit marginals.
+    Either builds its full post states only with ``post_states``.
     """
     if sectors is None:
         sectors = sector_probabilities(state)
@@ -307,14 +361,21 @@ def measure(
         raise LayoutError(
             f"POVM covers sectors 0..{povm.n_sites} but the MS has {n} sites"
         )
-    update = mixture_update if isinstance(state, SectorMixture) else _support_update
-    records = []
+    records, live = [], []
     for alpha in range(povm.n_outcomes) if outcomes is None else outcomes:
         p = povm.probability(alpha, sectors)
         if p < TOL.prob_floor:
-            records.append(_record(alpha, p))
-            continue
-        records.append(_record(alpha, p, *update(state, np.sqrt(povm.row(alpha)), p, post_states)))
+            records.append(_dead_record(alpha, p))
+        else:
+            live.append((len(records), alpha, p))
+            records.append(None)
+    size = _block_size(state, n)
+    for start in range(0, len(live), size):
+        slots, alphas, probs = zip(*live[start:start + size])
+        sqrt_rows = np.sqrt([povm.row(alpha) for alpha in alphas])
+        for slot, record in zip(slots, _block_records(state, alphas, probs, sqrt_rows,
+                                                      post_states)):
+            records[slot] = record
     return records
 
 
@@ -373,7 +434,7 @@ def apparatus_measure(
         raw = apply_kernel(state, sector_diagonal(amps[k].astype(complex), index))
         p = branch_probability(state, raw)
         if p < TOL.prob_floor:
-            records.append(_record(k, p))
+            records.append(_dead_record(k, p))
             continue
         corrected = apply_kernel(state, sector_diagonal(_sector_signs(amps[k]), index), raw)
         records.append(post_record(k, p, renormalized(state, corrected, p), post_states))
@@ -386,22 +447,29 @@ def measure_each(
     post_states: bool = True,
 ) -> Iterator[OutcomeRecord]:
     """The records of `measure` (for a POVM) or `apparatus_measure` (for a
-    probe readout), built one outcome per call as they are asked for.  The
-    state's sector distribution is computed once, for all of a POVM's calls.
+    probe readout), built as they are asked for: a POVM's outcomes in
+    consecutive chunks, one `measure` call each, of one outcome for a state
+    with a tensor and of one block of `measure`'s for a `SectorMixture`; a
+    probe readout's one outcome per call.  The state's sector distribution
+    is computed once, for all of a POVM's calls.
 
     A consumer that drops each post state before asking for the next record
-    holds at most one post state at a time, whatever the outcome count; one
-    that also drops each record's sectors once it has used them, as
-    ``simulate`` does by writing each outcome's report entry before asking
-    for the next, holds O(1) sector lists.  Without ``post_states`` the
-    records carry their post states' sector distributions and no post
-    state, and only the apparatus route builds a full post state.
+    holds at most one chunk's post states at a time, whatever the outcome
+    count: one full joint state, or the sector mixtures of one block, within
+    its entry budget; one that also drops each record's sectors once it has
+    used them, as ``simulate`` does by writing each outcome's report entry
+    before asking for the next, holds O(1) sector lists.  Without
+    ``post_states`` the records carry their post states' sector
+    distributions and no post state, and only the apparatus route builds a
+    full post state.
     """
     if isinstance(readout, (ApparatusSpec, TwoOutcomeTheta)):
         for k in range(readout.n_outcomes):
             yield from apparatus_measure(state, readout, (k,), post_states)
         return
     sectors = sector_probabilities(state)
-    for k in range(readout.n_outcomes):
-        yield from measure(state, readout, (k,), post_states, sectors)
+    size = _block_size(state, sectors.size - 1)
+    for start in range(0, readout.n_outcomes, size):
+        chunk = range(start, min(start + size, readout.n_outcomes))
+        yield from measure(state, readout, chunk, post_states, sectors)
 

@@ -45,6 +45,18 @@ def fidelity(rho: DensityOperator, target: BellTarget) -> float:
     return float(np.real(v.conj() @ rho.matrix @ v))
 
 
+def bell_overlaps(stack: np.ndarray) -> tuple:
+    """The overlaps <phi|rho|phi> of each matrix of a (K, 4, 4) stack with the
+    odd and the even Bell target, as two lists of K floats.
+
+    Each is the product `fidelity` takes, one matrix at a time, so the same
+    bits; unlike `fidelity` it checks nothing, and the caller checks the
+    stack once (`states.validate_density_stack`, or `validate_density` of a
+    `DensityOperator`'s matrix)."""
+    return tuple(((v.conj() @ stack)[:, None, :] @ v)[:, 0].real.tolist()
+                 for v in (BELL_ODD_PLUS.vector, BELL_EVEN_PLUS.vector))
+
+
 def average_fidelity(records) -> float:
     """Sum of p_alpha * F_alpha over measurement outcomes, with
     F_alpha = max(F_odd, F_even) of the post-selected state.

@@ -209,6 +209,22 @@ def validate_density(rho: DensityOperator) -> None:
         raise ValidationError(f"density has eigenvalue {evals.min()} below {TOL.positivity}")
 
 
+def validate_density_stack(stack: np.ndarray) -> None:
+    """The checks of `DensityOperator` and `validate_density` on each matrix
+    of a (K, d, d) stack of small densities, each made once for the whole
+    stack: Hermiticity, unit trace and, in one eigvalsh call, positivity."""
+    herm = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    if not np.all(herm <= TOL.hermiticity):
+        raise ValidationError("density matrix is not Hermitian within tolerance")
+    tr = np.trace(stack, axis1=1, axis2=2).real
+    off = np.flatnonzero(~(np.abs(tr - 1.0) <= TOL.norm))
+    if off.size:
+        raise ValidationError(f"density trace {tr[off[0]]} deviates from 1 beyond {TOL.norm}")
+    low = np.linalg.eigvalsh(stack)[:, 0]
+    if low.min() < TOL.positivity:
+        raise ValidationError(f"density has eigenvalue {low.min()} below {TOL.positivity}")
+
+
 # ---------------------------------------------------------------------------
 # operations
 #

@@ -27,6 +27,7 @@ from mesoparity import bounds
 from mesoparity.circuits import TAG_FLIP, TAG_IDENTITY
 from mesoparity.collective import binomial_pmf
 from mesoparity.states import DensityOperator, ValidationError
+from mesoparity.tolerances import TOL
 
 from helpers import exact_bound
 
@@ -153,6 +154,17 @@ class TestCoefficientProgram:
     def test_invalid_program_rejected(self):
         with pytest.raises(ValidationError):
             CoefficientProgram(np.array([0.5, 0.5]), (1, 1), np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.9])
+    def test_program_agrees_with_the_closed_form_at_its_limit(self, eps):
+        assert bounds.PROGRAM_N_MAX == 1023
+        result, _ = bound_coefficient_program(1023, eps)
+        assert abs(result.program_form - result.closed_form) <= TOL.bound_forms
+
+    @pytest.mark.parametrize("n", [1024, 1030, 5000])
+    def test_program_past_its_limit_is_refused(self, n):
+        with pytest.raises(DomainError, match=r"N <= 1023, got %d" % n):
+            bound_coefficient_program(n, 0.3)
 
 
 def binomial_cdf(n: int, p: float, k: int) -> float:

@@ -556,6 +556,100 @@ def _readouts(n):
         ApparatusSpec(g=0.3, t_m=1.1),)
 
 
+class TestMixtureBlocks:
+    """A `SectorMixture` is measured in blocks of live outcomes, one update
+    and one marginal check per block: every record has the bits, field by
+    field, of its outcome measured alone, a block of one."""
+
+    N = 300
+
+    @staticmethod
+    def _alone(run, state, readout, post_states):
+        return [rec for k in range(readout.n_outcomes)
+                for rec in run(state, readout, (k,), post_states)]
+
+    @staticmethod
+    def _assert_same(records, alone):
+        assert [rec.outcome for rec in records] == list(range(len(alone)))
+        assert [_bits(rec) for rec in records] == [_bits(rec) for rec in alone]
+        for rec, ref in zip(records, alone):
+            assert rec.probability == ref.probability
+            assert (rec.fidelity_odd, rec.fidelity_even) == (ref.fidelity_odd, ref.fidelity_even)
+            if ref.sectors is not None:
+                np.testing.assert_array_equal(rec.sectors, ref.sectors)
+            if ref.post_state is not None:
+                for field in ("weight_odd", "weight_even", "cross"):
+                    np.testing.assert_array_equal(getattr(rec.post_state, field),
+                                                  getattr(ref.post_state, field))
+                assert rec.post_state.cross_flipped == ref.post_state.cross_flipped
+
+    @pytest.mark.parametrize("post_states", [False, True], ids=["sectors", "post"])
+    @pytest.mark.parametrize("v_odd, flipped", [(TAG_FLIP, True), (TAG_IDENTITY, False)],
+                             ids=["flipped", "unflipped"])
+    @pytest.mark.parametrize("name", ["sector", "threshold", "random"])
+    def test_blocks_equal_single_outcomes(self, name, v_odd, flipped, post_states):
+        n = self.N
+        state = _mixture(n, v_odd=v_odd, eps=0.5)
+        assert isinstance(state, SectorMixture)
+        readout = (random_collective_povm(n, np.random.default_rng(7)) if name == "random"
+                   else _readout(name, n))
+        size = measurement._block_size(state, n)
+        sectors = sector_probabilities(state)
+        live = [k for k in range(readout.n_outcomes)
+                if readout.probability(k, sectors) >= TOL.prob_floor]
+        chunks = [range(k, min(k + size, readout.n_outcomes))
+                  for k in range(0, readout.n_outcomes, size)]
+        if name != "threshold":
+            # several blocks, the last one short, and blocks that hold dead outcomes
+            assert 1 < size < len(live) and len(live) % size
+            if name == "sector":
+                assert any(0 < len(set(c) & set(live)) < len(c) for c in chunks)
+        alone = self._alone(measure, state, readout, post_states)
+        assert [r.fidelity_best is not None for r in alone] == [
+            k in live for k in range(readout.n_outcomes)]
+        assert all((r.post_state is not None) == (post_states and r.fidelity_best is not None)
+                   for r in alone)
+        if flipped:
+            assert state.cross_flipped is True
+        self._assert_same(list(measure_each(state, readout, post_states)), alone)
+        self._assert_same(measure(state, readout, post_states=post_states), alone)
+
+    @pytest.mark.parametrize("post_states", [False, True], ids=["sectors", "post"])
+    @pytest.mark.parametrize("v_odd", [TAG_FLIP, TAG_IDENTITY], ids=["flipped", "unflipped"])
+    def test_theta_table_block_equals_single_outcomes(self, v_odd, post_states):
+        n = self.N
+        state = _mixture(n, v_odd=v_odd, eps=0.5)
+        table = TwoOutcomeTheta(np.random.default_rng(3).uniform(0.0, np.pi, n + 1))
+        alone = self._alone(apparatus_measure, state, table, post_states)
+        assert all(r.fidelity_best is not None for r in alone)
+        self._assert_same(apparatus_measure(state, table, post_states=post_states), alone)
+
+    def test_block_size_follows_the_entry_budget(self):
+        mixture = _mixture(2000, eps=0.5)
+        assert measurement._block_size(mixture, 2000) == 8
+        assert measurement._block_size(mixture, 20000) == 1
+        spec = CircuitSpec("parity_conditioned", MsConfig(8, 0.5), backend="dense")
+        dense = evolve(spec, prepare_inputs(spec))
+        assert isinstance(dense, DensityOperator)
+        assert measurement._block_size(dense, 8) == 1
+
+    def test_a_bad_marginal_in_a_block_is_refused(self, monkeypatch):
+        """The block's marginal stack is checked as a whole: one row off its
+        trace refuses the block."""
+        state = _mixture(self.N, eps=0.5)
+        update = measurement.mixture_update
+
+        def skewed(*args):
+            (odd, even, x), sectors, posts = update(*args)
+            odd = odd.copy()
+            odd[-1] += 1e-6
+            return (odd, even, x), sectors, posts
+
+        monkeypatch.setattr(measurement, "mixture_update", skewed)
+        with pytest.raises(ValidationError, match="trace"):
+            measure(state, sector_pvm(self.N), post_states=False)
+
+
 class TestPostStateRule:
     """A record carries its post state exactly when post states are asked
     for, and its post state's sectors exactly when they are not, on every
