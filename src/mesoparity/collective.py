@@ -516,12 +516,14 @@ def mixture_update(mix: SectorMixture, sqrt_rows: np.ndarray, probs, post_states
     runs over a C-contiguous row, so a row has the same bits in any block.
     """
     p = np.asarray(probs, dtype=float)[:, None]
-    # a * w / p and (cross factor) * cross / p, each product divided in place
+    # a * w / p, (cross factor) * cross / p and the sectors, each written into
+    # an array the block no longer needs: the same operations, so the same
+    # bits, with fewer block-sized arrays
     a = sqrt_rows**2
     w_odd, w_even = a * mix.weight_odd, a * mix.weight_even
     w_odd /= p
     w_even /= p
-    cross = sqrt_rows * sqrt_rows[:, ::-1] if mix.cross_flipped else a
+    cross = np.multiply(sqrt_rows, sqrt_rows[:, ::-1], out=a) if mix.cross_flipped else a
     cross *= mix.cross
     cross /= p
     x = np.zeros(len(p)) if mix.cross_flipped else cross.sum(axis=1)
@@ -531,18 +533,25 @@ def mixture_update(mix: SectorMixture, sqrt_rows: np.ndarray, probs, post_states
                  for rows in zip(w_odd, w_even, cross)]
         return sums, None, posts
     _check_sector_weights(w_odd, w_even, cross, mix.cross_flipped)
-    sectors = w_odd + w_even
+    sectors = np.add(w_odd, w_even, out=w_odd)
     sectors *= 0.5
     return sums, sectors, None
 
 
 # the Bell outer products |o+><o+|, |e+><e+|, |o+><e+| and |e+><o+| of the
-# qubit marginal, and its layout, made once
-_BELL_PRODUCTS = np.array([
-    u.vector[:, None] @ w.vector[:, None].conj().T
-    for u, w in ((BELL_ODD_PLUS, BELL_ODD_PLUS), (BELL_EVEN_PLUS, BELL_EVEN_PLUS),
-                 (BELL_ODD_PLUS, BELL_EVEN_PLUS), (BELL_EVEN_PLUS, BELL_ODD_PLUS))])
-_BELL_PRODUCTS.setflags(write=False)
+# qubit marginal, made once, on first use: a product at import would start
+# BLAS in every command, and `bound` never needs them
+@lru_cache(maxsize=None)
+def _bell_products() -> np.ndarray:
+    products = np.array([
+        u.vector[:, None] @ w.vector[:, None].conj().T
+        for u, w in ((BELL_ODD_PLUS, BELL_ODD_PLUS), (BELL_EVEN_PLUS, BELL_EVEN_PLUS),
+                     (BELL_ODD_PLUS, BELL_EVEN_PLUS), (BELL_EVEN_PLUS, BELL_ODD_PLUS))])
+    products.setflags(write=False)
+    return products
+
+
+# the qubit marginal's layout
 _QUBIT_PAIR_LAYOUT = SubsystemLayout((2, 2), (LABEL_Q1, LABEL_Q2))
 
 
@@ -552,7 +561,7 @@ def bell_marginals(odd, even, cross) -> np.ndarray:
     off their odd and even weight sums and cross traces (K each).  The stack
     is not checked: `states.validate_density_stack` checks it."""
     odd, even, cross = (np.asarray(v, dtype=float)[:, None, None] for v in (odd, even, cross))
-    oo, ee, oe, eo = _BELL_PRODUCTS
+    oo, ee, oe, eo = _bell_products()
     return 0.5 * (odd * oo + even * ee + cross * oe + cross * eo)
 
 
@@ -581,7 +590,7 @@ def mixture_to_dense(mix: SectorMixture) -> DensityOperator:
     x = np.diag(_spread_over_basis(n, mix.cross)).astype(complex)
     if mix.cross_flipped:
         x = np.eye(dim)[::-1] @ x
-    oo, ee, oe, eo = _BELL_PRODUCTS
+    oo, ee, oe, eo = _bell_products()
     rho = 0.5 * (np.kron(oo, a_o) + np.kron(ee, a_e) + np.kron(oe, x) + np.kron(eo, x.conj().T))
     layout = SubsystemLayout((2, 2, dim), (LABEL_Q1, LABEL_Q2, LABEL_MS))
     return DensityOperator(rho, layout)
