@@ -516,9 +516,9 @@ def mixture_update(mix: SectorMixture, sqrt_rows: np.ndarray, probs, post_states
     runs over a C-contiguous row, so a row has the same bits in any block.
     """
     p = np.asarray(probs, dtype=float)[:, None]
-    # a * w / p, (cross factor) * cross / p and the sectors, each written into
-    # an array the block no longer needs: the same operations, so the same
-    # bits, with fewer block-sized arrays
+    # a * w / p and (cross factor) * cross / p, each written into an array
+    # the block no longer needs: the same operations, so the same bits, with
+    # fewer block-sized arrays
     a = sqrt_rows**2
     w_odd, w_even = a * mix.weight_odd, a * mix.weight_even
     w_odd /= p
@@ -533,7 +533,11 @@ def mixture_update(mix: SectorMixture, sqrt_rows: np.ndarray, probs, post_states
                  for rows in zip(w_odd, w_even, cross)]
         return sums, None, posts
     _check_sector_weights(w_odd, w_even, cross, mix.cross_flipped)
-    sectors = np.add(w_odd, w_even, out=w_odd)
+    # the sectors, which the records keep, are made last, above the arrays
+    # freed here; made in w_odd, they left those arrays on top of the heap,
+    # where glibc returns them to the system, and at N = 20000 (blocks of one
+    # row) measure_each took 1.6x as long, faulting their pages in again
+    sectors = w_odd + w_even
     sectors *= 0.5
     return sums, sectors, None
 
