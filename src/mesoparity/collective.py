@@ -555,7 +555,6 @@ def _bell_products() -> np.ndarray:
     return products
 
 
-# the qubit marginal's layout
 _QUBIT_PAIR_LAYOUT = SubsystemLayout((2, 2), (LABEL_Q1, LABEL_Q2))
 
 
