@@ -13,15 +13,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .circuits import TAG_FLIP, TAG_IDENTITY
-from .collective import MsConfig, binomial_pmf, popcounts, sector_sums, thermal_ms_dense
-from .measurement import CollectivePOVM, SectorPVM, sector_pvm
+from .collective import (
+    MsConfig,
+    binomial_pmf,
+    binomial_rows,
+    popcounts,
+    sector_sums,
+    thermal_ms_dense,
+)
 from .metrics import OutcomeDistribution
 from .states import DENSE_DENSITY_DIM_CAP, ValidationError
 from .tolerances import TOL
+
+if TYPE_CHECKING:
+    # the strategy helpers import measurement when they run, so that the
+    # bound sweep never loads it
+    from .measurement import CollectivePOVM, SectorPVM
 
 
 class DomainError(ValueError):
@@ -44,8 +56,9 @@ def _exact_sum(values: np.ndarray) -> float:
     terms, so sorting changes no bit of the result.  The order sets its cost:
     a pmf in its natural order climbs from ~1e-300 up to the mode and keeps
     fsum's list of partial sums long, while largest-first keeps it short.
+    fsum reads the sorted terms straight off the array's buffer.
     """
-    return math.fsum(np.sort(values)[::-1].tolist())
+    return math.fsum(memoryview(np.sort(values)[::-1]))
 
 
 def _closed_forms(n: int, pmf: np.ndarray) -> list:
@@ -54,8 +67,8 @@ def _closed_forms(n: int, pmf: np.ndarray) -> list:
     For odd and even n alike the binomial tail is the row's first (n+1)//2
     terms, summed as `_exact_sum` sums, largest first.
     """
-    heads = np.sort(pmf[:, : (n + 1) // 2], axis=1)[:, ::-1].tolist()
-    values = [math.fsum(head) for head in heads]
+    heads = np.sort(pmf[:, : (n + 1) // 2], axis=1)[:, ::-1]
+    values = [math.fsum(memoryview(head)) for head in heads]
     if n % 2:
         return values
     return [v + 0.5 * c for v, c in zip(values, pmf[:, n // 2].tolist())]
@@ -91,18 +104,19 @@ def bound_grid(n_values, epsilons) -> list:
     """The closed-form ceiling at every (N, epsilon) of a grid: one list per
     entry of ``n_values``, holding one value per epsilon, in the given orders.
 
-    One `binomial_pmf` call per N builds the rows at every epsilon/2 and
-    every 1 - epsilon/2, and every value is cross-checked against the sum
-    form read off the same rows.
+    One `binomial_rows` call builds, for each N in turn, the rows at every
+    epsilon/2 and every 1 - epsilon/2, and every value is cross-checked
+    against the sum form read off the same rows.
     """
-    epsilons = list(epsilons)
-    half = np.array(epsilons, dtype=float) / 2.0
-    k = len(epsilons)
-    grid = []
+    n_values, epsilons = list(n_values), list(epsilons)
     for n in n_values:
         for eps in epsilons:
             _validate_params(n, eps)
-        pmf = binomial_pmf(n, np.concatenate([half, 1.0 - half]))
+    half = np.array(epsilons, dtype=float) / 2.0
+    k = len(epsilons)
+    grid = []
+    pmfs = binomial_rows(n_values, np.concatenate([half, 1.0 - half]))
+    for n, pmf in zip(n_values, pmfs):
         values = _closed_forms(n, pmf[:k])
         for eps, value, cross in zip(epsilons, values, _sum_forms(pmf[:k], pmf[k:])):
             if abs(value - cross) > TOL.bound_forms:
@@ -226,6 +240,8 @@ class OptimalStrategy:
 
 
 def optimal_strategy(n: int) -> OptimalStrategy:
+    from .measurement import sector_pvm
+
     return OptimalStrategy(TAG_IDENTITY, TAG_FLIP, sector_pvm(n))
 
 
@@ -255,6 +271,8 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_collective_povm(n: int, rng: np.random.Generator) -> CollectivePOVM:
     """Column-stochastic normalization of uniform draws; 2..n+1 outcomes."""
+    from .measurement import CollectivePOVM
+
     k = int(rng.integers(2, n + 2))
     raw = rng.uniform(size=(k, n + 1))
     return CollectivePOVM(raw / raw.sum(axis=0))

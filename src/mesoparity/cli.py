@@ -18,6 +18,11 @@ measured.  A report that fails partway, measuring included, leaves no file
 behind; under ``--out -`` stdout keeps the entries already written.  Exit
 codes: 0 ok, 1 verification failure, 2 usage/config error, 3 representation
 error, 4 I/O error.
+
+Each subcommand imports the modules it runs when it runs (``measurement``
+for ``simulate``, ``bounds`` for ``bound``, ``verify``, ``svgchart`` for the
+charts), so a command loads only what it needs; ``circuits`` is imported
+here, for the parser's choices.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import bounds, circuits, measurement, svgchart, verify
+from . import circuits
 from .collective import MsConfig, RepresentationError, sector_probabilities
 # fidelity is not called here but stays importable from this module, where
 # the benchmark's tracer wraps it
@@ -54,6 +59,10 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_REPRESENTATION = 3
 EXIT_IO = 4
+
+# the names of `verify.SUITES`, for the parser, which does not import verify
+VERIFY_SUITES = ("povm-axioms", "backend-agreement", "circuit-equivalence",
+                 "bound-saturation", "bound-search", "trace-identities")
 
 
 class UsageError(ValueError):
@@ -369,6 +378,8 @@ def _build_spec(cfg: ScenarioConfig) -> circuits.CircuitSpec:
 
 
 def _readout(cfg: ScenarioConfig):
+    from . import measurement
+
     if cfg.measurement == "sector_pvm":
         return measurement.sector_pvm(cfg.n)
     if cfg.measurement == "threshold_pvm":
@@ -387,6 +398,8 @@ def _report_outcome(cfg: ScenarioConfig, spec, rec) -> dict:
     then reports the record of the disentangled state; otherwise the
     record itself."""
     if rec.post_state is not None:
+        from . import measurement
+
         post = circuits.disentangle(spec, rec.post_state)
         rec = measurement.post_record(rec.outcome, rec.probability, post, keep=False)
     return {
@@ -441,6 +454,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     that ``--post-select`` names; ``f_avg`` and the diagnostics are computed
     once the outcome list is closed, so the key order and bytes are those of
     the whole report built first."""
+    from . import measurement
+
     cfg = _scenario_from_args(args)
     if (args.format or "json") != "json":
         raise UsageError("simulate reports are JSON only")
@@ -491,6 +506,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def compute_bound_rows(sweep: SweepConfig) -> list:
     """Every grid row, each cross-checked between two forms, sorted by N and
     epsilon."""
+    from . import bounds
+
     grid = bounds.bound_grid(sweep.n_values, [eps for eps, _ in sweep.pairs])
     rows = [(n, eps, pol, value)
             for n, values in zip(sweep.n_values, grid)
@@ -507,6 +524,8 @@ def _rows_to_csv(rows) -> str:
 
 
 def _rows_to_series(rows):
+    from . import svgchart
+
     by_pol = {}
     for n, eps, pol, value in rows:
         by_pol.setdefault(pol, []).append((n, value))
@@ -522,6 +541,8 @@ def _rows_to_series(rows):
 
 
 def _rows_to_svg(rows) -> str:
+    from . import svgchart
+
     return svgchart.polyline_chart(
         _rows_to_series(rows),
         x_label="number of MS sites N",
@@ -558,6 +579,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if (args.format or "json") != "json":
         raise UsageError("verify summaries are JSON only")
+    from . import verify
+
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     results = [verify.run_suite(name, seed=args.seed) for name in names]
     payload = {
@@ -669,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", parents=[common],
                          help="run a diagnostic suite and report residuals")
-    ver.add_argument("suite", choices=verify.SUITES + ("all",))
+    ver.add_argument("suite", choices=VERIFY_SUITES + ("all",))
     ver.set_defaults(func=cmd_verify)
 
     plt = sub.add_parser("plot", parents=[common],

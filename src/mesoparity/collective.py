@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -107,19 +108,27 @@ def _log_gamma_table(size: int) -> np.ndarray:
     return table
 
 
-def binomial_pmf(n: int, p) -> np.ndarray:
-    """b(m; n, p) for m = 0..n; for a 1-D array of p, one such row per p.
+def binomial_rows(n_values, p):
+    """b(m; n, p) for m = 0..n at each n of ``n_values`` in turn: an iterator
+    of one array per n, holding one row per entry of a 1-D array of p, or
+    one row for a scalar p.
 
     Exact products up to n = 50, log-space beyond so that large-n tails do not
     underflow through intermediate factors.  Beyond, log C(n, m) is read off
     the log-gamma table as lgam(n+1) - lgam(m+1) - lgam(n-m+1), the same
     operations in the same order as with scipy's gammaln, and so the same
-    bits.  Each row of an array call is elementwise the same arithmetic as
-    the call at its own p, and so equals that call bit for bit; p = 0 and
-    p = 1 give the one-hot rows.
+    bits.  The terms j log p and j log(1 - p) are built once, for j up to the
+    largest n, and each n reads its row coef + m log p + (n - m) log(1 - p)
+    off them, summed in that order: the same operations on the same
+    operands, so the row has the bits it has when its n comes alone.  Each
+    row of an array of p is elementwise the same arithmetic as at its own p,
+    and so equals it bit for bit; p = 0 and p = 1 give the one-hot rows.
+    Every array handed out is new and writeable.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    ns = [operator.index(n) for n in n_values]
+    for n in ns:
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
     ps = np.asarray(p, dtype=float)
     if ps.ndim > 1:
         raise ValueError(f"need a scalar or a 1-D array of p, got shape {ps.shape}")
@@ -127,27 +136,45 @@ def binomial_pmf(n: int, p) -> np.ndarray:
     if not inside.all():
         raise ValueError(f"success probability {ps[~inside].flat[0]} outside [0, 1]")
     flat = ps.reshape(-1)
-    out = np.zeros((len(flat), n + 1))
-    out[:, 0] = flat == 0.0
-    out[:, n] = flat == 1.0
     live = (0.0 < flat) & (flat < 1.0)
-    if live.any():
-        q = flat[live, None]
-        m = np.arange(n + 1)
-        if n <= 50:
-            combs = np.array([math.comb(n, k) for k in m], dtype=float)
-            out[live] = combs * q**m * (1.0 - q) ** (n - m)
-        else:
-            table = _log_gamma_table(1 << (n + 1).bit_length())
+    any_live = bool(live.any())
+    every = any_live and bool(live.all())
+    q = flat[live, None]
+    top = max(ns, default=0)
+    if any_live and top > 50:
+        table = _log_gamma_table(1 << (top + 1).bit_length())
+        j = np.arange(top + 1)
+        log_p, log_q = j * np.log(q), j * np.log1p(-q)
+
+    def rows(n):
+        if any_live and n > 50:
             lt = table[1:n + 2]
             coef = table[n + 1] - lt - lt[::-1]
-            # coef + m log q + (n - m) log(1 - q) in one array, summed in
-            # that order (coef + a and a + coef round alike)
-            rows = m * np.log(q)
-            rows += coef
-            rows += (n - m) * np.log1p(-q)
-            out[live] = np.exp(rows, out=rows)
-    return out if ps.ndim else out[0]
+            # (log_p + coef and coef + log_p round alike)
+            vals = log_p[:, :n + 1] + coef
+            vals += log_q[:, n::-1]
+            np.exp(vals, out=vals)
+        elif any_live:
+            m = np.arange(n + 1)
+            combs = np.array([math.comb(n, k) for k in m], dtype=float)
+            vals = combs * q**m * (1.0 - q) ** (n - m)
+        if every:
+            out = vals
+        else:
+            out = np.zeros((len(flat), n + 1))
+            out[:, 0] = flat == 0.0
+            out[:, n] = flat == 1.0
+            if any_live:
+                out[live] = vals
+        return out if ps.ndim else out[0]
+
+    return map(rows, ns)
+
+
+def binomial_pmf(n: int, p) -> np.ndarray:
+    """b(m; n, p) for m = 0..n; for a 1-D array of p, one such row per p:
+    `binomial_rows` at the one n."""
+    return next(binomial_rows((n,), p))
 
 
 @dataclass(frozen=True)

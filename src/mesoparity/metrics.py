@@ -62,15 +62,17 @@ def average_fidelity(records) -> float:
     F_alpha = max(F_odd, F_even) of the post-selected state.
 
     Records with probability below the floor contribute nothing (their post
-    states are undefined).
+    states are undefined).  ``records`` is read once, so a one-shot iterator
+    such as `measurement.measure_each` serves; the probabilities are added
+    one at a time in record order, from 0 as ``sum`` starts.
     """
-    total_p = sum(r.probability for r in records)
-    if abs(total_p - 1.0) > TOL.norm:
-        raise ValidationError(f"outcome probabilities sum to {total_p}, not 1")
-    acc = 0.0
+    total_p, acc = 0, 0.0
     for r in records:
+        total_p += r.probability
         if r.probability > TOL.prob_floor:
             acc += r.probability * r.fidelity_best
+    if abs(total_p - 1.0) > TOL.norm:
+        raise ValidationError(f"outcome probabilities sum to {total_p}, not 1")
     return acc
 
 

@@ -225,15 +225,15 @@ class TestGrid:
     def test_disagreeing_odd_row_fails_the_cross_check(self, monkeypatch):
         # the cross-check reads its odd rows off p = 1 - epsilon/2, so a
         # corrupt one at N = 7, epsilon = 0.3 alone must fail that row
-        real = bounds.binomial_pmf
+        real = bounds.binomial_rows
 
-        def corrupt(n, p):
-            rows = real(n, p)
-            if n == 7:
-                rows[np.asarray(p) == 1.0 - 0.3 / 2.0] *= 1.001
-            return rows
+        def corrupt(n_values, p):
+            for n, rows in zip(n_values, real(n_values, p)):
+                if n == 7:
+                    rows[np.asarray(p) == 1.0 - 0.3 / 2.0] *= 1.001
+                yield rows
 
-        monkeypatch.setattr(bounds, "binomial_pmf", corrupt)
+        monkeypatch.setattr(bounds, "binomial_rows", corrupt)
         assert bound_grid((5, 6), (0.1, 0.3))
         with pytest.raises(ValidationError, match=r"N=7, eps=0\.3:"):
             bound_grid((5, 6, 7, 8), (0.1, 0.3))

@@ -732,15 +732,15 @@ class TestBound:
 
     def test_failed_cross_check_exits_2_and_leaves_no_file(self, tmp_path, monkeypatch,
                                                            capsys):
-        real = bounds.binomial_pmf
+        real = bounds.binomial_rows
 
-        def corrupt(n, p):
-            rows = real(n, p)
-            if n == 7:
-                rows[np.asarray(p) == 1.0 - 0.3 / 2.0] *= 1.001
-            return rows
+        def corrupt(n_values, p):
+            for n, rows in zip(n_values, real(n_values, p)):
+                if n == 7:
+                    rows[np.asarray(p) == 1.0 - 0.3 / 2.0] *= 1.001
+                yield rows
 
-        monkeypatch.setattr(bounds, "binomial_pmf", corrupt)
+        monkeypatch.setattr(bounds, "binomial_rows", corrupt)
         out = tmp_path / "bound.csv"
         assert main(["bound", "--n", "1:10", "--epsilon", "0.1,0.3", "--out", str(out)]) == 2
         assert "bound forms disagree at N=7, eps=0.3:" in capsys.readouterr().err
@@ -950,3 +950,59 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+# Run `python -m mesoparity` with the given arguments in a fresh interpreter,
+# then print the collector's freeze count and the package modules loaded.
+_RUN_MAIN = """
+import gc, runpy, sys
+sys.argv[0] = "mesoparity"
+try:
+    runpy.run_module("mesoparity", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(gc.get_freeze_count())
+print(" ".join(sorted(m for m in sys.modules if m.startswith("mesoparity."))))
+"""
+
+
+def _run_main(*argv):
+    proc = subprocess.run([sys.executable, "-c", _RUN_MAIN, *argv],
+                          capture_output=True, text=True, check=True)
+    frozen, modules = proc.stdout.splitlines()
+    return int(frozen), set(modules.split())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bound_loads_neither_measurement_nor_verify(tmp_path, fmt):
+    _, loaded = _run_main("bound", "--n", "1:60", "--epsilon", "0.1,0.3",
+                          "--format", fmt, "--out", str(tmp_path / "bound"))
+    assert "mesoparity.bounds" in loaded
+    assert not loaded & {"mesoparity.measurement", "mesoparity.verify",
+                         "mesoparity.svgchart"}
+
+
+@pytest.mark.parametrize("n", ["3", "40"], ids=["dense", "mixture"])
+def test_simulate_loads_neither_bounds_nor_verify(tmp_path, n):
+    _, loaded = _run_main("simulate", "--kind", "parity_conditioned", "--v-odd",
+                          "collective_flip", "--n", n, "--epsilon", "0.3",
+                          "--out", str(tmp_path / "report.json"))
+    assert "mesoparity.measurement" in loaded
+    assert not loaded & {"mesoparity.bounds", "mesoparity.verify"}
+
+
+def test_only_the_entry_point_freezes_the_collector(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gc, mesoparity.cli; print(gc.get_freeze_count())"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "0"
+    frozen, _ = _run_main("bound", "--n", "4", "--epsilon", "0.1",
+                          "--out", str(tmp_path / "bound.csv"))
+    assert frozen > 0
+
+
+def test_parser_suite_names_are_the_verify_suites():
+    from mesoparity import verify
+
+    assert cli.VERIFY_SUITES == verify.SUITES

@@ -14,6 +14,7 @@ from mesoparity.collective import (
     MsConfig,
     SectorMixture,
     binomial_pmf,
+    binomial_rows,
     branch_conditional,
     collective_flip,
     edge_phase_gate,
@@ -202,6 +203,54 @@ def test_binomial_pmf_cache_is_bit_identical():
     finally:
         sys.setswitchinterval(interval)
     _check_tables_read_only()
+
+
+# across the exact/log-space switch and the log-gamma table's size steps
+ROW_SIZES = (1, 50, 51, 63, 64, 127, 128, 1023, 1024, 2047, 2048)
+ROW_PROBABILITIES = (0.0, 1e-9, 0.140625, 1.0 - 1e-12, 1.0)
+
+
+def _reference_row(n, p):
+    if p in (0.0, 1.0):
+        row = np.zeros(n + 1)
+        row[0 if p == 0.0 else n] = 1.0
+        return row
+    return _gammaln_binomial_pmf(n, p)
+
+
+@pytest.mark.parametrize("sizes", [ROW_SIZES, ROW_SIZES[::-1],
+                                   (2048, 51, 7, 51, 1024, 50, 7, 64, 2048)],
+                         ids=["rising", "falling", "unsorted-repeated"])
+@pytest.mark.parametrize("ps", [ROW_PROBABILITIES, ROW_PROBABILITIES[1:4]],
+                         ids=["with-one-hot", "all-inside"])
+def test_binomial_rows_equal_each_n_alone(sizes, ps):
+    got = list(binomial_rows(sizes, np.array(ps)))
+    assert len(got) == len(sizes)
+    for n, rows in zip(sizes, got):
+        assert rows.shape == (len(ps), n + 1)
+        assert rows.flags.writeable
+        for row, p in zip(rows, ps):
+            assert row.tobytes() == _reference_row(n, p).tobytes(), (n, p)
+        assert binomial_pmf(n, ps).tobytes() == rows.tobytes()
+    # every array is new, a repeated N's too
+    for i, a in enumerate(got):
+        assert not any(np.shares_memory(a, b) for b in got[i + 1:])
+    # a scalar p gives one 1-D row per N
+    for p in ps:
+        for n, row in zip(sizes, binomial_rows(sizes, p)):
+            assert row.shape == (n + 1,)
+            assert row.tobytes() == _reference_row(n, p).tobytes(), (n, p)
+
+
+def test_binomial_rows_refuse_bad_input_when_called():
+    # refused at the call, before any row is asked for
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        binomial_rows((3, 0), 0.5)
+    with pytest.raises(ValueError, match="outside"):
+        binomial_rows((3,), [0.5, 1.5])
+    with pytest.raises(ValueError, match="1-D array"):
+        binomial_rows((3,), [[0.5]])
+    assert list(binomial_rows((), 0.5)) == []
 
 
 def test_log_gamma_table_equals_gammaln():

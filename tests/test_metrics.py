@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mesoparity.bounds import CoefficientProgram
-from mesoparity.measurement import CollectivePOVM
+from mesoparity.bounds import CoefficientProgram, bound_closed_form, optimal_strategy
+from mesoparity.circuits import CircuitSpec, evolve
+from mesoparity.collective import MsConfig
+from mesoparity.measurement import CollectivePOVM, measure_each
 from mesoparity.metrics import (
     BELL_EVEN_PLUS,
     BELL_ODD_PLUS,
@@ -23,6 +25,7 @@ from mesoparity.states import (
     SubsystemLayout,
     ValidationError,
 )
+from mesoparity.tolerances import TOL
 
 from helpers import random_density_matrix, random_unit_vector
 
@@ -107,6 +110,24 @@ class TestAverageFidelity:
     def test_unnormalized_probabilities_rejected(self):
         with pytest.raises(ValidationError):
             average_fidelity([FakeRecord(0.5, 1.0)])
+
+    def test_one_shot_iterator(self):
+        records = [FakeRecord(0.5, 1.0), FakeRecord(0.25, 0.5), FakeRecord(0.25, 0.75)]
+        assert average_fidelity(iter(records)) == average_fidelity(records)
+        with pytest.raises(ValidationError):
+            average_fidelity(iter([FakeRecord(0.5, 1.0)]))
+
+    def test_streamed_records_meet_the_ceiling(self):
+        # measure_each yields each record once; read twice, the second pass
+        # would find nothing and the average would read 0
+        n, eps = 200, 0.1
+        strat = optimal_strategy(n)
+        state = evolve(CircuitSpec("parity_conditioned", MsConfig(n, eps),
+                                   v_odd=strat.v_odd, v_even=strat.v_even))
+        streamed = average_fidelity(measure_each(state, strat.povm, post_states=False))
+        assert abs(streamed - bound_closed_form(n, eps)) <= TOL.accumulated
+        listed = list(measure_each(state, strat.povm, post_states=False))
+        assert streamed == average_fidelity(listed)
 
 
 class TestDistributions:
