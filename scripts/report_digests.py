@@ -24,7 +24,9 @@ dense runs at N = 20; every kind and readout on the collective backend's
 pure block-bit states at N = 40, past the dense cap, with and without
 ``--disentangle``; the same for the mixed inputs of ``parity_collective``
 and each ``parity_conditioned`` tag pair at N = 40 and epsilon 0.3, which
-the ``auto`` backend runs as a sector mixture; ``bound`` sweeps in each format, at epsilon 0, across
+the ``auto`` backend runs as a sector mixture, and again at N = 300 with
+the resolving and threshold readouts and a theta table that is zero on a
+run of sectors; ``bound`` sweeps in each format, at epsilon 0, across
 N = 50 and 51, over unsorted and repeated N, on the benchmark's 1:1000 grid
 and refused; ``simulate`` and ``bound`` with an epsilon and a polarization
 that disagree, NaN among them, and with a NaN epsilon, which must be refused
@@ -91,6 +93,16 @@ def grid() -> list:
     for kind, readout, extra in itertools.product(KINDS[:1] + KINDS[3:], _readouts(40),
                                                   ((), ("--disentangle",))):
         commands.append(("simulate", *kind, *readout, "--n", "40", "--epsilon", "0.3",
+                         *extra))
+    # the same mixtures at N = 300, whose sector rows are past numpy's
+    # 128-entry pairwise-sum block, with the resolving and threshold readouts
+    # and a theta table that is zero on the sectors m < 150
+    theta = ",".join("0" if m < 150 else repr(0.37 * m) for m in range(301))
+    mixture_readouts = (("--measurement", "sector_pvm"), ("--measurement", "threshold_pvm"),
+                        ("--measurement", "two_outcome", "--theta", theta))
+    for kind, readout, extra in itertools.product(KINDS[:1] + KINDS[3:], mixture_readouts,
+                                                  ((), ("--disentangle",))):
+        commands.append(("simulate", *kind, *readout, "--n", "300", "--epsilon", "0.3",
                          *extra))
     for fmt in ("csv", "json", "svg"):
         commands.append(("bound", "--n", "1:40", "--polarization", "0.2,0.5,0.9",

@@ -74,31 +74,38 @@ class UsageError(ValueError):
 
 
 def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValidationError("refusing to serialize a non-finite number")
     return "%.17g" % x
 
 
 def _emit_float_array(arr: np.ndarray) -> str:
     """Bulk form of the generic one-line list path for a 1-D float64 array:
-    one vectorised finiteness check, and only the nonzero entries (``-0.0``
-    included) go through ``%.17g``; exact zeros print as "0", a run of them
-    as one repeated string."""
+    one ``nonzero`` over the entries' raw bits, which picks the nonzero
+    entries and ``-0.0`` alike, the finiteness check on those entries only
+    (NaN and inf are among them), and only they go through ``%.17g``; exact
+    zeros print as "0", a run of them as one repeated string."""
     if not arr.size:
         return "[]"
-    if not np.isfinite(arr).all():
+    nonzero = (arr.view(np.int64) != 0).nonzero()[0]
+    values = arr[nonzero].tolist()
+    if not all(map(math.isfinite, values)):
         raise ValidationError("refusing to serialize a non-finite number")
     zero = "0, "
     # each item is a run of zeros, written as one repeated string, and the
     # nonzero entry that ends it; the trailing run of zeros comes last
     items, start = [], 0
-    nonzero = np.flatnonzero((arr != 0) | np.signbit(arr))
-    for i, x in zip(nonzero.tolist(), arr[nonzero].tolist()):
+    for i, x in zip(nonzero.tolist(), values):
         items.append(zero * (i - start) + "%.17g" % x)
         start = i + 1
     if start < arr.size:
         items.append(zero * (arr.size - start - 1) + "0")
     return "[" + ", ".join(items) + "]"
+
+
+class _Text(str):
+    """JSON text already laid out for its place in a report, which
+    `emit_json` writes as it is."""
 
 
 def _scalar_json(obj) -> Optional[str]:
@@ -111,7 +118,7 @@ def _scalar_json(obj) -> Optional[str]:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return obj if type(obj) is _Text else json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -154,7 +161,7 @@ def emit_json(obj, indent: int = 0, write=None) -> Optional[str]:
     A 1-D float64 ndarray is written in bulk by ``_emit_float_array``, with
     the same bytes as its ``tolist()`` but O(1) Python calls instead of one
     per entry.  Every other array (float32, integer, 2-D) takes the generic
-    path, one member at a time."""
+    path, one member at a time.  A `_Text` is written as it is."""
     if write is None:
         parts = []
         emit_json(obj, indent, parts.append)
@@ -391,25 +398,54 @@ def _readout(cfg: ScenarioConfig):
     return measurement.ApparatusSpec(cfg.g, cfg.t_m)
 
 
-def _report_outcome(cfg: ScenarioConfig, spec, rec) -> dict:
-    """The report entry of one outcome's record.
+def _disentangled_record(spec, rec):
+    """The record an outcome's entry reports under ``--disentangle``, the
+    only time post states are asked for: that of the disentangled state."""
+    from . import measurement
 
-    Post states are asked for only under ``--disentangle``, and the entry
-    then reports the record of the disentangled state; otherwise the
-    record itself."""
-    if rec.post_state is not None:
-        from . import measurement
+    post = circuits.disentangle(spec, rec.post_state)
+    return measurement.post_record(rec.outcome, rec.probability, post, keep=False)
 
-        post = circuits.disentangle(spec, rec.post_state)
-        rec = measurement.post_record(rec.outcome, rec.probability, post, keep=False)
-    return {
-        "id": int(rec.outcome),
-        "p": float(rec.probability),
-        "f_odd": rec.fidelity_odd,
-        "f_even": rec.fidelity_even,
-        "f_best": rec.fidelity_best,
-        "sectors": rec.sectors,
-    }
+
+_OUTCOME_KEYS = ("id", "p", "f_odd", "f_even", "f_best", "sectors")
+
+
+def _outcome_entry(rec) -> dict:
+    """The report entry of one reported record, as a dict."""
+    return dict(zip(_OUTCOME_KEYS, (int(rec.outcome), float(rec.probability),
+                                    rec.fidelity_odd, rec.fidelity_even, rec.fidelity_best,
+                                    rec.sectors)))
+
+
+@lru_cache(maxsize=None)
+def _outcome_template(indent: int, dead: bool) -> str:
+    """The ``%`` template of an outcome entry at ``indent``, laid out as
+    `emit_json` lays out `_outcome_entry`'s dict there: ``%d`` for the id,
+    ``%s`` for the JSON text of every other value, which is null for each
+    field but the probability of a ``dead`` outcome's entry."""
+    inner = "  " * (indent + 1)
+    specs = ("%d", "%s") + ("null" if dead else "%s",) * 4
+    members = ",".join(f"\n{inner}{_key_json(key)}{spec}"
+                       for key, spec in zip(_OUTCOME_KEYS, specs))
+    return "{" + members + "\n" + "  " * indent + "}"
+
+
+def _outcome_text(rec, indent: int) -> _Text:
+    """The JSON text of one reported record's entry at ``indent``, the bytes
+    `emit_json` writes for `_outcome_entry`, filled into one template, with
+    no dict and no recursion.  A record below the probability floor, whose
+    fields but the probability are all None, fills the template of a dead
+    entry with its id and probability alone."""
+    if rec.fidelity_best is None:
+        return _Text(_outcome_template(indent, True) % (rec.outcome,
+                                                        _format_float(rec.probability)))
+    odd, even, best, sectors = rec.fidelity_odd, rec.fidelity_even, rec.fidelity_best, rec.sectors
+    return _Text(_outcome_template(indent, False) % (
+        rec.outcome, _format_float(rec.probability),
+        "null" if odd is None else _format_float(odd),
+        "null" if even is None else _format_float(even),
+        _format_float(best),
+        "null" if sectors is None else _emit_float_array(np.asarray(sectors, dtype=np.float64))))
 
 
 _KeptRecord = namedtuple("_KeptRecord", "probability fidelity_best")
@@ -424,9 +460,9 @@ class _KeptOutcomes:
     def __init__(self):
         self.p, self.f_best = array("d"), array("d")
 
-    def append(self, entry: dict) -> None:
-        self.p.append(entry["p"])
-        self.f_best.append(math.nan if entry["f_best"] is None else entry["f_best"])
+    def append(self, rec) -> None:
+        self.p.append(rec.probability)
+        self.f_best.append(math.nan if rec.fidelity_best is None else rec.fidelity_best)
 
     def __iter__(self):
         return map(_KeptRecord, self.p, self.f_best)
@@ -471,13 +507,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     def outcomes():
         for rec in measurement.measure_each(state, readout, post_states=cfg.disentangle):
-            entry = _report_outcome(cfg, spec, rec)
-            # drop the post state before the next one is built
-            del rec
-            kept.append(entry)
-            if entry["id"] == cfg.post_select:
-                chosen.append(entry)
-            yield entry
+            if rec.post_state is not None:
+                # drop the post state before the next one is built
+                rec = _disentangled_record(spec, rec)
+            kept.append(rec)
+            if rec.outcome == cfg.post_select:
+                chosen.append(_outcome_entry(rec))
+            # the entries of the report's outcome list sit at indent 2
+            yield _outcome_text(rec, 2)
 
     def diagnostics():
         out = {

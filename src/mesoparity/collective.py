@@ -29,7 +29,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -486,22 +486,35 @@ class SectorMixture:
             object.__setattr__(self, name, v)
             if v.size != self.n + 1:
                 raise LayoutError(f"{name} has length {v.size}, expected {self.n + 1}")
-        _check_sector_weights(self.weight_odd, self.weight_even, self.cross, self.cross_flipped)
+        w_o = self.weight_odd
+        _check_sector_weights(w_o, self.weight_even, self.cross, w_o.sum(),
+                              self.weight_even.sum(), w_o[::-1] if self.cross_flipped else w_o)
+
+    @cached_property
+    def _sign_bits(self) -> bool:
+        """Whether a field holds a negative entry or -0.0, where the product
+        0 * w of a measurement update is -0.0, not 0."""
+        return any(np.signbit(v).any() for v in (self.weight_odd, self.weight_even, self.cross))
 
 
-def _check_sector_weights(weight_odd, weight_even, cross, cross_flipped: bool) -> None:
+def _check_sector_weights(weight_odd, weight_even, cross, odd_sum, even_sum,
+                          odd_facing) -> None:
     """Refuse a negative weight, a trace off 1 or a cross past its Cauchy-Schwarz
-    bound, in one mixture's sector fields or in each row of a block of them."""
+    bound, in one mixture's sector fields or in each row of a block of them.
+
+    The fields may be cut to the sectors where a block's update is nonzero:
+    off those every field is an exact zero, which passes each clause.
+    ``odd_sum`` and ``even_sum`` are the weight sums of the whole rows, and
+    ``odd_facing`` the odd weight each cross entry connects to: the cross
+    block connects sector m of the even branch with sector m (or n-m, when it
+    carries the flip) of the odd branch."""
     if weight_odd.min() < -TOL.norm or weight_even.min() < -TOL.norm:
         raise ValidationError("negative sector weight")
-    total = np.atleast_1d(0.5 * (weight_odd.sum(axis=-1) + weight_even.sum(axis=-1)))
+    total = np.atleast_1d(0.5 * (odd_sum + even_sum))
     off = np.flatnonzero(~(np.abs(total - 1.0) <= TOL.norm))
     if off.size:
         raise ValidationError(f"mixture trace {total[off[0]]} deviates from 1")
-    # the cross block connects sector m of the even branch with sector m
-    # (or n-m, when it carries the flip) of the odd branch
-    w_o = weight_odd[..., ::-1] if cross_flipped else weight_odd
-    bound = np.maximum(w_o, 0.0)
+    bound = np.maximum(odd_facing, 0.0)
     bound *= np.maximum(weight_even, 0.0)
     np.sqrt(bound, out=bound)
     bound += TOL.cross_block
@@ -530,6 +543,32 @@ def mixture_conditional(mix: SectorMixture, odd_flip: bool, even_flip: bool) -> 
     return SectorMixture(mix.n, w_o, w_e, cross, flipped)
 
 
+# every sector of a block, and every sector reversed
+_ALL_SECTORS, _MIRRORED = slice(None), slice(None, None, -1)
+
+
+def _update_sectors(mix: SectorMixture, sqrt_rows: np.ndarray):
+    """The sectors a block's update is computed on, and the sector each of
+    them mirrors to (m -> n-m): those where some row of ``sqrt_rows`` is
+    nonzero, as an index array, or every sector, as slices.  Off them the
+    update is 0 * w / p, an exact zero whose sign is w's; where a field
+    has its sign bit set, every sector is taken, so no -0.0 is lost."""
+    on = np.flatnonzero((sqrt_rows != 0).any(axis=0))
+    if on.size == sqrt_rows.shape[1] or mix._sign_bits:
+        return _ALL_SECTORS, _MIRRORED
+    return on, mix.n - on
+
+
+def _full_rows(values: np.ndarray, sectors, out: np.ndarray) -> np.ndarray:
+    """The rows of ``values``, given on ``sectors``, at full width: in
+    ``out`` with every other entry zero, or ``values`` itself when it
+    covers every sector."""
+    if sectors is _ALL_SECTORS:
+        return values
+    out[:, sectors] = values
+    return out
+
+
 def mixture_update(mix: SectorMixture, sqrt_rows: np.ndarray, probs, post_states: bool):
     """sqrt(E) mix sqrt(E) / p for a block of K sector-diagonal effects, row k
     of the (K, n+1) ``sqrt_rows`` with probability probs[k], on the sector
@@ -539,34 +578,51 @@ def mixture_update(mix: SectorMixture, sqrt_rows: np.ndarray, probs, post_states
     the cross trace (0 for a flipped cross block), as three length-K arrays
     for `bell_marginals`; then the (K, n+1) sector distributions and None,
     or with ``post_states`` None and the list of post `SectorMixture`s.
-    Each row is the elementwise arithmetic of a one-row block, and each sum
-    runs over a C-contiguous row, so a row has the same bits in any block.
+
+    Without post states, the arithmetic and the check run on the block's
+    support only, the sectors where some row of sqrt(E) is nonzero (see
+    `_update_sectors`): one sector per row for `sector_pvm`.  Each entry
+    there is the elementwise arithmetic of a one-row block, and each sum
+    runs over a C-contiguous full-width row, the support's values written
+    into zeros, so a row has the same bits in any block and on any support.
     """
     p = np.asarray(probs, dtype=float)[:, None]
+    # post states are whole mixtures, updated at full width
+    on, mirror = (_ALL_SECTORS, _MIRRORED) if post_states else _update_sectors(mix, sqrt_rows)
+    sq = sqrt_rows[:, on]
     # a * w / p and (cross factor) * cross / p, each written into an array
     # the block no longer needs: the same operations, so the same bits, with
     # fewer block-sized arrays
-    a = sqrt_rows**2
-    w_odd, w_even = a * mix.weight_odd, a * mix.weight_even
+    a = sq**2
+    w_odd, w_even = a * mix.weight_odd[on], a * mix.weight_even[on]
     w_odd /= p
     w_even /= p
-    cross = np.multiply(sqrt_rows, sqrt_rows[:, ::-1], out=a) if mix.cross_flipped else a
-    cross *= mix.cross
+    flipped = mix.cross_flipped
+    cross = np.multiply(sq, sqrt_rows[:, mirror], out=a) if flipped else a
+    cross *= mix.cross[on]
     cross /= p
-    x = np.zeros(len(p)) if mix.cross_flipped else cross.sum(axis=1)
-    sums = (w_odd.sum(axis=1), w_even.sum(axis=1), x)
+    no_trace = np.zeros(len(p))
     if post_states:
-        posts = [SectorMixture(mix.n, *rows, mix.cross_flipped)
-                 for rows in zip(w_odd, w_even, cross)]
-        return sums, None, posts
-    _check_sector_weights(w_odd, w_even, cross, mix.cross_flipped)
+        sums = (w_odd.sum(axis=1), w_even.sum(axis=1),
+                no_trace if flipped else cross.sum(axis=1))
+        return sums, None, [SectorMixture(mix.n, *rows, flipped)
+                            for rows in zip(w_odd, w_even, cross)]
+    # one full-width array takes each field in turn for its sums, then the sectors
+    full = None if on is _ALL_SECTORS else np.zeros(sqrt_rows.shape)
+    odd_rows = _full_rows(w_odd, on, full)
+    odd_sum = odd_rows.sum(axis=1)
+    # the odd weight each cross entry connects to, read before `full` moves on
+    facing = odd_rows[:, mirror] if flipped else w_odd
+    even_sum = _full_rows(w_even, on, full).sum(axis=1)
+    x = no_trace if flipped else _full_rows(cross, on, full).sum(axis=1)
+    _check_sector_weights(w_odd, w_even, cross, odd_sum, even_sum, facing)
     # the sectors, which the records keep, are made last, above the arrays
     # freed here; made in w_odd, they left those arrays on top of the heap,
     # where glibc returns them to the system, and at N = 20000 (blocks of one
     # row) measure_each took 1.6x as long, faulting their pages in again
     sectors = w_odd + w_even
     sectors *= 0.5
-    return sums, sectors, None
+    return (odd_sum, even_sum, x), _full_rows(sectors, on, full), None
 
 
 # the Bell outer products |o+><o+|, |e+><e+|, |o+><e+| and |e+><o+| of the

@@ -75,6 +75,9 @@ from .tolerances import TOL
 # `SectorMixture` (128 KB): K = 8 live outcomes at N = 2000, one from
 # N = 16384 on
 _BLOCK_ENTRIES = 1 << 14
+# outcomes per `measure` call of `measure_each` at most, so a run of dead
+# outcomes, whose records are built together, holds O(1) records at a time
+_CHUNK_OUTCOMES = 1 << 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +114,10 @@ class CollectivePOVM:
         """p(alpha) = sum_m a[alpha][m] P(m) of the sector distribution P."""
         return float(self.row(alpha) @ sectors)
 
+    def probabilities(self, ids: np.ndarray, sectors: np.ndarray) -> np.ndarray:
+        """`probability` of each outcome in ``ids``, one row's dot at a time."""
+        return np.array([self.probability(alpha, sectors) for alpha in ids.tolist()])
+
 
 @dataclass(frozen=True)
 class SectorPVM:
@@ -146,6 +153,10 @@ class SectorPVM:
         ``sectors``, in O(1): adding 0.0 turns a -0.0 weight into the +0.0
         that the dot's sum of zeros gives."""
         return float(sectors[alpha]) + 0.0
+
+    def probabilities(self, ids: np.ndarray, sectors: np.ndarray) -> np.ndarray:
+        """`probability` of each outcome in ``ids``, in one gather."""
+        return sectors[ids] + 0.0
 
 
 Readout = Union[CollectivePOVM, SectorPVM]
@@ -230,9 +241,25 @@ def sector_pvm(n: int) -> SectorPVM:
 # square-root-rule measurement
 
 
-def _dead_record(outcome, p) -> OutcomeRecord:
-    """The record of an outcome of probability ``p`` below the floor."""
-    return OutcomeRecord(outcome, max(float(p), 0.0), None, None, None, None, None)
+# every field of a dead record but its outcome and probability
+_DEAD_FIELDS = dict(post_state=None, fidelity_odd=None, fidelity_even=None,
+                    fidelity_best=None, sectors=None)
+
+
+def _dead_records(ids, probs) -> list:
+    """The records of outcomes ``ids`` whose probabilities ``probs`` lie
+    below the floor, each probability clipped at 0 as max(p, 0.0) clips it.
+    Each record's fields are written straight into its instance dict, not
+    through the frozen dataclass's ``__init__`` (about 1 us a record): most
+    outcomes of a resolving readout are dead."""
+    probs = np.asarray(probs, dtype=float)
+    new = object.__new__
+    records = []
+    for alpha, p in zip(np.asarray(ids).tolist(), np.where(probs < 0.0, 0.0, probs).tolist()):
+        rec = new(OutcomeRecord)
+        vars(rec).update(_DEAD_FIELDS, outcome=alpha, probability=p)
+        records.append(rec)
+    return records
 
 
 def _live_records(outcomes, probs, margs, sectors, posts) -> list:
@@ -273,29 +300,35 @@ def _support_update(state, sqrt_coeffs: np.ndarray, p: float, post_states: bool)
     so the block holds the whole qubit marginal and every sector's weight.
     """
     index = excitation_index(state)
-    slot = state.layout.slot(LABEL_MS)
     on_support = (sqrt_coeffs != 0)[index]
-    sub_index = np.compress(on_support.reshape(-1), index, axis=slot)
-    dims = list(state.layout.dims)
-    dims[slot] = sub_index.size
-    sub = SubsystemLayout(tuple(dims), state.layout.labels)
     sides = state.sides
-    # the weights of all sides are combined first, so the block is multiplied once
-    kernel = sector_diagonal(sqrt_coeffs, sub_index)
-    weight = apply_kernel(state, kernel, np.ones((1,) * (sides * len(dims))))
-    # ket entries whose MS entry lies in S, in the block's C order, on every side;
+    d = state.layout.total_dim
     # a real density's block is made complex, so the record is read from the
     # same values, summed in the same order, as for complex storage
-    rows = np.flatnonzero(np.broadcast_to(on_support, state.layout.dims))
-    on_s = np.ix_(*(rows,) * sides)
-    d = state.layout.total_dim
-    t = state.as_tensor().reshape((d,) * sides)[on_s].astype(complex, copy=False)
-    t = t.reshape(sub.dims * sides)
-    t *= weight
+    if on_support.all():
+        # S holds every entry: the block is a complex copy of the whole tensor
+        sub_index, sub, rows, on_s = index, state.layout, None, None
+        t = np.array(state.as_tensor(), dtype=complex)
+    else:
+        slot = state.layout.slot(LABEL_MS)
+        sub_index = np.compress(on_support.reshape(-1), index, axis=slot)
+        dims = list(state.layout.dims)
+        dims[slot] = sub_index.size
+        sub = SubsystemLayout(tuple(dims), state.layout.labels)
+        # ket entries whose MS entry lies in S, in the block's C order, on every side
+        rows = np.flatnonzero(np.broadcast_to(on_support, state.layout.dims))
+        on_s = np.ix_(*(rows,) * sides)
+        t = state.as_tensor().reshape((d,) * sides)[on_s].astype(complex, copy=False)
+        t = t.reshape(sub.dims * sides)
+    # the weights of all sides are combined first, so the block is multiplied once
+    kernel = sector_diagonal(sqrt_coeffs, sub_index)
+    t *= apply_kernel(state, kernel, np.ones((1,) * (sides * len(sub.dims))))
     t /= p if sides == 2 else np.sqrt(p)
-    flat = t.reshape((rows.size,) * sides)
+    flat = t.reshape((sub.total_dim,) * sides)
     block = type(state)(flat, sub)
     if post_states:
+        if on_s is None:
+            return qubit_marginal(block), None, state.with_tensor(flat)
         full = np.zeros((d,) * sides, dtype=complex)
         full[on_s] = flat
         return qubit_marginal(block), None, state.with_tensor(full)
@@ -330,22 +363,31 @@ def _block_records(state, outcomes, probs, sqrt_rows, post_states) -> list:
                          none if posts is None else posts)
 
 
+def _check_sites(povm: Readout, n: int) -> None:
+    if povm.n_sites != n:
+        raise LayoutError(
+            f"POVM covers sectors 0..{povm.n_sites} but the MS has {n} sites"
+        )
+
+
 def measure(
     state: JointState,
     povm: Readout,
     outcomes: Optional[Sequence[int]] = None,
     post_states: bool = True,
     sectors: Optional[np.ndarray] = None,
+    probs: Optional[np.ndarray] = None,
 ) -> list:
     """Apply a sector POVM: one OutcomeRecord per effect, probabilities from
     the sector distribution, post states from the square-root rule.
 
     ``outcomes`` names the effects to build records for, in that order (all
     of them by default); the post states of the others are never built.
-    Each outcome's probability is read by ``povm.probability``, and only the
-    live outcomes' coefficients, as rows of ``povm``, so a dead outcome of
-    `sector_pvm` costs O(1).
-    ``sectors`` is the state's sector distribution, when the caller has it.
+    The outcomes' probabilities are read in one ``povm.probabilities`` call,
+    and only the live outcomes' coefficients, as rows of ``povm``, so the
+    dead outcomes of `sector_pvm` cost one gather and their records.
+    ``sectors`` is the state's sector distribution and ``probs`` the
+    outcomes' probabilities, when the caller has them.
     Each live record carries its post state with ``post_states`` and its
     post state's sector distribution without.  A state with a tensor is
     updated one outcome at a time on its support only (see
@@ -357,26 +399,25 @@ def measure(
     if sectors is None:
         sectors = sector_probabilities(state)
     n = sectors.size - 1
-    if povm.n_sites != n:
-        raise LayoutError(
-            f"POVM covers sectors 0..{povm.n_sites} but the MS has {n} sites"
-        )
-    records, live = [], []
-    for alpha in range(povm.n_outcomes) if outcomes is None else outcomes:
-        p = povm.probability(alpha, sectors)
-        if p < TOL.prob_floor:
-            records.append(_dead_record(alpha, p))
-        else:
-            live.append((len(records), alpha, p))
-            records.append(None)
+    _check_sites(povm, n)
+    ids = np.arange(povm.n_outcomes) if outcomes is None else np.asarray(outcomes, dtype=np.intp)
+    if probs is None:
+        probs = povm.probabilities(ids, sectors)
+    dead = probs < TOL.prob_floor
+    records = _dead_records(ids[dead], probs[dead])
+    live = np.flatnonzero(~dead)
+    if not live.size:
+        return records
     size = _block_size(state, n)
-    for start in range(0, len(live), size):
-        slots, alphas, probs = zip(*live[start:start + size])
+    kept = []
+    for start in range(0, live.size, size):
+        block = live[start:start + size]
+        alphas = ids[block].tolist()
         sqrt_rows = np.sqrt([povm.row(alpha) for alpha in alphas])
-        for slot, record in zip(slots, _block_records(state, alphas, probs, sqrt_rows,
-                                                      post_states)):
-            records[slot] = record
-    return records
+        kept += _block_records(state, alphas, probs[block].tolist(), sqrt_rows, post_states)
+    # the live records in their places among the dead ones
+    dead_iter, kept_iter = iter(records), iter(kept)
+    return [next(dead_iter) if d else next(kept_iter) for d in dead.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +475,7 @@ def apparatus_measure(
         raw = apply_kernel(state, sector_diagonal(amps[k].astype(complex), index))
         p = branch_probability(state, raw)
         if p < TOL.prob_floor:
-            records.append(_dead_record(k, p))
+            records += _dead_records([k], [p])
             continue
         corrected = apply_kernel(state, sector_diagonal(_sector_signs(amps[k]), index), raw)
         records.append(post_record(k, p, renormalized(state, corrected, p), post_states))
@@ -448,10 +489,13 @@ def measure_each(
 ) -> Iterator[OutcomeRecord]:
     """The records of `measure` (for a POVM) or `apparatus_measure` (for a
     probe readout), built as they are asked for: a POVM's outcomes in
-    consecutive chunks, one `measure` call each, of one outcome for a state
-    with a tensor and of one block of `measure`'s for a `SectorMixture`; a
-    probe readout's one outcome per call.  The state's sector distribution
-    is computed once, for all of a POVM's calls.
+    consecutive chunks, one `measure` call each, a chunk ending with its one
+    live outcome for a state with a tensor and with its block's last live
+    outcome for a `SectorMixture`, and holding at most `_CHUNK_OUTCOMES`
+    outcomes; a probe readout's one outcome per call.  The state's sector
+    distribution and every outcome's probability are computed once, for all
+    of a POVM's calls, so a run of dead outcomes costs one call and its
+    records.
 
     A consumer that drops each post state before asking for the next record
     holds at most one chunk's post states at a time, whatever the outcome
@@ -468,8 +512,18 @@ def measure_each(
             yield from apparatus_measure(state, readout, (k,), post_states)
         return
     sectors = sector_probabilities(state)
-    size = _block_size(state, sectors.size - 1)
-    for start in range(0, readout.n_outcomes, size):
-        chunk = range(start, min(start + size, readout.n_outcomes))
-        yield from measure(state, readout, chunk, post_states, sectors)
-
+    n = sectors.size - 1
+    _check_sites(readout, n)
+    count = readout.n_outcomes
+    probs = readout.probabilities(np.arange(count), sectors)
+    # each chunk ends with a block's last live outcome, and holds at most
+    # _CHUNK_OUTCOMES outcomes (a set, not np.unique, which imports numpy.ma)
+    size = _block_size(state, n)
+    live = np.flatnonzero(~(probs < TOL.prob_floor))
+    ends = {*(live[size - 1::size] + 1).tolist(), *range(_CHUNK_OUTCOMES, count, _CHUNK_OUTCOMES),
+            count}
+    start = 0
+    for stop in sorted(ends):
+        yield from measure(state, readout, np.arange(start, stop), post_states, sectors,
+                           probs[start:stop])
+        start = stop

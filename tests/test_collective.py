@@ -728,6 +728,159 @@ class TestSectorMixture:
             mixture_to_dense(mixture_prepare(MsConfig(16, 0.5)))
 
 
+def _full_width_update(mix, sqrt_rows, probs):
+    """The update of a block at full width, every field and sum over all
+    n+1 sectors: the reference for the support-restricted update."""
+    p = np.asarray(probs, dtype=float)[:, None]
+    a = sqrt_rows**2
+    w_odd, w_even = a * mix.weight_odd, a * mix.weight_even
+    w_odd /= p
+    w_even /= p
+    cross = np.multiply(sqrt_rows, sqrt_rows[:, ::-1], out=a) if mix.cross_flipped else a
+    cross *= mix.cross
+    cross /= p
+    x = np.zeros(len(p)) if mix.cross_flipped else cross.sum(axis=1)
+    sums = (w_odd.sum(axis=1), w_even.sum(axis=1), x)
+    sectors = w_odd + w_even
+    sectors *= 0.5
+    return sums, sectors, (w_odd, w_even, cross)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestSupportUpdate:
+    """`mixture_update` without post states computes a block on the sectors
+    where its rows are nonzero, and with them at full width: both have the
+    bits of the full-width update, whatever the support, the flip of the
+    cross block, or N (past 128 entries numpy sums pairwise, recursively)."""
+
+    @staticmethod
+    def _mixture(n, flipped):
+        spec = CircuitSpec("parity_conditioned", MsConfig(n, 0.5), backend="collective",
+                           v_odd=TAG_FLIP if flipped else "identity")
+        mix = evolve(spec, prepare_inputs(spec))
+        assert isinstance(mix, SectorMixture) and mix.cross_flipped == flipped
+        return mix
+
+    @staticmethod
+    def _blocks(n, readout, sectors):
+        """Blocks of coefficient rows of one readout, each row live."""
+        live = np.flatnonzero(sectors >= 1e-14)
+        if readout == "sector":
+            eye = np.eye(n + 1)
+            # eight sectors in a row, the middle one (the flipped cross's only
+            # nonzero factor), and live sectors from both ends
+            return [eye[live[:8]], eye[[n // 2]], eye[[live[0], live[-1]]]]
+        if readout == "threshold":
+            low = (np.arange(n + 1) <= n // 2).astype(float)
+            rows = np.stack([low, 1.0 - low])
+        else:
+            # a theta table that is exactly zero on the sectors below n/4
+            theta = np.where(np.arange(n + 1) < n // 4, 0.0, 0.37 * np.arange(n + 1))
+            rows = np.stack([np.cos(theta) ** 2, np.sin(theta) ** 2])
+        # both rows together cover every sector; each alone only part of them
+        return [rows, rows[:1], rows[1:]]
+
+    @pytest.mark.parametrize("post_states", [False, True], ids=["sectors", "post"])
+    @pytest.mark.parametrize("flipped", [True, False], ids=["flipped", "unflipped"])
+    @pytest.mark.parametrize("readout", ["sector", "threshold", "theta"])
+    @pytest.mark.parametrize("n", [40, 300, 2000])
+    def test_equals_the_full_width_update(self, n, readout, flipped, post_states):
+        mix = self._mixture(n, flipped)
+        sectors = sector_probabilities(mix)
+        partial = 0
+        for rows in self._blocks(n, readout, sectors):
+            probs = [float(row @ sectors) for row in rows]
+            if min(probs) < 1e-14:
+                continue
+            sqrt_rows = np.sqrt(rows)
+            partial += not isinstance(collective._update_sectors(mix, sqrt_rows)[0], slice)
+            sums, got, posts = collective.mixture_update(mix, sqrt_rows, probs, post_states)
+            want_sums, want, fields = _full_width_update(mix, sqrt_rows, probs)
+            assert [_bits(v) for v in sums] == [_bits(v) for v in want_sums]
+            if post_states:
+                assert got is None and len(posts) == len(rows)
+                for k, post in enumerate(posts):
+                    assert post.cross_flipped == flipped
+                    assert [_bits(v) for v in (post.weight_odd, post.weight_even, post.cross)] \
+                        == [_bits(field[k]) for field in fields]
+            else:
+                assert posts is None
+                assert _bits(got) == _bits(want)
+        assert partial
+
+    @pytest.mark.parametrize("flipped", [True, False], ids=["flipped", "unflipped"])
+    def test_sign_bits_off_the_support_are_kept(self, flipped):
+        """Off the support an update is 0 * w / p, -0.0 where w is -0.0 or
+        negative: such a mixture is updated at full width."""
+        n = 300
+        mix = self._mixture(n, flipped)
+        w_odd, w_even = mix.weight_odd.copy(), mix.weight_even.copy()
+        w_odd[-1] = w_even[-1] = -0.0
+        signed = SectorMixture(n, w_odd, w_even, mix.cross, flipped)
+        sectors = sector_probabilities(signed)
+        live = np.flatnonzero(sectors >= 1e-14)[:8]
+        sqrt_rows = np.sqrt(np.eye(n + 1)[live])
+        probs = [float(sectors[k]) for k in live]
+        assert collective._update_sectors(mix, sqrt_rows)[0].size == 8
+        assert collective._update_sectors(signed, sqrt_rows)[0] == slice(None)
+        sums, got, _ = collective.mixture_update(signed, sqrt_rows, probs, False)
+        want_sums, want, _ = _full_width_update(signed, sqrt_rows, probs)
+        assert np.signbit(got[:, -1]).all()
+        assert _bits(got) == _bits(want)
+        assert [_bits(v) for v in sums] == [_bits(v) for v in want_sums]
+
+    @staticmethod
+    def _broken(n, case, flipped):
+        """A checked mixture at N = n, a sector m and the probability that
+        the update of the block holding sector m's row is refused with."""
+        w = binomial_pmf(n, 0.5)
+        m = n // 2
+        w_odd, w_even, cross = w.copy(), w.copy(), w.copy()
+        if case == "negative":
+            # -0.9e-10 passes the state's check but not once divided by p
+            w_odd[m], w_even[m] = -0.9e-10, 2e-10
+            cross[m] = 0.0
+        elif case == "cross":
+            # past the bound by less than the slack, then divided by p
+            w_odd[m] = w_even[m] = 1e-8
+            cross[m] = 1e-8 + 0.9e-9
+        # the trace back at 1, on a sector of large weight
+        spill = 2.0 - w_odd.sum() - w_even.sum()
+        w_odd[m - 1] += spill / 2
+        w_even[m - 1] += spill / 2
+        mix = SectorMixture(n, w_odd, w_even, cross, flipped)
+        p = 0.5 * (w_odd[m] + w_even[m])
+        # a probability that is not the state's leaves the trace off 1
+        return mix, m, 2 * p if case == "trace" else p
+
+    @pytest.mark.parametrize("flipped", [True, False], ids=["flipped", "unflipped"])
+    @pytest.mark.parametrize("case, message", [
+        ("negative", "negative sector weight"),
+        ("trace", "mixture trace"),
+        ("cross", "Cauchy-Schwarz"),
+    ])
+    @pytest.mark.parametrize("n", [40, 300, 2000])
+    def test_a_broken_row_on_the_support_is_refused(self, n, case, message, flipped):
+        mix, m, p = self._broken(n, case, flipped)
+        sectors = sector_probabilities(mix)
+        # the broken row among sound ones, the block on eight sectors
+        others = [k for k in np.flatnonzero(sectors >= 1e-6) if k != m][:7]
+        rows = np.eye(n + 1)[others + [m]]
+        probs = [float(sectors[k]) for k in others] + [p]
+        # a negative weight sets its sign bit, so that block runs at full width
+        support = collective._update_sectors(mix, np.sqrt(rows))[0]
+        assert isinstance(support, slice) if case == "negative" else support.size == 8
+        for post_states in (False, True):
+            with pytest.raises(ValidationError, match=message):
+                collective.mixture_update(mix, np.sqrt(rows), probs, post_states)
+        # the sound rows alone pass
+        collective.mixture_update(mix, np.sqrt(rows[:-1]), probs[:-1], False)
+
+
 def test_expand_to_dense_of_ladder_ground():
     amps = np.zeros((2, 2, 2), dtype=complex)
     amps[0, 0, 0] = 1.0
