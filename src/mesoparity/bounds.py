@@ -12,8 +12,7 @@ stress-tests it against randomized strategies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .collective import (
     thermal_ms_dense,
 )
 from .metrics import OutcomeDistribution
-from .states import DENSE_DENSITY_DIM_CAP, ValidationError
+from .states import DENSE_DENSITY_DIM_CAP, ReadOnly, ValidationError
 from .tolerances import TOL
 
 if TYPE_CHECKING:
@@ -127,8 +126,7 @@ def bound_grid(n_values, epsilons) -> list:
     return grid
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientProgram:
+class CoefficientProgram(ReadOnly):
     """Greedy weight assignment over the 2^n product coefficients.
 
     The initial MS state has n+1 distinct eigenvalue classes
@@ -137,18 +135,16 @@ class CoefficientProgram:
     rest, splitting the median class fractionally when n is even.
     """
 
-    distinct_values: np.ndarray
-    multiplicities: tuple
-    beta: np.ndarray
+    __slots__ = ("distinct_values", "multiplicities", "beta")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        c = np.asarray(self.distinct_values, dtype=float)
-        b = np.asarray(self.beta, dtype=float)
+    def __init__(self, distinct_values: np.ndarray, multiplicities: tuple, beta: np.ndarray):
+        c = np.asarray(distinct_values, dtype=float)
+        b = np.asarray(beta, dtype=float)
         c.setflags(write=False)
         b.setflags(write=False)
-        object.__setattr__(self, "distinct_values", c)
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "multiplicities", tuple(int(m) for m in self.multiplicities))
+        self._assign(distinct_values=c, multiplicities=tuple(int(m) for m in multiplicities),
+                     beta=b)
         if not (len(c) == len(b) == len(self.multiplicities)):
             raise ValidationError("program fields must have equal length")
         if not (np.all(c >= 0.0) and np.all(np.diff(c) <= 0.0)):
@@ -165,19 +161,17 @@ class CoefficientProgram:
         )
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(ReadOnly):
     """The ceiling computed three ways; constructing this value asserts the
     three agree to TOL.bound_forms and sit in [1/2, 1]."""
 
-    n: int
-    epsilon: float
-    closed_form: float
-    sum_form: float
-    program_form: float
+    __slots__ = ("n", "epsilon", "closed_form", "sum_form", "program_form")
 
-    def __post_init__(self):
-        vals = (self.closed_form, self.sum_form, self.program_form)
+    def __init__(self, n: int, epsilon: float, closed_form: float, sum_form: float,
+                 program_form: float):
+        self._assign(n=n, epsilon=epsilon, closed_form=closed_form, sum_form=sum_form,
+                     program_form=program_form)
+        vals = (closed_form, sum_form, program_form)
         for v in vals:
             if not 0.5 - TOL.bound_range <= v <= 1.0 + TOL.bound_range:
                 raise ValidationError(f"bound value {v} outside [1/2, 1]")
@@ -228,15 +222,16 @@ def bound_coefficient_program(n: int, epsilon: float):
 # the saturating strategy
 
 
-@dataclass(frozen=True, eq=False)
-class OptimalStrategy:
+class OptimalStrategy(NamedTuple):
     """Even branch untouched, odd branch collectively flipped, sectors read
     out exactly: the strategy whose simulated average fidelity meets the
-    ceiling."""
+    ceiling.  Compared by identity."""
 
     v_even: str
     v_odd: str
     povm: SectorPVM
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def optimal_strategy(n: int) -> OptimalStrategy:
@@ -278,8 +273,7 @@ def random_collective_povm(n: int, rng: np.random.Generator) -> CollectivePOVM:
     return CollectivePOVM(raw / raw.sum(axis=0))
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     """Outcome of a randomized search for strategies beating the ceiling."""
 
     n: int

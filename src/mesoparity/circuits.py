@@ -27,7 +27,6 @@ their own inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -57,6 +56,7 @@ from .states import (
     DensityOperator,
     LayoutError,
     PureState,
+    ReadOnly,
     SubsystemLayout,
     partial_trace,
 )
@@ -85,8 +85,7 @@ def _tag_blocks(v, name: str) -> tuple:
     return _TAG_BLOCKS[v]
 
 
-@dataclass(frozen=True, eq=False)
-class CircuitSpec:
+class CircuitSpec(ReadOnly):
     """Which circuit to run, on which MS, with which backend.
 
     v_odd / v_even apply to ``parity_conditioned`` only and are the tags
@@ -95,36 +94,32 @@ class CircuitSpec:
     once here (None for ``ghz_local``).
     """
 
-    kind: str
-    ms: MsConfig
-    backend: str = "auto"
-    v_odd: str = TAG_IDENTITY
-    v_even: str = TAG_IDENTITY
-    ops: Optional[dict] = field(init=False, repr=False)
+    __slots__ = ("kind", "ms", "backend", "v_odd", "v_even", "ops")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        if self.kind not in CIRCUIT_KINDS:
-            raise ValueError(f"unknown circuit kind {self.kind!r}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.kind == "hamming_half" and self.ms.n % 2:
-            raise ValueError(f"hamming_half needs an even MS size, got {self.ms.n}")
-        if self.kind != "parity_conditioned" and not all(
-            isinstance(v, str) and v == TAG_IDENTITY for v in (self.v_odd, self.v_even)
+    def __init__(self, kind: str, ms: MsConfig, backend: str = "auto",
+                 v_odd: str = TAG_IDENTITY, v_even: str = TAG_IDENTITY):
+        if kind not in CIRCUIT_KINDS:
+            raise ValueError(f"unknown circuit kind {kind!r}")
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}")
+        if kind == "hamming_half" and ms.n % 2:
+            raise ValueError(f"hamming_half needs an even MS size, got {ms.n}")
+        if kind != "parity_conditioned" and not all(
+            isinstance(v, str) and v == TAG_IDENTITY for v in (v_odd, v_even)
         ):
             raise ValueError("v_odd/v_even apply to parity_conditioned circuits only")
-        if self.kind == "hamming_half":
+        if kind == "hamming_half":
             # each excited qubit flips its own half of the MS
             ops = {(0, 0): (), (0, 1): (1,), (1, 0): (0,), (1, 1): (0, 1)}
-        elif self.kind == "ghz_local":
+        elif kind == "ghz_local":
             ops = None
         else:
             # the parity family: V_odd on the odd branches, V_even on the even ones
-            tags = ((TAG_FLIP, TAG_IDENTITY) if self.kind == "parity_collective"
-                    else (self.v_odd, self.v_even))
+            tags = (TAG_FLIP, TAG_IDENTITY) if kind == "parity_collective" else (v_odd, v_even)
             odd, even = (_tag_blocks(v, name) for v, name in zip(tags, ("v_odd", "v_even")))
             ops = {(0, 0): even, (0, 1): odd, (1, 0): odd, (1, 1): even}
-        object.__setattr__(self, "ops", ops)
+        self._assign(kind=kind, ms=ms, backend=backend, v_odd=v_odd, v_even=v_even, ops=ops)
 
     @property
     def block_sizes(self) -> tuple:
@@ -186,17 +181,19 @@ def _input_tensor(spec: CircuitSpec):
     Returns a fresh, writable tensor shaped like that state's ``as_tensor()``
     (real for a density: |++><++| (x) rho_eps, which the block flips keep real);
     the (layout, own block sizes) `branch_conditional_into` reads its MS slot
-    from, the sizes None for a dense MS slot; and the checked constructor
-    that wraps such a tensor as the state.
+    from, the sizes None for a dense MS slot; and the `trusted` constructor
+    that wraps such a tensor, or its block flip, as the state.  The density,
+    rho_eps[m, m] / 4 at each (qubit ket, m, qubit bra, m), is written there.
     """
     sizes = spec.block_sizes if spec.resolved_backend() == "collective" else None
     density = sizes is None and spec.ms.epsilon > 0.0
     ms_dim = 1 << (spec.ms.n if sizes is None else len(sizes))
     layout = SubsystemLayout((2, 2, ms_dim), (LABEL_Q1, LABEL_Q2, LABEL_MS))
     if density:
-        plus = np.full(4, 0.5)
-        rho = np.kron(np.outer(plus, plus), thermal_ms_dense(spec.ms).matrix)
-        t = rho.reshape(layout.dims * 2)
+        rho = 0.25 * thermal_ms_dense(spec.ms).diagonal()
+        t = np.zeros(layout.dims * 2)
+        m = np.arange(ms_dim)
+        t.reshape(4, ms_dim, 4, ms_dim)[:, m, :, m] = rho[:, None, None]
     else:
         # every MS block all |0>
         t = np.zeros(layout.dims, dtype=complex)
@@ -204,9 +201,8 @@ def _input_tensor(spec: CircuitSpec):
 
     def wrap(t: np.ndarray) -> JointState:
         if density:
-            d = layout.total_dim
-            return DensityOperator(t.reshape(d, d), layout)
-        return PureState(t, layout, sizes)
+            return DensityOperator.trusted(t.reshape((layout.total_dim,) * 2), layout)
+        return PureState.trusted(t, layout, sizes)
 
     return t, (layout, sizes), wrap
 
@@ -220,7 +216,7 @@ def evolve(spec: CircuitSpec, state: Optional[JointState] = None) -> JointState:
 
     With ``state`` left out, the spec's own prepared input is built and, for
     every state with a tensor under a block-flip kind, evolved in that same
-    array and wrapped (and checked) once: a density at the cap is one
+    array and wrapped once, `trusted`: a density at the cap is one
     joint-sized array, not two.  The result equals
     ``evolve(spec, prepare_inputs(spec))`` bit for bit.  A given ``state``
     is never written.

@@ -37,9 +37,9 @@ from array import array
 from collections import namedtuple
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
-from typing import Optional
+from itertools import zip_longest
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -297,9 +297,9 @@ def _resolve_epsilon(epsilon, polarization) -> tuple:
     return epsilon, polarization
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """One simulate run: circuit, MS, measurement, and reporting options."""
+class ScenarioConfig(NamedTuple):
+    """One simulate run: circuit, MS, measurement, and reporting options, in
+    the key order of the report's ``scenario``."""
 
     kind: str
     n: int
@@ -316,44 +316,31 @@ class ScenarioConfig:
     disentangle: bool
     seed: int
 
-    def __post_init__(self):
-        if self.measurement == "two_outcome":
-            has_theta = self.theta is not None
-            has_gt = self.g is not None and self.t_m is not None
-            if has_theta == has_gt:
-                raise UsageError(
-                    "two_outcome needs either theta=<comma list of n+1 angles> "
-                    "or both g= and t_m="
-                )
-            if has_theta and len(self.theta) != self.n + 1:
-                raise UsageError(
-                    f"theta table needs n+1={self.n + 1} entries, got {len(self.theta)}"
-                )
-
 
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     if args.n is None:
         raise UsageError("scenario needs n (number of MS sites)")
     epsilon, polarization = _resolve_epsilon(args.epsilon, args.polarization)
-    return ScenarioConfig(**{
-        **{f.name: getattr(args, f.name) for f in fields(ScenarioConfig)},
-        "epsilon": epsilon,
-        "polarization": polarization,
-    })
+    cfg = ScenarioConfig(*(getattr(args, name) for name in ScenarioConfig._fields))._replace(
+        epsilon=epsilon, polarization=polarization)
+    if cfg.measurement == "two_outcome":
+        has_theta = cfg.theta is not None
+        has_gt = cfg.g is not None and cfg.t_m is not None
+        if has_theta == has_gt:
+            raise UsageError("two_outcome needs either theta=<comma list of n+1 angles> "
+                             "or both g= and t_m=")
+        if has_theta and len(cfg.theta) != cfg.n + 1:
+            raise UsageError(f"theta table needs n+1={cfg.n + 1} entries, got {len(cfg.theta)}")
+    return cfg
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """Bound sweep grid: sites x epsilon (with polarization mirrored)."""
 
     n_values: tuple
     pairs: tuple  # (epsilon, polarization) per series
     out: str
     fmt: str
-
-    def __post_init__(self):
-        if not self.n_values or not self.pairs:
-            raise UsageError("sweep needs a non-empty N grid and epsilon/polarization list")
 
 
 def _sweep_from_args(args: argparse.Namespace) -> SweepConfig:
@@ -364,14 +351,10 @@ def _sweep_from_args(args: argparse.Namespace) -> SweepConfig:
         raise UsageError("sweep needs epsilon=<list> or polarization=<list>")
     if eps_list is not None and pol_list is not None and len(eps_list) != len(pol_list):
         raise UsageError("epsilon and polarization lists differ in length")
-    count = len(eps_list) if eps_list is not None else len(pol_list)
-    pairs = tuple(
-        _resolve_epsilon(
-            eps_list[i] if eps_list is not None else None,
-            pol_list[i] if pol_list is not None else None,
-        )
-        for i in range(count)
-    )
+    pairs = tuple(_resolve_epsilon(eps, pol)
+                  for eps, pol in zip_longest(eps_list or (), pol_list or ()))
+    if not args.n or not pairs:
+        raise UsageError("sweep needs a non-empty N grid and epsilon/polarization list")
     return SweepConfig(args.n, pairs, args.out, args.format or "csv")
 
 
@@ -527,7 +510,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return out
 
     report = {
-        "scenario": asdict(cfg),
+        "scenario": cfg._asdict(),
         "outcomes": outcomes(),
         "f_avg": lambda: average_fidelity(kept),
         "diagnostics": diagnostics,
@@ -716,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--disentangle", nargs="?", const=True, default=False, type=_as_bool,
                      help="apply the reversing gate to each post-measurement branch")
     sim.set_defaults(func=cmd_simulate,
-                     config_keys=tuple(f.name for f in fields(ScenarioConfig)))
+                     config_keys=ScenarioConfig._fields)
 
     bnd = sub.add_parser("bound", parents=[common],
                          help="sweep the average-fidelity ceiling over a grid")

@@ -28,8 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .states import (
     DensityOperator,
     LayoutError,
     PureState,
+    ReadOnly,
     SubsystemLayout,
     ValidationError,
     apply_kernel,
@@ -177,22 +177,19 @@ def binomial_pmf(n: int, p) -> np.ndarray:
     return next(binomial_rows((n,), p))
 
 
-@dataclass(frozen=True)
-class MsConfig:
+class MsConfig(ReadOnly):
     """Ensemble size and per-site depolarization of the MS initial state.
 
     Each site starts in diag(q, 1-q) with q = 1 - epsilon/2, i.e. polarization
     1 - epsilon toward |0>.
     """
 
-    n: int
-    epsilon: float = 0.0
+    __slots__ = ("n", "epsilon")
 
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValidationError(f"MS size must be a positive integer, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+    def __init__(self, n: int, epsilon: float = 0.0):
+        if int(n) != n or n < 1:
+            raise ValidationError(f"MS size must be a positive integer, got {n}")
+        self._assign(n=int(n), epsilon=float(epsilon))
         if not 0.0 <= self.epsilon < 1.0:
             raise ValidationError(f"epsilon must lie in [0, 1), got {self.epsilon}")
 
@@ -382,7 +379,8 @@ def ghz_entangler(state, inverse: bool = False):
         c = coeff.conjugate() if conj else coeff
         return (t + c * np.flip(t, axis=offset + slot)) / math.sqrt(2.0)
 
-    return state.with_tensor(apply_kernel(state, kernel))
+    # the coefficient rounds differently on a density's two sides: check the result
+    return state.with_tensor(apply_kernel(state, kernel), checked=True)
 
 
 def edge_phase_gate(state, controlled_on: str):
@@ -446,7 +444,7 @@ def thermal_ms_dense(config: MsConfig) -> DensityOperator:
     pops = popcounts(n).astype(np.float64)
     diag = q ** (n - pops) * (1.0 - q) ** pops
     layout = SubsystemLayout((1 << n,), (LABEL_MS,))
-    return DensityOperator(np.diag(diag), layout)
+    return DensityOperator.trusted(np.diag(diag), layout)
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +459,23 @@ def thermal_ms_dense(config: MsConfig) -> DensityOperator:
 # limited-polarization protocol lives at sizes far beyond the dense cap.
 
 
-@dataclass(frozen=True)
-class SectorMixture:
+class SectorMixture(ReadOnly):
     """Sector data of a parity-conditioned two-qubit/MS mixed state.
 
     weight_odd[m] / weight_even[m]: excitation-sector weights of the MS blocks
     correlated with the odd/even Bell component; cross[m]: per-sector scalar of
     the odd-even cross block, which carries a collective flip when
-    cross_flipped is set (making its trace vanish identically).
+    cross_flipped is set (making its trace vanish identically); _sign_bits:
+    whether a field holds a negative entry or -0.0 (0 * w is then -0.0).
     """
 
-    n: int
-    weight_odd: np.ndarray
-    weight_even: np.ndarray
-    cross: np.ndarray
-    cross_flipped: bool = False
+    __slots__ = ("n", "weight_odd", "weight_even", "cross", "cross_flipped", "_sign_bits")
+
+    def __init__(self, n: int, weight_odd: np.ndarray, weight_even: np.ndarray,
+                 cross: np.ndarray, cross_flipped: bool = False):
+        self._assign(n=n, weight_odd=weight_odd, weight_even=weight_even, cross=cross,
+                     cross_flipped=cross_flipped)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 1:
@@ -483,18 +483,14 @@ class SectorMixture:
         for name in ("weight_odd", "weight_even", "cross"):
             v = np.asarray(getattr(self, name), dtype=float).reshape(-1)
             v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            self._assign(**{name: v})
             if v.size != self.n + 1:
                 raise LayoutError(f"{name} has length {v.size}, expected {self.n + 1}")
         w_o = self.weight_odd
         _check_sector_weights(w_o, self.weight_even, self.cross, w_o.sum(),
                               self.weight_even.sum(), w_o[::-1] if self.cross_flipped else w_o)
-
-    @cached_property
-    def _sign_bits(self) -> bool:
-        """Whether a field holds a negative entry or -0.0, where the product
-        0 * w of a measurement update is -0.0, not 0."""
-        return any(np.signbit(v).any() for v in (self.weight_odd, self.weight_even, self.cross))
+        self._assign(_sign_bits=any(np.signbit(v).any()
+                                    for v in (w_o, self.weight_even, self.cross)))
 
 
 def _check_sector_weights(weight_odd, weight_even, cross, odd_sum, even_sum,

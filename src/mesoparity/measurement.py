@@ -15,7 +15,7 @@ state exactly when the caller asks for post states (the CLI does for
 update of a state with a tensor vanishes off the effect's support S, the MS
 entries where sqrt(E_alpha) is nonzero, so `measure` updates the ket entries
 on S (rho[S, S] for a density, cast to complex when stored real) and reads
-the record from that checked block; the full post-state is the block written
+the record from that block; the full post-state is the block written
 into zeros.  A `SectorMixture` is measured in blocks of live outcomes: one
 `collective.mixture_update` of a block's three (K, n+1) sector arrays,
 checked row by row, whose rows become `SectorMixture`s only to be kept, and
@@ -38,8 +38,7 @@ square-root rule with the same cos^2/sin^2 coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,6 +58,7 @@ from .metrics import bell_overlaps, fidelity
 from .states import (
     LABEL_MS,
     LayoutError,
+    ReadOnly,
     SubsystemLayout,
     ValidationError,
     apply_kernel,
@@ -80,18 +80,18 @@ _BLOCK_ENTRIES = 1 << 14
 _CHUNK_OUTCOMES = 1 << 10
 
 
-@dataclass(frozen=True, eq=False)
-class CollectivePOVM:
+class CollectivePOVM(ReadOnly):
     """Coefficient matrix a[alpha][m] of sector-diagonal effects."""
 
-    coefficients: np.ndarray
+    __slots__ = ("coefficients",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        a = np.asarray(self.coefficients, dtype=float)
+    def __init__(self, coefficients: np.ndarray):
+        a = np.asarray(coefficients, dtype=float)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 2:
             raise LayoutError(f"coefficient matrix shape {a.shape}")
         a.setflags(write=False)
-        object.__setattr__(self, "coefficients", a)
+        self._assign(coefficients=a)
         if not (-TOL.povm <= a.min() and a.max() <= 1.0 + TOL.povm):
             raise ValidationError("POVM coefficients must lie in [0, 1]")
         res = np.abs(a.sum(axis=0) - 1.0).max()
@@ -119,19 +119,18 @@ class CollectivePOVM:
         return np.array([self.probability(alpha, sectors) for alpha in ids.tolist()])
 
 
-@dataclass(frozen=True)
-class SectorPVM:
+class SectorPVM(ReadOnly):
     """The fully resolving measurement, E_alpha = Pi(alpha) for alpha = 0..n,
     held by its size alone: `probability` reads one sector's weight, `row`
     builds the unit vector of one outcome, and the (n+1) x (n+1) identity
     exists only while a reader of ``coefficients`` holds it."""
 
-    n_sites: int
+    __slots__ = ("n_sites",)
 
-    def __post_init__(self):
-        if int(self.n_sites) != self.n_sites or self.n_sites < 1:
-            raise LayoutError(f"sector readout needs n >= 1 sites, got {self.n_sites}")
-        object.__setattr__(self, "n_sites", int(self.n_sites))
+    def __init__(self, n_sites: int):
+        if int(n_sites) != n_sites or n_sites < 1:
+            raise LayoutError(f"sector readout needs n >= 1 sites, got {n_sites}")
+        self._assign(n_sites=int(n_sites))
 
     @property
     def n_outcomes(self) -> int:
@@ -162,21 +161,21 @@ class SectorPVM:
 Readout = Union[CollectivePOVM, SectorPVM]
 
 
-@dataclass(frozen=True, eq=False)
-class TwoOutcomeTheta:
+class TwoOutcomeTheta(ReadOnly):
     """Angle table theta(m) defining the cos^2/sin^2 two-outcome family."""
 
+    __slots__ = ("theta",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
     n_outcomes = 2
-    theta: np.ndarray
 
-    def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float).reshape(-1)
+    def __init__(self, theta: np.ndarray):
+        th = np.asarray(theta, dtype=float).reshape(-1)
         if th.size < 2:
             raise LayoutError("theta table needs at least two entries (m = 0..n)")
         if not np.all(np.isfinite(th)):
             raise ValidationError("theta table must be finite")
         th.setflags(write=False)
-        object.__setattr__(self, "theta", th)
+        self._assign(theta=th)
 
     @classmethod
     def linear(cls, n: int, g: float, t_m: float) -> "TwoOutcomeTheta":
@@ -187,29 +186,28 @@ class TwoOutcomeTheta:
         return self.theta.size - 1
 
 
-@dataclass(frozen=True)
-class ApparatusSpec:
+class ApparatusSpec(ReadOnly):
     """Probe-qubit coupling: rotation angle theta(m) = g * m * t_m."""
 
+    __slots__ = ("g", "t_m")
     n_outcomes = 2
-    g: float
-    t_m: float
 
-    def __post_init__(self):
-        gt = self.g * self.t_m
+    def __init__(self, g: float, t_m: float):
+        gt = g * t_m
         if not np.isfinite(gt) or gt < 0:
             raise ValidationError(f"g*t_m must be finite and nonnegative, got {gt}")
+        self._assign(g=g, t_m=t_m)
 
     def theta(self, n: int) -> TwoOutcomeTheta:
         return TwoOutcomeTheta.linear(n, self.g, self.t_m)
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeRecord:
+class OutcomeRecord(NamedTuple):
     """One measurement outcome: its probability, the Bell fidelities of the
     post-selected qubit pair and either its post state, when post states
     were asked for, or else the post state's sector distribution.  Every
-    field but the probability is None below the probability floor."""
+    field but the probability is None below the probability floor.  Records
+    compare by identity, not as tuples of their arrays and states."""
 
     outcome: int
     probability: float
@@ -218,6 +216,8 @@ class OutcomeRecord:
     fidelity_even: Optional[float]
     fidelity_best: Optional[float]
     sectors: Optional[np.ndarray]
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def povm_from_theta(t: TwoOutcomeTheta) -> CollectivePOVM:
@@ -241,25 +241,13 @@ def sector_pvm(n: int) -> SectorPVM:
 # square-root-rule measurement
 
 
-# every field of a dead record but its outcome and probability
-_DEAD_FIELDS = dict(post_state=None, fidelity_odd=None, fidelity_even=None,
-                    fidelity_best=None, sectors=None)
-
-
 def _dead_records(ids, probs) -> list:
     """The records of outcomes ``ids`` whose probabilities ``probs`` lie
-    below the floor, each probability clipped at 0 as max(p, 0.0) clips it.
-    Each record's fields are written straight into its instance dict, not
-    through the frozen dataclass's ``__init__`` (about 1 us a record): most
-    outcomes of a resolving readout are dead."""
+    below the floor, each probability clipped at 0 as max(p, 0.0) clips it."""
     probs = np.asarray(probs, dtype=float)
-    new = object.__new__
-    records = []
-    for alpha, p in zip(np.asarray(ids).tolist(), np.where(probs < 0.0, 0.0, probs).tolist()):
-        rec = new(OutcomeRecord)
-        vars(rec).update(_DEAD_FIELDS, outcome=alpha, probability=p)
-        records.append(rec)
-    return records
+    return [OutcomeRecord(alpha, p, None, None, None, None, None)
+            for alpha, p in zip(np.asarray(ids).tolist(),
+                                np.where(probs < 0.0, 0.0, probs).tolist())]
 
 
 def _live_records(outcomes, probs, margs, sectors, posts) -> list:
@@ -295,9 +283,11 @@ def _support_update(state, sqrt_coeffs: np.ndarray, p: float, post_states: bool)
     Returns the qubit marginal and either, with ``post_states``, None and the
     full post-state (the block written into zeros) or the post-state's sector
     distribution and None.
-    Both are read from the checked block on S, a state of ``state``'s class
+    Both are read from the block on S, a `trusted` state of ``state``'s class
     with the MS slot shrunk to |S|: the update vanishes off S on every side,
     so the block holds the whole qubit marginal and every sector's weight.
+    One symmetric real weight array multiplies a density's block, which keeps
+    it Hermitian bit for bit.
     """
     index = excitation_index(state)
     on_support = (sqrt_coeffs != 0)[index]
@@ -325,7 +315,7 @@ def _support_update(state, sqrt_coeffs: np.ndarray, p: float, post_states: bool)
     t *= apply_kernel(state, kernel, np.ones((1,) * (sides * len(sub.dims))))
     t /= p if sides == 2 else np.sqrt(p)
     flat = t.reshape((sub.total_dim,) * sides)
-    block = type(state)(flat, sub)
+    block = type(state).trusted(flat, sub)
     if post_states:
         if on_s is None:
             return qubit_marginal(block), None, state.with_tensor(flat)

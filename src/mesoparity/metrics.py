@@ -6,27 +6,23 @@ state can be distilled toward that target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .states import DensityOperator, ValidationError, validate_density
+from .states import DensityOperator, ReadOnly, ValidationError, validate_density
 from .tolerances import TOL
 
 
-@dataclass(frozen=True)
-class BellTarget:
+class BellTarget(ReadOnly):
     """One of the two maximally entangled targets of the parity protocol."""
 
-    which: str
-    vector: np.ndarray
+    __slots__ = ("which", "vector")
 
-    def __post_init__(self):
-        if self.which not in ("even_plus", "odd_plus"):
-            raise ValueError(f"unknown Bell target {self.which!r}")
-        v = np.asarray(self.vector, dtype=complex).reshape(-1)
+    def __init__(self, which: str, vector: np.ndarray):
+        if which not in ("even_plus", "odd_plus"):
+            raise ValueError(f"unknown Bell target {which!r}")
+        v = np.asarray(vector, dtype=complex).reshape(-1)
         v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
+        self._assign(which=which, vector=v)
         if v.size != 4 or not abs(np.linalg.norm(v) - 1.0) <= TOL.norm:
             raise ValidationError("Bell target must be a 4-dim unit vector")
 
@@ -76,16 +72,15 @@ def average_fidelity(records) -> float:
     return acc
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(ReadOnly):
     """Probability distribution over measurement outcomes."""
 
-    probs: np.ndarray
+    __slots__ = ("probs",)
 
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float).reshape(-1)
+    def __init__(self, probs: np.ndarray):
+        p = np.asarray(probs, dtype=float).reshape(-1)
         p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
+        self._assign(probs=p)
         if p.size == 0 or not p.min() >= -TOL.norm:
             raise ValidationError("distribution entries must be nonnegative")
         if not abs(p.sum() - 1.0) <= TOL.norm:

@@ -8,9 +8,8 @@ new values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import ClassVar, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,20 +40,48 @@ class ValidationError(ValueError):
     """A value violates a declared invariant (norm, Hermiticity, POVM axioms, ...)."""
 
 
-@dataclass(frozen=True)
-class SubsystemLayout:
+class ReadOnly:
+    """Base of the package's checked values: fields named in ``__slots__``,
+    set in ``__init__`` through `_assign` and read-only after, compared and
+    hashed as a tuple unless the class compares by identity.  Not a frozen
+    dataclass, whose generated methods Python compiles at every import."""
+
+    __slots__ = ()
+
+    def _assign(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setstate__(self, state) -> None:  # copy and pickle: (None, {slot: value})
+        self._assign(**state[1])
+
+
+class SubsystemLayout(ReadOnly):
     """Ordered local dimensions with a role label per slot."""
 
-    dims: tuple[int, ...]
-    labels: tuple[str, ...]
+    __slots__ = ("dims", "labels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+    def __init__(self, dims: Sequence[int], labels: Sequence[str]):
+        dims = tuple(dims)
+        self._assign(dims=tuple(int(d) for d in dims), labels=tuple(str(s) for s in labels))
+        if self.dims != dims:
+            raise LayoutError(f"non-integral local dimension in {dims}")
         if len(self.dims) != len(self.labels):
-            raise LayoutError(
-                f"{len(self.dims)} dims but {len(self.labels)} labels"
-            )
+            raise LayoutError(f"{len(self.dims)} dims but {len(self.labels)} labels")
         if not self.dims:
             raise LayoutError("layout needs at least one slot")
         if any(d < 1 for d in self.dims):
@@ -83,8 +110,7 @@ class SubsystemLayout:
         )
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(ReadOnly):
     """Unit-norm complex amplitude vector over a layout.
 
     ``block_sizes`` None keeps the MS slot in the sites' product basis.  The
@@ -96,15 +122,24 @@ class PureState:
     sum_b s_b N_b.
     """
 
-    amplitudes: np.ndarray
-    layout: SubsystemLayout
-    block_sizes: Optional[tuple] = None
-    sides: ClassVar[int] = 1
+    __slots__ = ("amplitudes", "layout", "block_sizes")
+    sides = 1
+
+    def __init__(self, amplitudes: np.ndarray, layout: SubsystemLayout,
+                 block_sizes: Optional[tuple] = None):
+        self._assign(amplitudes=amplitudes, layout=layout, block_sizes=block_sizes)
+        self.__post_init__()
+
+    @classmethod
+    def trusted(cls, amplitudes: np.ndarray, layout: SubsystemLayout,
+                block_sizes: Optional[tuple] = None) -> "PureState":
+        """The constructor itself: no check of a pure state costs more than O(d)."""
+        return cls(amplitudes, layout, block_sizes)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        self._assign(amplitudes=amps)
         if self.layout.total_dim > DENSE_STATE_DIM_CAP:
             raise LayoutError(
                 f"total dimension {self.layout.total_dim} exceeds the dense cap "
@@ -116,7 +151,7 @@ class PureState:
             )
         if self.block_sizes is not None:
             sizes = tuple(int(b) for b in self.block_sizes)
-            object.__setattr__(self, "block_sizes", sizes)
+            self._assign(block_sizes=sizes)
             if not sizes or any(b < 1 for b in sizes):
                 raise LayoutError(f"bad block sizes {sizes}")
             ms_dim = self.layout.dims[self.layout.slot(LABEL_MS)]
@@ -129,12 +164,12 @@ class PureState:
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.layout.dims)
 
-    def with_tensor(self, t: np.ndarray) -> "PureState":
+    def with_tensor(self, t: np.ndarray, checked: bool = False) -> "PureState":
+        """This state's kind over the tensor ``t``, checked either way."""
         return PureState(t.reshape(-1), self.layout, self.block_sizes)
 
 
-@dataclass(frozen=True)
-class DensityOperator:
+class DensityOperator(ReadOnly):
     """Hermitian, unit-trace matrix over a layout.
 
     A float64 matrix is kept as it is, real and uncopied, at half the bytes
@@ -149,18 +184,29 @@ class DensityOperator:
     eigendecomposition); call :func:`validate_density` at trust boundaries.
     """
 
-    matrix: np.ndarray
-    layout: SubsystemLayout
+    __slots__ = ("matrix", "layout")
     # a density's MS slot is always in the sites' product basis
-    block_sizes: ClassVar[None] = None
-    sides: ClassVar[int] = 2
+    block_sizes = None
+    sides = 2
 
-    def __post_init__(self):
+    def __init__(self, matrix: np.ndarray, layout: SubsystemLayout):
+        self._assign(matrix=matrix, layout=layout)
+        self.__post_init__()
+
+    @classmethod
+    def trusted(cls, matrix: np.ndarray, layout: SubsystemLayout) -> "DensityOperator":
+        """A kernel output, Hermitian by construction: all but its Hermiticity is checked."""
+        rho = object.__new__(cls)
+        rho._assign(matrix=matrix, layout=layout)
+        rho._check(trusted=True)
+        return rho
+
+    def _check(self, trusted: bool = False) -> None:
         mat = np.asarray(self.matrix)
         if mat.dtype != np.float64:
             mat = mat.astype(complex, copy=False)
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        self._assign(matrix=mat)
         d = self.layout.total_dim
         if d > DENSE_DENSITY_DIM_CAP:
             raise LayoutError(
@@ -168,11 +214,13 @@ class DensityOperator:
             )
         if mat.shape != (d, d):
             raise LayoutError(f"matrix shape {mat.shape} for total dimension {d}")
-        if not hermiticity_residual(mat) <= TOL.hermiticity:
+        if not (trusted or hermiticity_residual(mat) <= TOL.hermiticity):
             raise ValidationError("density matrix is not Hermitian within tolerance")
         tr = mat.trace().real
         if not abs(tr - 1.0) <= TOL.norm:
             raise ValidationError(f"density trace {tr} deviates from 1 beyond {TOL.norm}")
+
+    __post_init__ = _check
 
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal().real
@@ -180,9 +228,11 @@ class DensityOperator:
     def as_tensor(self) -> np.ndarray:
         return self.matrix.reshape(self.layout.dims + self.layout.dims)
 
-    def with_tensor(self, t: np.ndarray) -> "DensityOperator":
+    def with_tensor(self, t: np.ndarray, checked: bool = False) -> "DensityOperator":
+        """This state's kind over the tensor ``t``, `trusted` unless ``checked``."""
         d = self.layout.total_dim
-        return DensityOperator(t.reshape(d, d), self.layout)
+        build = DensityOperator if checked else DensityOperator.trusted
+        return build(t.reshape(d, d), self.layout)
 
 
 def hermiticity_residual(mat: np.ndarray) -> float:
@@ -277,12 +327,11 @@ def renormalized(state, t: np.ndarray, p: float):
     probability ``p``: amplitudes divide by sqrt(p), a density by p.
 
     ``t`` is divided in place, so a density update holds one joint-sized
-    array less at its peak; pass a fresh array.
+    array less at its peak; pass a fresh array.  The result is `trusted`:
+    the probe readout's sector-diagonal products keep a density Hermitian
+    to within a rounding of each entry.
     """
-    if isinstance(state, DensityOperator):
-        t /= p
-    else:
-        t /= np.sqrt(p)
+    t /= p if state.sides == 2 else np.sqrt(p)
     return state.with_tensor(t)
 
 

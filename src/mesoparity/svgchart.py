@@ -8,7 +8,7 @@ identical data always yields identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -19,15 +19,10 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     label: str
     xs: tuple
     ys: tuple
-
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys) or not self.xs:
-            raise ValueError("series needs matching, non-empty x/y data")
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
@@ -44,6 +39,8 @@ def polyline_chart(series, x_label: str, y_label: str, title: str, y_range) -> s
     series = list(series)
     if not series:
         raise ValueError("nothing to plot")
+    if any(len(s.xs) != len(s.ys) or not s.xs for s in series):
+        raise ValueError("series needs matching, non-empty x/y data")
     width, height = 640, 420
     ml, mr, mt, mb = 72, 150, 34, 56
     x_all = [x for s in series for x in s.xs]

@@ -953,7 +953,8 @@ def test_cli_import_loads_no_scipy():
 
 
 # Run `python -m mesoparity` with the given arguments in a fresh interpreter,
-# then print the collector's freeze count and the package modules loaded.
+# then print the collector's freeze count and the package modules loaded, and
+# `dataclasses` if it was loaded.
 _RUN_MAIN = """
 import gc, runpy, sys
 sys.argv[0] = "mesoparity"
@@ -962,7 +963,8 @@ try:
 except SystemExit as exc:
     assert not exc.code, exc.code
 print(gc.get_freeze_count())
-print(" ".join(sorted(m for m in sys.modules if m.startswith("mesoparity."))))
+print(" ".join(sorted(m for m in sys.modules
+                      if m.startswith("mesoparity.") or m == "dataclasses")))
 """
 
 
@@ -989,6 +991,20 @@ def test_simulate_loads_neither_bounds_nor_verify(tmp_path, n):
                           "--out", str(tmp_path / "report.json"))
     assert "mesoparity.measurement" in loaded
     assert not loaded & {"mesoparity.bounds", "mesoparity.verify"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--kind", "parity_conditioned", "--v-odd", "collective_flip", "--n", "3",
+     "--epsilon", "0.3", "--disentangle"),
+    ("simulate", "--kind", "parity_conditioned", "--v-odd", "collective_flip", "--n", "40",
+     "--epsilon", "0.3"),
+    ("bound", "--n", "1:60", "--epsilon", "0.1,0.3", "--format", "svg"),
+], ids=["simulate-dense", "simulate-mixture", "bound"])
+def test_commands_load_no_dataclasses(tmp_path, argv):
+    # every value of the package is a plain class or a NamedTuple, so no
+    # command pays for building dataclasses at start-up
+    _, loaded = _run_main(*argv, "--out", str(tmp_path / "out"))
+    assert "mesoparity.cli" in loaded and "dataclasses" not in loaded
 
 
 def test_only_the_entry_point_freezes_the_collector(tmp_path):

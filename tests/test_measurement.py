@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -31,6 +30,7 @@ from mesoparity import measurement
 from mesoparity.measurement import (
     ApparatusSpec,
     CollectivePOVM,
+    OutcomeRecord,
     TwoOutcomeTheta,
     apparatus_measure,
     measure,
@@ -47,6 +47,7 @@ from mesoparity.states import (
     DensityOperator,
     LayoutError,
     PureState,
+    ReadOnly,
     SubsystemLayout,
     ValidationError,
     apply_kernel,
@@ -423,14 +424,17 @@ class TestOutcomeStream:
 
 def _bits(value):
     """A value as comparable raw bits: arrays with dtype and shape, floats by
-    their hex form (which tells -0.0 from 0.0), a dataclass (a record, a
-    state, a layout) field by field."""
+    their hex form (which tells -0.0 from 0.0), a record by the names of its
+    ``_fields`` and a state or a layout by those of its ``__slots__``, field
+    by field."""
     if isinstance(value, np.ndarray):
         return value.dtype, value.shape, value.tobytes()
     if isinstance(value, float):
         return value.hex()
-    if dataclasses.is_dataclass(value):
-        return [(f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value)]
+    names = (value._fields if isinstance(value, OutcomeRecord)
+             else value.__slots__ if isinstance(value, ReadOnly) else None)
+    if names is not None:
+        return [(name, _bits(getattr(value, name))) for name in names]
     return value
 
 
@@ -754,8 +758,7 @@ class TestPostStateRule:
                 marg = qubit_marginal(b.post_state)
                 want = (fidelity(marg, BELL_ODD_PLUS), fidelity(marg, BELL_EVEN_PLUS))
                 assert [_bits(f) for f in want] == [_bits(a.fidelity_odd), _bits(a.fidelity_even)]
-                assert _bits(dataclasses.replace(a, sectors=None)) == _bits(
-                    dataclasses.replace(b, post_state=None))
+                assert _bits(a._replace(sectors=None)) == _bits(b._replace(post_state=None))
 
 
 class TestRealDensityStorage:

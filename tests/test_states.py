@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -51,6 +54,25 @@ class TestSubsystemLayout:
     def test_nonpositive_dims_rejected(self):
         with pytest.raises(LayoutError):
             SubsystemLayout((2, 0), (LABEL_Q1, LABEL_Q2))
+
+    @pytest.mark.parametrize("dims", [(2.7, 3), (2, 3.5), (np.float64(1.5), 2)])
+    def test_non_integral_dims_rejected(self, dims):
+        with pytest.raises(LayoutError, match="non-integral"):
+            SubsystemLayout(dims, (LABEL_Q1, LABEL_MS))
+
+    def test_integral_dims_of_any_type_accepted(self):
+        lay = SubsystemLayout((2.0, np.int64(3)), (LABEL_Q1, LABEL_MS))
+        assert lay.dims == (2, 3) and all(type(d) is int for d in lay.dims)
+
+    def test_value_equality_and_read_only_fields(self):
+        lay = three_slot_layout(8)
+        assert lay == three_slot_layout(8) and hash(lay) == hash(three_slot_layout(8))
+        assert lay != three_slot_layout(4)
+        with pytest.raises(AttributeError):
+            lay.dims = (2, 2, 4)
+        with pytest.raises(AttributeError):
+            del lay.labels
+        assert copy.deepcopy(lay) == pickle.loads(pickle.dumps(lay)) == lay
 
     def test_keep(self):
         kept = three_slot_layout(8).keep((2, 0))

@@ -1,10 +1,11 @@
 """Structure guards: each module keeps its private names and the sector
-mixture's fields to itself.
+mixture's fields to itself, and none imports `dataclasses`.
 
 A `_`-prefixed name is private to its module, so no module of the package
 imports one from another (or reads one off an imported module).  The
 `SectorMixture` format is known by `collective` alone: no other module reads
-its sector fields.
+its sector fields.  Values are plain read-only classes or NamedTuples: a
+dataclass's generated methods are compiled at every import.
 """
 
 import ast
@@ -54,3 +55,13 @@ def test_only_collective_reads_the_mixture_fields(path):
     read = sorted({node.attr for node in ast.walk(_tree(path))
                    if isinstance(node, ast.Attribute) and node.attr in MIXTURE_FIELDS})
     assert read == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    nodes = list(ast.walk(_tree(path)))
+    imported = {alias.name for node in nodes if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in nodes
+                 if isinstance(node, ast.ImportFrom) and not node.level}
+    assert "dataclasses" not in imported
